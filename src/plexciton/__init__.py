@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .bloch import (
     BlochState,
-    bloch_derivative,
     bloch_steady_state,
     evolve_bloch,
     regression_g2_resonant_numeric,
@@ -52,7 +51,6 @@ from .rate_dynamics import (
     Populations,
     PopulationTrajectory,
     evolve_populations,
-    populations_derivative,
     regression_g2_nonresonant_numeric,
     steady_state_analytic,
 )
@@ -94,7 +92,6 @@ __all__ = [
     "SpectrumSeries",
     "SystemParams",
     "TrajectoryConfig",
-    "bloch_derivative",
     "bloch_steady_state",
     "branch_drive_rabi",
     "branch_rates",
@@ -112,7 +109,6 @@ __all__ = [
     "mixing_angle",
     "occupation_fractions",
     "parse_config",
-    "populations_derivative",
     "rabi_splitting",
     "read_photon_stream",
     "regression_g2_nonresonant_numeric",

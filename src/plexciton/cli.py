@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 import warnings
 from dataclasses import replace
 
@@ -49,9 +48,10 @@ from .model import (
     branch_rates,
     dressed_basis,
 )
-from .rate_dynamics import steady_state_analytic
+from .rate_dynamics import Populations, steady_state_analytic
 from .stochastic import (
     TrajectoryConfig,
+    atomic_write,
     emission_rate,
     fano_factor,
     g2_histogram,
@@ -65,19 +65,6 @@ _NUMERICAL_ERRORS = (IntegrationError, ResolutionError, InsufficientDataError)
 
 def _fmt(value: float) -> str:
     return repr(float(value))
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _csv_text(comments: list[str], header: list[str],
@@ -146,7 +133,7 @@ def cmd_spectrum(config: RunConfig, out_dir: str) -> list[str]:
              combined.values],
         )
         path = os.path.join(out_dir, name)
-        _atomic_write(path, text)
+        atomic_write(path, [text])
         paths.append(path)
     return paths
 
@@ -190,7 +177,7 @@ def cmd_g2(config: RunConfig, out_dir: str) -> str:
          curves["R_minus"], curves["R_plus"]],
     )
     path = os.path.join(out_dir, "g2.csv")
-    _atomic_write(path, text)
+    atomic_write(path, [text])
     return path
 
 
@@ -251,13 +238,36 @@ def cmd_trajectory(config: RunConfig, out_dir: str) -> list[str]:
         [hist.tau, hist.values, hist.stderr],
     )
     summary = os.path.join(out_dir, "summary.csv")
-    _atomic_write(summary, text)
+    atomic_write(summary, [text])
     paths.append(summary)
     return paths
 
 
-def _rates_report(config: RunConfig) -> str:
+def _require_drive(params: SystemParams) -> None:
+    if params.scenario is Scenario.RESONANT and params.omega_l_rabi <= 0.0:
+        raise ParameterError("resonant scenario needs drive_rabi > 0")
+
+
+def _population_lines(steady: Populations) -> list[str]:
+    return [f"p_{state} = {_fmt(getattr(steady, 'p_' + state))}"
+            for state in ("gg", "uu", "mm", "pp")]
+
+
+def _write_report(lines: list[str], out_dir: str | None, name: str) -> str:
+    """Print a report; also write it when an output dir is given."""
+    report = "\n".join(lines) + "\n"
+    sys.stdout.write(report)
+    if out_dir is None:
+        return ""
+    path = os.path.join(out_dir, name)
+    atomic_write(path, [report])
+    return path
+
+
+def cmd_rates(config: RunConfig, out_dir: str | None) -> str:
+    """Print the rates report; also write it when an output dir is given."""
     params = config.params
+    _require_drive(params)
     basis = dressed_basis(params)
     rates = branch_rates(params, basis)
     scale = config.unit_scale
@@ -281,8 +291,6 @@ def _rates_report(config: RunConfig) -> str:
         ]
 
     if params.scenario is Scenario.RESONANT:
-        if params.omega_l_rabi <= 0.0:
-            raise ParameterError("resonant scenario needs drive_rabi > 0")
         for branch in Branch:
             ch = rates.branch(branch)
             drive = branch_drive_rabi(params, basis, branch)
@@ -299,12 +307,7 @@ def _rates_report(config: RunConfig) -> str:
             ]
     else:
         steady = steady_state_analytic(rates, params.pump_r)
-        lines += [
-            f"p_gg = {_fmt(steady.p_gg)}",
-            f"p_uu = {_fmt(steady.p_uu)}",
-            f"p_mm = {_fmt(steady.p_mm)}",
-            f"p_pp = {_fmt(steady.p_pp)}",
-        ]
+        lines += _population_lines(steady)
         for branch in Branch:
             photon_rate = steady.branch(branch) * rates.branch(branch).grad
             tag = branch.value
@@ -316,29 +319,18 @@ def _rates_report(config: RunConfig) -> str:
         f"gamma_r_physical = {_fmt(params.gamma_r * scale)} THz",
         f"gamma_par_physical = {_fmt(params.gamma_par * scale)} THz",
     ]
-    return "\n".join(lines) + "\n"
+    return _write_report(lines, out_dir, "rates.txt")
 
 
-def cmd_rates(config: RunConfig, out_dir: str | None) -> str:
-    """Print the rates report; also write it when an output dir is given."""
-    report = _rates_report(config)
-    sys.stdout.write(report)
-    if out_dir is not None:
-        path = os.path.join(out_dir, "rates.txt")
-        _atomic_write(path, report)
-        return path
-    return ""
-
-
-def _steady_state_report(config: RunConfig) -> str:
+def cmd_steady_state(config: RunConfig, out_dir: str | None) -> str:
+    """Print the stationary state; also write it when an output dir is given."""
     params = config.params
+    _require_drive(params)
     basis = dressed_basis(params)
     rates = branch_rates(params, basis)
     lines = [f"# plexciton {__version__} steady state",
              f"scenario = {params.scenario.value}"]
     if params.scenario is Scenario.RESONANT:
-        if params.omega_l_rabi <= 0.0:
-            raise ParameterError("resonant scenario needs drive_rabi > 0")
         for branch in Branch:
             ch = rates.branch(branch)
             state = bloch_steady_state(branch_drive_rabi(params, basis, branch),
@@ -350,24 +342,8 @@ def _steady_state_report(config: RunConfig) -> str:
                 f"coh_im_{tag} = {_fmt(state.coh_im)}",
             ]
     else:
-        steady = steady_state_analytic(rates, params.pump_r)
-        lines += [
-            f"p_gg = {_fmt(steady.p_gg)}",
-            f"p_uu = {_fmt(steady.p_uu)}",
-            f"p_mm = {_fmt(steady.p_mm)}",
-            f"p_pp = {_fmt(steady.p_pp)}",
-        ]
-    return "\n".join(lines) + "\n"
-
-
-def cmd_steady_state(config: RunConfig, out_dir: str | None) -> str:
-    report = _steady_state_report(config)
-    sys.stdout.write(report)
-    if out_dir is not None:
-        path = os.path.join(out_dir, "steady_state.txt")
-        _atomic_write(path, report)
-        return path
-    return ""
+        lines += _population_lines(steady_state_analytic(rates, params.pump_r))
+    return _write_report(lines, out_dir, "steady_state.txt")
 
 
 def _build_parser() -> argparse.ArgumentParser:

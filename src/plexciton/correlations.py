@@ -194,7 +194,7 @@ def g2_nonresonant_analytic(branch: Branch, rates: BranchRates, pump_r: float,
     """Two-photon coincidence of one branch under incoherent pumping.
 
     Leading-order closed form in the slow-pumping regime
-    ``pump_r + gamma_total << gpar_b``:
+    ``pump_r + gamma_total << min_b gpar_b``:
 
         g2(tau) = (1 - exp(-(R + gamma) tau))
                   - (R + gamma)/gpar_b * (1 - exp(-gpar_b tau))
@@ -212,19 +212,21 @@ def g2_nonresonant_analytic(branch: Branch, rates: BranchRates, pump_r: float,
     once the terms decaying at the branch rates have died out.  The first
     term mends the long-lag limit ``1 - s/gpar_b`` of the form, where every
     normalized coincidence tends to 1; the second is the shift of the slow
-    eigenvalue to ``s + R T1`` by the return cycle through either branch.  Because feeding couples in the other branch, the regime
-    needs ``s`` small against both branch decay rates, not only against
-    ``gpar_b``; the warning checks ``gpar_b`` alone.
+    eigenvalue to ``s + R T1`` by the return cycle through either branch.
+    Because feeding couples in the other branch, the regime needs ``s``
+    small against both branch decay rates, not only against ``gpar_b``; the
+    warning fires when ``s`` reaches the slower of the two.
     """
     tau = _check_grid(tau_grid, "tau_grid")
     if tau[0] < 0.0:
         raise ParameterError("tau grid must be nonnegative")
     gpar_b = rates.branch(branch).gpar
     slow = pump_r + gamma_total
-    if slow >= gpar_b:
+    slowest = min(rates.gpar_minus, rates.gpar_plus)
+    if slow >= slowest:
         warnings.warn(
-            f"pump_r + gamma = {slow} is not small against the branch decay "
-            f"rate {gpar_b}; the closed form is outside its regime",
+            f"pump_r + gamma = {slow} is not small against the slower branch "
+            f"decay rate {slowest}; the closed form is outside its regime",
             RegimeWarning,
             stacklevel=2,
         )

@@ -3,9 +3,11 @@
 Every ODE in this package is linear (or affine, which callers lift to linear
 form with an augmented constant coordinate), so one classic RK4 step equals
 multiplication by the degree-4 Taylor polynomial of ``exp(h A)``.  Building
-that one-step matrix once per step size and applying it repeatedly is
-bit-for-bit identical to textbook RK4 on the same right-hand side while
-keeping the per-step cost at a single small matrix-vector product.
+that one-step matrix once per step size and applying it repeatedly is the
+same scheme as textbook RK4 on the same right-hand side, equal up to
+rounding (the populations at the coincidence benchmark point differ by
+2.4e-14 after 1000 steps), while keeping the per-step cost at a single small
+matrix-vector product.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import IntegrationError, ParameterError
 
 
 def rk4_step_matrix(a: np.ndarray, h: float) -> np.ndarray:
@@ -49,16 +51,19 @@ def evolve_linear(a: np.ndarray, x0: np.ndarray, grid: np.ndarray,
 
     Raises
     ------
+    ParameterError
+        If the grid is empty, negative or not strictly increasing, or
+        ``dt_cap`` is not positive.
     IntegrationError
         If a sampled state contains non-finite entries.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("grid must be a non-empty 1-d array")
+        raise ParameterError("grid must be a non-empty 1-d array")
     if grid[0] < 0.0 or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("grid must be nonnegative and strictly increasing")
+        raise ParameterError("grid must be nonnegative and strictly increasing")
     if not (dt_cap > 0.0):
-        raise ValueError(f"dt_cap must be positive, got {dt_cap}")
+        raise ParameterError(f"dt_cap must be positive, got {dt_cap}")
 
     out = np.empty((grid.size, x0.size))
     x = np.asarray(x0, dtype=float).copy()
@@ -80,16 +85,3 @@ def evolve_linear(a: np.ndarray, x0: np.ndarray, grid: np.ndarray,
         t_prev = t
     return out
 
-
-def evolve_linear_dense(a: np.ndarray, x0: np.ndarray, t_end: float,
-                        dt_cap: float, n_samples: int = 200) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate to ``t_end`` and return ``n_samples + 1`` evenly spaced samples."""
-    if not (t_end > 0.0):
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    times = np.linspace(0.0, t_end, n_samples + 1)
-    states = np.empty((times.size, x0.size))
-    states[0] = x0
-    states[1:] = evolve_linear(a, x0, times[1:], dt_cap)
-    if not np.all(np.isfinite(states[0])):
-        raise IntegrationError("non-finite initial state")
-    return times, states

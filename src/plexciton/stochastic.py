@@ -16,7 +16,6 @@ only when the quantum yield is below one, the detection draw.
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,10 +79,14 @@ class PhotonStream:
     def __post_init__(self) -> None:
         if self.times.shape != self.tags.shape or self.times.ndim != 1:
             raise ParameterError("times and tags must be matching 1-d arrays")
+        if not (0.0 < self.duration < np.inf):
+            raise ParameterError(
+                f"duration must be positive and finite, got {self.duration}")
         if self.times.size:
-            if self.times[0] < 0.0 or self.times[-1] > self.duration:
+            # Written so that NaN timestamps fail too.
+            if not (self.times[0] >= 0.0 and self.times[-1] <= self.duration):
                 raise ParameterError("timestamps outside [0, duration]")
-            if np.any(np.diff(self.times) <= 0.0):
+            if not np.all(np.diff(self.times) > 0.0):
                 raise ParameterError("timestamps must be strictly increasing")
 
     @property
@@ -130,6 +133,30 @@ def simulate_stream(params: SystemParams, rates: BranchRates,
     ]
 
 
+def _cycle_blocks(rng: np.random.Generator, params: SystemParams,
+                  rates: BranchRates, duration: float):
+    """Yield ``(ends, dwell_g, dwell_u, is_minus, dwell_b)`` per cycle block.
+
+    Each block makes the four per-cycle draws in contract order; ``ends``
+    holds the absolute time each cycle's branch decay completes.  The
+    generator is lazy, so draws a consumer makes between two blocks (the
+    detection draw) keep their place in the stream.  A consumer drops a
+    block's arrays before asking for the next, so that only one block is
+    held in memory at a time.
+    """
+    p_minus = rates.gfeed_minus / rates.gfeed_total
+    t0 = 0.0
+    while t0 < duration:
+        dwell_g = rng.exponential(1.0 / params.pump_r, _CHUNK)
+        dwell_u = rng.exponential(1.0 / rates.gfeed_total, _CHUNK)
+        is_minus = rng.random(_CHUNK) < p_minus
+        branch_rate = np.where(is_minus, rates.gpar_minus, rates.gpar_plus)
+        dwell_b = rng.exponential(1.0, _CHUNK) / branch_rate
+        ends = t0 + np.cumsum(dwell_g + dwell_u + dwell_b)
+        t0 = float(ends[-1])
+        yield ends, dwell_g, dwell_u, is_minus, dwell_b
+
+
 def _simulate_one(params: SystemParams, rates: BranchRates,
                   config: TrajectoryConfig, index: int) -> PhotonStream:
     duration = config.duration
@@ -139,22 +166,12 @@ def _simulate_one(params: SystemParams, rates: BranchRates,
     rng = np.random.Generator(
         np.random.PCG64(derive_trajectory_seed(config.master_seed, index))
     )
-    p_minus = rates.gfeed_minus / rates.gfeed_total
     yield_ = params.quantum_yield
     want = None if config.branch_filter is None else _TAG[config.branch_filter]
 
     times_parts: list[np.ndarray] = []
     tags_parts: list[np.ndarray] = []
-    t0 = 0.0
-    while t0 < duration:
-        dwell_g = rng.exponential(1.0 / params.pump_r, _CHUNK)
-        dwell_u = rng.exponential(1.0 / rates.gfeed_total, _CHUNK)
-        is_minus = rng.random(_CHUNK) < p_minus
-        branch_rate = np.where(is_minus, rates.gpar_minus, rates.gpar_plus)
-        dwell_b = rng.exponential(1.0, _CHUNK) / branch_rate
-        emit = t0 + np.cumsum(dwell_g + dwell_u + dwell_b)
-        t0 = float(emit[-1])
-
+    for emit, _, _, is_minus, _ in _cycle_blocks(rng, params, rates, duration):
         keep = emit <= duration
         if yield_ < 1.0:
             keep &= rng.random(_CHUNK) < yield_
@@ -163,6 +180,7 @@ def _simulate_one(params: SystemParams, rates: BranchRates,
             keep &= tags == want
         times_parts.append(emit[keep])
         tags_parts.append(tags[keep])
+        del emit, is_minus, _
 
     return PhotonStream(
         times=np.concatenate(times_parts),
@@ -184,22 +202,15 @@ def occupation_fractions(params: SystemParams, rates: BranchRates,
     rng = np.random.Generator(
         np.random.PCG64(derive_trajectory_seed(config.master_seed, 0))
     )
-    p_minus = rates.gfeed_minus / rates.gfeed_total
     sums = {"gg": 0.0, "uu": 0.0, "mm": 0.0, "pp": 0.0}
-    t0 = 0.0
-    while t0 < config.duration:
-        dwell_g = rng.exponential(1.0 / params.pump_r, _CHUNK)
-        dwell_u = rng.exponential(1.0 / rates.gfeed_total, _CHUNK)
-        is_minus = rng.random(_CHUNK) < p_minus
-        branch_rate = np.where(is_minus, rates.gpar_minus, rates.gpar_plus)
-        dwell_b = rng.exponential(1.0, _CHUNK) / branch_rate
-        ends = t0 + np.cumsum(dwell_g + dwell_u + dwell_b)
+    for ends, dwell_g, dwell_u, is_minus, dwell_b in _cycle_blocks(
+            rng, params, rates, config.duration):
         keep = ends <= config.duration
         sums["gg"] += float(dwell_g[keep].sum())
         sums["uu"] += float(dwell_u[keep].sum())
         sums["mm"] += float(dwell_b[keep & is_minus].sum())
         sums["pp"] += float(dwell_b[keep & ~is_minus].sum())
-        t0 = float(ends[-1])
+        del ends, dwell_g, dwell_u, is_minus, dwell_b
     total = sum(sums.values())
     if total == 0.0:
         raise InsufficientDataError("no completed cycle within the duration")
@@ -284,27 +295,21 @@ def emission_rate(stream: PhotonStream, branch: Branch | None) -> EmissionRate:
                         n_photons=n)
 
 
-def write_photon_stream(stream: PhotonStream, path) -> None:
-    """Serialize to the two-column text format ``timestamp<TAB>branch``.
+def atomic_write(path, chunks) -> None:
+    """Write an iterable of text chunks to ``path``, all or nothing.
 
-    Written to a temporary file and renamed into place, so readers never
-    observe a partial stream.
+    The chunks go to a new file beside the target, which is renamed into
+    place once complete, so readers never observe a partial file.  On any
+    failure the temporary file is removed and an existing target is left
+    as it was.  The file is created with mode ``0o666`` less the umask, as
+    any new file is.
     """
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(f"# duration={stream.duration!r}\n")
-            chunk = 1 << 16
-            for start in range(0, stream.times.size, chunk):
-                rows = (
-                    f"{float(t)!r}\t{_TAG_CHAR[int(tag)]}"
-                    for t, tag in zip(stream.times[start:start + chunk],
-                                      stream.tags[start:start + chunk])
-                )
-                fh.write("\n".join(rows))
-                fh.write("\n")
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -312,23 +317,52 @@ def write_photon_stream(stream: PhotonStream, path) -> None:
         raise
 
 
+def write_photon_stream(stream: PhotonStream, path) -> None:
+    """Serialize to the two-column text format ``timestamp<TAB>branch``.
+
+    Written through :func:`atomic_write`, so readers never observe a
+    partial stream.
+    """
+    def chunks():
+        yield f"# duration={stream.duration!r}\n"
+        step = 1 << 16
+        for start in range(0, stream.times.size, step):
+            rows = (
+                f"{float(t)!r}\t{_TAG_CHAR[int(tag)]}"
+                for t, tag in zip(stream.times[start:start + step],
+                                  stream.tags[start:start + step])
+            )
+            yield "\n".join(rows) + "\n"
+
+    atomic_write(path, chunks())
+
+
 def read_photon_stream(path) -> PhotonStream:
-    """Parse the two-column text format produced by :func:`write_photon_stream`."""
+    """Parse the two-column text format produced by :func:`write_photon_stream`.
+
+    A malformed line raises :class:`ParameterError` naming ``path:line``.
+    """
     duration = None
     times: list[float] = []
     tags: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                if "duration=" in line:
-                    duration = float(line.split("duration=", 1)[1])
-                continue
-            stamp, _, tag = line.partition("\t")
-            times.append(float(stamp))
-            tags.append(_CHAR_TAG[tag.strip()])
+            try:
+                if line.startswith("#"):
+                    if "duration=" in line:
+                        duration = float(line.split("duration=", 1)[1])
+                    continue
+                stamp, _, tag = line.partition("\t")
+                times.append(float(stamp))
+                tags.append(_CHAR_TAG[tag.strip()])
+            except (KeyError, ValueError):
+                raise ParameterError(
+                    f"{path}:{lineno}: malformed line {line!r}, expected "
+                    "'# duration=<number>' or '<timestamp><TAB><- or +>'"
+                ) from None
     if duration is None:
         raise ParameterError(f"{path}: missing '# duration=' header")
     return PhotonStream(times=np.asarray(times, dtype=float),

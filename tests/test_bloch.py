@@ -6,7 +6,6 @@ from plexciton import (
     BlochState,
     Branch,
     ParameterError,
-    bloch_derivative,
     bloch_steady_state,
     evolve_bloch,
     g2_resonant_analytic,
@@ -16,24 +15,35 @@ from plexciton import (
 REST = BlochState(0.0, 0.0, 0.0)
 
 
-def expm_oracle(omega, gpar, gperp, detuning, x0, t):
-    """Independent affine-propagator solution of the Bloch equations."""
-    a = np.array([
+def augmented_matrix(omega, gpar, gperp, detuning):
+    """Bloch equations as an affine system lifted with a constant coordinate."""
+    return np.array([
         [-gpar, 0.0, 2 * omega, 0.0],
         [0.0, -gperp, -detuning, 0.0],
         [-2 * omega, detuning, -gperp, omega],
         [0.0, 0.0, 0.0, 0.0],
     ])
+
+
+def expm_oracle(omega, gpar, gperp, detuning, x0, t):
+    """Independent affine-propagator solution of the Bloch equations."""
+    a = augmented_matrix(omega, gpar, gperp, detuning)
     return (expm(a * t) @ np.append(x0, 1.0))[:3]
+
+
+def bloch_rhs(state, omega, gpar, gperp):
+    """Time derivative ``(dp_ee, dcoh_re, dcoh_im)`` at the given state."""
+    a = augmented_matrix(omega, gpar, gperp, state.detuning)
+    return (a @ [state.p_ee, state.coh_re, state.coh_im, 1.0])[:3]
 
 
 class TestDerivative:
     def test_undriven_ground_state_is_stationary(self):
-        assert bloch_derivative(REST, 0.0, 1.0, 0.5) == (0.0, 0.0, 0.0)
+        assert np.all(bloch_rhs(REST, 0.0, 1.0, 0.5) == 0.0)
 
     def test_steady_state_annihilates_derivative(self):
         state = bloch_steady_state(0.2, 1.0, 0.7, detuning=0.3)
-        deriv = bloch_derivative(state, 0.2, 1.0, 0.7)
+        deriv = bloch_rhs(state, 0.2, 1.0, 0.7)
         assert np.max(np.abs(deriv)) < 1e-15
 
     def test_weak_drive_occupation_scale(self):
@@ -91,6 +101,13 @@ class TestSteadyState:
 
 
 class TestEvolve:
+    def test_zero_rates_keep_state_and_check_grid(self):
+        state = BlochState(0.1, 0.05, 0.1)
+        got = evolve_bloch(state, 0.0, 0.0, 0.0, np.array([0.0, 1.0, 5.0]))
+        assert np.array_equal(got, np.tile([0.1, 0.05, 0.1], (3, 1)))
+        with pytest.raises(ParameterError):
+            evolve_bloch(state, 0.0, 0.0, 0.0, np.array([1.0, 0.5]))
+
     def test_matches_expm_oracle(self):
         omega, gpar, gperp, detuning = 0.3, 1.0, 0.7, 0.4
         tau = np.array([0.5, 2.0, 7.0])

@@ -1,5 +1,6 @@
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -310,3 +311,19 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, BASE_CFG)
         assert main(["g2", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "numerical" in capsys.readouterr().err
+
+
+class TestOutputFiles:
+    def test_outputs_follow_umask(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BASE_CFG)
+        out = tmp_path / "out"
+        old = os.umask(0o022)
+        try:
+            for command in ("g2", "steady-state"):
+                assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        capsys.readouterr()
+        for name in ("g2.csv", "steady_state.txt"):
+            assert stat.S_IMODE(os.stat(out / name).st_mode) == 0o644
+        assert list(out.glob("*.tmp")) == []

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from plexciton import (
     g1_analytic,
     g2_nonresonant_analytic,
     g2_resonant_analytic,
+    regression_g2_nonresonant_numeric,
     spectrum_analytic,
     spectrum_fft_check,
     steady_state_analytic,
@@ -296,6 +298,32 @@ class TestG2NonResonant:
         with pytest.warns(RegimeWarning):
             g2_nonresonant_analytic(Branch.PLUS, benchmark_rates, 0.2, 0.2,
                                     np.array([0.0, 1.0]))
+
+    def test_regime_warning_checks_slower_branch(self):
+        # s = 0.04 is small against gpar_minus but not against gpar_plus =
+        # 0.026; the minus curve is then far from its regression oracle.
+        params = SystemParams(omega0=3.0, omega1=-3.0, v0=1.0, gamma_r=1.0,
+                              gamma_nr=0.0, gamma_perp=0.5, gamma_u=0.02,
+                              pump_r=0.02)
+        rates = branch_rates(params, dressed_basis(params))
+        slow = params.pump_r + params.gamma_u
+        assert rates.gpar_plus < slow < rates.gpar_minus
+        tau = np.array([0.0, 1.0 / slow])
+        with pytest.warns(RegimeWarning, match="slower branch"):
+            closed = g2_nonresonant_analytic(Branch.MINUS, rates, params.pump_r,
+                                             params.gamma_u, tau)
+        oracle = regression_g2_nonresonant_numeric(rates, params.pump_r,
+                                                   Branch.MINUS, tau)
+        assert abs(oracle[1] - closed.values[1]) > 0.2
+
+    def test_benchmark_point_is_silent(self, benchmark_rates, benchmark_params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RegimeWarning)
+            for branch in Branch:
+                g2_nonresonant_analytic(branch, benchmark_rates,
+                                        benchmark_params.pump_r,
+                                        benchmark_params.gamma_u,
+                                        np.array([0.0, 1.0]))
 
 
 class TestG2Resonant:

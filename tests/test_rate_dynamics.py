@@ -11,10 +11,10 @@ from plexciton import (
     branch_rates,
     dressed_basis,
     evolve_populations,
-    populations_derivative,
     regression_g2_nonresonant_numeric,
     steady_state_analytic,
 )
+from plexciton.integrate import evolve_linear
 from plexciton.rate_dynamics import rate_matrix
 
 from conftest import random_params
@@ -27,18 +27,23 @@ def expm_oracle(rates, pump_r, x0, t):
     return expm(rate_matrix(rates, pump_r) * t) @ x0
 
 
+def populations_rhs(pop, rates, pump_r):
+    """Right-hand side of the balance equations at the given populations."""
+    return rate_matrix(rates, pump_r) @ pop.as_array()
+
+
 class TestDerivative:
     def test_ground_state_stationary_without_pump(self, benchmark_rates):
-        deriv = populations_derivative(GROUND, benchmark_rates, 0.0)
+        deriv = populations_rhs(GROUND, benchmark_rates, 0.0)
         assert np.all(deriv == 0.0)
 
     def test_pump_only_term(self, benchmark_rates):
-        deriv = populations_derivative(GROUND, benchmark_rates, 0.01)
+        deriv = populations_rhs(GROUND, benchmark_rates, 0.01)
         assert deriv == pytest.approx([-0.01, 0.01, 0.0, 0.0], abs=1e-18)
 
     def test_steady_state_annihilates_derivative(self, benchmark_rates, benchmark_params):
         steady = steady_state_analytic(benchmark_rates, benchmark_params.pump_r)
-        deriv = populations_derivative(steady, benchmark_rates, benchmark_params.pump_r)
+        deriv = populations_rhs(steady, benchmark_rates, benchmark_params.pump_r)
         assert np.max(np.abs(deriv)) < 1e-12
 
     def test_probability_conservation(self, benchmark_rates):
@@ -46,7 +51,7 @@ class TestDerivative:
         for _ in range(50):
             raw = rng.random(4)
             pop = Populations.from_array(raw / raw.sum())
-            deriv = populations_derivative(pop, benchmark_rates, 0.37)
+            deriv = populations_rhs(pop, benchmark_rates, 0.37)
             assert abs(deriv.sum()) < 1e-15
 
 
@@ -101,6 +106,19 @@ class TestEvolve:
         bad = Populations(0.5, 0.0, 0.0, 0.0)
         with pytest.raises(ParameterError, match="sum"):
             evolve_populations(bad, benchmark_rates, 0.01, t_end=1.0, dt_max=0.1)
+
+    def test_rejects_empty_sampling(self, benchmark_rates):
+        with pytest.raises(ParameterError, match="n_samples"):
+            evolve_populations(GROUND, benchmark_rates, 0.01, t_end=1.0,
+                               dt_max=0.1, n_samples=0)
+
+    def test_propagator_rejects_bad_step_and_grid(self, benchmark_rates):
+        a = rate_matrix(benchmark_rates, 0.01)
+        x0 = GROUND.as_array()
+        with pytest.raises(ParameterError, match="dt_cap"):
+            evolve_linear(a, x0, np.array([1.0]), 0.0)
+        with pytest.raises(ParameterError, match="increasing"):
+            evolve_linear(a, x0, np.array([1.0, 1.0]), 0.1)
 
 
 class TestSteadyState:

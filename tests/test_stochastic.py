@@ -1,5 +1,11 @@
+import hashlib
+import os
+import stat
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plexciton import (
     Branch,
@@ -21,6 +27,7 @@ from plexciton import (
     steady_state_analytic,
     write_photon_stream,
 )
+from plexciton.stochastic import _CHUNK, atomic_write
 
 
 def make_setup(pump=0.005, feed=0.005, gamma_r=1.0, gamma_nr=0.0, v0=1.0,
@@ -52,6 +59,31 @@ class TestSimulate:
             assert np.array_equal(a.times, b.times)
             assert np.array_equal(a.tags, b.tags)
         assert not np.array_equal(first[0].times[:50], first[1].times[:50])
+
+    def test_draw_order_is_pinned(self):
+        # Digests recorded before the cycle-block sampler was shared by the
+        # simulator and occupation_fractions; a reordered, added or dropped
+        # draw changes them.  The yield below one brings in the detection
+        # draw, the branch filter its mask, and each trajectory spans more
+        # than two blocks.
+        params, rates = make_setup(pump=1.0, feed=1.0, gamma_nr=0.3)
+        config = TrajectoryConfig(duration=8e6, n_trajectories=2,
+                                  master_seed=2024, branch_filter=Branch.MINUS)
+        p_minus = rates.gfeed_minus / rates.gfeed_total
+        mean_cycle = (1.0 / params.pump_r + 1.0 / rates.gfeed_total
+                      + p_minus / rates.gpar_minus
+                      + (1.0 - p_minus) / rates.gpar_plus)
+        assert params.quantum_yield < 1.0
+        assert config.duration / mean_cycle > 2 * _CHUNK
+        digest = hashlib.sha256()
+        for stream in simulate_stream(params, rates, config):
+            digest.update(stream.times.astype("<f8").tobytes())
+            digest.update(stream.tags.tobytes())
+        assert digest.hexdigest() == (
+            "d4651622c5f74c71913670ac27297939dd70a2faa39f91b07cd0800cb026dcad")
+        occupations = repr(occupation_fractions(params, rates, config))
+        assert hashlib.sha256(occupations.encode()).hexdigest() == (
+            "f0d948b7651842b34c0ace096b2438c0eb029424a185c35742b63c7ed4d622c9")
 
     def test_seed_derivation_is_stable(self):
         # Frozen values pin the documented seed-mixing function
@@ -284,3 +316,67 @@ class TestSerialization:
         path.write_text("1.5\t-\n2.5\t+\n")
         with pytest.raises(ParameterError, match="duration"):
             read_photon_stream(path)
+
+    @pytest.mark.parametrize("text, line", [
+        ("# duration=10.0\n1.5\tx\n", 2),
+        ("# duration=10.0\n1.5\t-\n2.5\n", 3),
+        ("# duration=10.0\n1.5e\t-\n", 2),
+        ("# duration=ten\n1.5\t-\n", 1),
+    ], ids=["bad-tag", "no-tab", "bad-number", "bad-duration"])
+    def test_malformed_line_names_file_and_line(self, tmp_path, text, line):
+        path = tmp_path / "broken.tsv"
+        path.write_text(text)
+        with pytest.raises(ParameterError, match=rf"broken\.tsv:{line}: "):
+            read_photon_stream(path)
+
+    @pytest.mark.parametrize("text", ["# duration=nan\n1.5\t-\n",
+                                      "# duration=10.0\nnan\t-\n"],
+                             ids=["nan-duration", "nan-timestamp"])
+    def test_non_finite_values_rejected(self, tmp_path, text):
+        path = tmp_path / "nan.tsv"
+        path.write_text(text)
+        with pytest.raises(ParameterError):
+            read_photon_stream(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(),
+           duration=st.floats(min_value=1e-9, max_value=1e12))
+    def test_write_read_round_trip_property(self, data, duration):
+        times = np.unique(data.draw(st.lists(
+            st.floats(min_value=0.0, max_value=duration), max_size=30)))
+        tags = np.array(data.draw(st.lists(st.sampled_from([0, 1]),
+                                           min_size=times.size,
+                                           max_size=times.size)),
+                        dtype=np.int8)
+        stream = PhotonStream(times=times, tags=tags, duration=duration)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "photons.tsv")
+            write_photon_stream(stream, path)
+            loaded = read_photon_stream(path)
+        assert loaded.duration == duration
+        assert loaded.times.tobytes() == times.tobytes()
+        assert np.array_equal(loaded.tags, tags)
+
+    def test_file_mode_follows_umask(self, tmp_path):
+        stream = poisson_stream(np.random.default_rng(83), rate=0.1,
+                                duration=1e3)
+        path = tmp_path / "photons.tsv"
+        old = os.umask(0o022)
+        try:
+            write_photon_stream(stream, path)
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
+
+    def test_failed_write_keeps_target(self, tmp_path):
+        path = tmp_path / "photons.tsv"
+        path.write_text("# duration=1.0\n")
+
+        def chunks():
+            yield "# duration=2.0\n"
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write(path, chunks())
+        assert path.read_text() == "# duration=1.0\n"
+        assert list(tmp_path.glob("*.tmp")) == []
