@@ -8,6 +8,7 @@ so no physics input can be silently defaulted.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -169,8 +170,9 @@ def parse_config(path: str) -> RunConfig:
     if values["n_trajectories"] < 1:
         raise ConfigError("key 'n_trajectories': must be at least 1")
     for key in ("tau_max", "duration", "fano_window"):
-        if values[key] is not None and values[key] <= 0.0:
-            raise ConfigError(f"key '{key}': must be positive, got {values[key]}")
+        if values[key] is not None and not (0.0 < values[key] < math.inf):
+            raise ConfigError(
+                f"key '{key}': must be positive and finite, got {values[key]}")
     if (values["omega_min"] is None) != (values["omega_max"] is None):
         raise ConfigError("omega_min and omega_max must be given together")
     if values["omega_min"] is not None and values["omega_min"] >= values["omega_max"]:

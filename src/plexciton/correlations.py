@@ -139,6 +139,11 @@ def spectrum_fft_check(g1: CorrelationSeries) -> SpectrumSeries:
     ``2 pi k / (N dt)``.  Serves as an independent numerical cross-check of
     the closed-form Lorentzian.
 
+    The caller must sample the carrier finely enough: the phase of ``g1``
+    may turn by at most pi per sample.  A faster rotation is aliased onto a
+    wrong line inside ``(-pi/dt, pi/dt]``, and the samples cannot show
+    this, so no check here catches it.
+
     Raises
     ------
     ResolutionError

@@ -2,21 +2,39 @@
 
 Every ODE in this package is linear (or affine, which callers lift to linear
 form with an augmented constant coordinate), so one classic RK4 step equals
-multiplication by the degree-4 Taylor polynomial of ``exp(h A)``.  Building
-that one-step matrix once per step size and applying it repeatedly is the
-same scheme as textbook RK4 on the same right-hand side, equal up to
-rounding (the populations at the coincidence benchmark point differ by
-2.4e-14 after 1000 steps), while keeping the per-step cost at a single small
-matrix-vector product.
+multiplication by the degree-4 Taylor polynomial of ``exp(h A)``.  Each
+segment between samples is split into ``ceil(segment / dt_cap)`` equal steps,
+so a segment is a power of one step matrix.
+
+Sample grids are mostly uniform, so the propagator works on runs of samples
+that lie on one uniform lattice, to 1e-14 of their time, and take the same
+number of steps; vectorised passes find them.  The tolerance scales with the
+time, not the segment, because the segments of a ``linspace`` grid differ by
+rounding of the times: by 2e-13 relative at 601 points, 1.3e-12 at 4001 and
+more on longer grids.  A run gets one step matrix, with the step taken from
+the run's span so its last sample lands on its grid time, and one segment
+matrix ``P = M^n_steps``; its samples ``P^m x`` follow by doubling,
+``[y, P^k y]`` per round, so a 601-point ``linspace`` grid costs one step
+matrix and about ten small products.  A non-uniform grid is runs of one
+segment.  The Python-level work grows with the number of runs, not with
+samples times steps.
+
+Against textbook per-step RK4 on the same step rule, the largest deviation
+over 60 random parameter sets was 3.7e-14 for the rate equations and 6.4e-15
+for the Bloch equations, on 601-point ``linspace``, 5-point and random
+50-point grids.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import IntegrationError, ParameterError
+
+# Samples share one segment matrix while each time is within this fraction of
+# itself of the run's uniform lattice: about 45 units in the last place, where
+# np.linspace grids stray by at most 2.
+_RUN_RTOL = 1e-14
 
 
 def rk4_step_matrix(a: np.ndarray, h: float) -> np.ndarray:
@@ -43,7 +61,7 @@ def evolve_linear(a: np.ndarray, x0: np.ndarray, grid: np.ndarray,
         Nonnegative, strictly increasing sample times.
     dt_cap : float
         Upper bound on the internal step; each inter-sample segment is split
-        uniformly into steps no longer than this.
+        uniformly into ``ceil(segment / dt_cap)`` steps.
 
     Returns
     -------
@@ -55,7 +73,8 @@ def evolve_linear(a: np.ndarray, x0: np.ndarray, grid: np.ndarray,
         If the grid is empty, negative or not strictly increasing, or
         ``dt_cap`` is not positive.
     IntegrationError
-        If a sampled state contains non-finite entries.
+        If a sampled state contains non-finite entries; the message names
+        the first such sample.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -65,23 +84,61 @@ def evolve_linear(a: np.ndarray, x0: np.ndarray, grid: np.ndarray,
     if not (dt_cap > 0.0):
         raise ParameterError(f"dt_cap must be positive, got {dt_cap}")
 
-    out = np.empty((grid.size, x0.size))
-    x = np.asarray(x0, dtype=float).copy()
-    t_prev = 0.0
-    step_cache: tuple[float, np.ndarray] | None = None
-    for i, t in enumerate(grid):
-        seg = t - t_prev
-        if seg > 0.0:
-            n_steps = max(1, math.ceil(seg / dt_cap - 1e-12))
-            h = seg / n_steps
-            if step_cache is None or abs(step_cache[0] - h) > 1e-15 * h:
-                step_cache = (h, rk4_step_matrix(a, h))
-            m = step_cache[1]
-            for _ in range(n_steps):
-                x = m @ x
-        if not np.all(np.isfinite(x)):
-            raise IntegrationError(f"non-finite state at t = {t}")
-        out[i] = x
-        t_prev = t
+    x = np.asarray(x0, dtype=float)
+    out = np.empty((grid.size, x.size))
+    # A sample at t = 0 is the initial state itself.
+    start = int(grid[0] == 0.0)
+    out[:start] = x
+    times = np.concatenate(([0.0], grid[start:]))
+    # Overflow shows up as a non-finite sample, reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi, n_steps in _uniform_runs(times, dt_cap):
+            h = (times[hi] - times[lo]) / ((hi - lo) * n_steps)
+            segment = np.linalg.matrix_power(rk4_step_matrix(a, h), n_steps)
+            out[start + lo:start + hi] = _successive_powers(segment, x, hi - lo)
+            x = out[start + hi - 1]
+
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        t = grid[np.argmin(finite)]
+        raise IntegrationError(f"non-finite state at t = {t}")
     return out
 
+
+def _uniform_runs(times: np.ndarray, dt_cap: float):
+    """Maximal runs ``(lo, hi, n_steps)`` of uniform segments of ``times``.
+
+    Segments ``lo .. hi-1`` run from ``times[lo]`` to ``times[hi]``; each is
+    split into ``n_steps = ceil(segment / dt_cap)`` steps, the same number in
+    one run.  Each time of a run is within ``_RUN_RTOL`` of itself of the
+    uniform lattice between the run's ends.  Neighbouring segments are
+    compared in one pass to find candidate runs; a candidate whose times
+    drift off its lattice is split into single segments.
+    """
+    segments = np.diff(times)
+    steps = np.maximum(1.0, np.ceil(segments / dt_cap - 1e-12))
+    tol = _RUN_RTOL * times[1:]
+    starts = np.ones(segments.size, dtype=bool)
+    starts[1:] = (np.abs(np.diff(segments)) > tol[1:]) | (np.diff(steps) != 0.0)
+    firsts = np.flatnonzero(starts)
+    run = np.cumsum(starts) - 1
+    lo = firsts[run]
+    hi = np.append(firsts[1:], segments.size)[run]
+    position = np.arange(1, segments.size + 1) - lo
+    lattice = times[lo] + position * ((times[hi] - times[lo]) / (hi - lo))
+    off = np.abs(times[1:] - lattice) > tol
+    if off.any():
+        starts |= np.logical_or.reduceat(off, firsts)[run]
+        firsts = np.flatnonzero(starts)
+    bounds = np.append(firsts, segments.size)
+    return zip(bounds[:-1].tolist(), bounds[1:].tolist(), map(int, steps[firsts]))
+
+
+def _successive_powers(p: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """Rows ``p x, p^2 x, .., p^k x`` by doubling: ``[y, p^m y]`` per round."""
+    rows = x[None, :]
+    while True:
+        rows = np.concatenate((rows, rows @ p.T))
+        if rows.shape[0] > k:
+            return rows[1:k + 1]
+        p = p @ p

@@ -57,8 +57,9 @@ class TrajectoryConfig:
     branch_filter: Branch | None = None
 
     def __post_init__(self) -> None:
-        if not (self.duration > 0.0):
-            raise ParameterError(f"duration must be positive, got {self.duration}")
+        if not (0.0 < self.duration < np.inf):
+            raise ParameterError(
+                f"duration must be positive and finite, got {self.duration}")
         if self.n_trajectories < 1:
             raise ParameterError(
                 f"n_trajectories must be >= 1, got {self.n_trajectories}"
@@ -79,6 +80,8 @@ class PhotonStream:
     def __post_init__(self) -> None:
         if self.times.shape != self.tags.shape or self.times.ndim != 1:
             raise ParameterError("times and tags must be matching 1-d arrays")
+        if np.any((self.tags != 0) & (self.tags != 1)):
+            raise ParameterError("tags must be 0 (minus) or 1 (plus)")
         if not (0.0 < self.duration < np.inf):
             raise ParameterError(
                 f"duration must be positive and finite, got {self.duration}")
@@ -278,7 +281,11 @@ def fano_factor(stream: PhotonStream, window: float) -> float:
             f"duration covers only {n_windows} windows, need at least 100"
         )
     edges = np.arange(n_windows + 1) * window
-    counts, _ = np.histogram(stream.times, edges)
+    # np.histogram's counts by one search of the sorted timestamps: windows
+    # are [e_i, e_i+1), the last one closed.
+    cumulative = np.searchsorted(stream.times, edges, "left")
+    cumulative[-1] = np.searchsorted(stream.times, edges[-1], "right")
+    counts = np.diff(cumulative)
     mean = counts.mean()
     if mean == 0.0:
         raise InsufficientDataError("no photons in any counting window")

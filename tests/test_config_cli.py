@@ -90,6 +90,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config(path)
 
+    @pytest.mark.parametrize("key", ["tau_max", "duration", "fano_window"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_span_rejected(self, tmp_path, key, value):
+        path = write_cfg(tmp_path, BASE_CFG + f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=key):
+            parse_config(path)
+
     def test_branch_filter_parsed(self, tmp_path):
         path = write_cfg(tmp_path, BASE_CFG + "branch = minus\n")
         assert parse_config(path).branch_filter is Branch.MINUS

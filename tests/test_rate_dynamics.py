@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from plexciton import (
     Branch,
     DegenerateSteadyStateError,
+    IntegrationError,
     ParameterError,
     Populations,
     SystemParams,
@@ -14,6 +18,7 @@ from plexciton import (
     regression_g2_nonresonant_numeric,
     steady_state_analytic,
 )
+from plexciton import integrate
 from plexciton.integrate import evolve_linear
 from plexciton.rate_dynamics import rate_matrix
 
@@ -119,6 +124,86 @@ class TestEvolve:
             evolve_linear(a, x0, np.array([1.0]), 0.0)
         with pytest.raises(ParameterError, match="increasing"):
             evolve_linear(a, x0, np.array([1.0, 1.0]), 0.1)
+
+
+class TestPropagator:
+    @staticmethod
+    def textbook_rk4(a, x0, grid, dt_cap):
+        """Per-step classic RK4 on ``x' = A x`` with the propagator's step rule."""
+        x = np.asarray(x0, dtype=float)
+        out, t_prev = [], 0.0
+        for t in grid:
+            seg = t - t_prev
+            if seg > 0.0:
+                n_steps = max(1, math.ceil(seg / dt_cap - 1e-12))
+                h = seg / n_steps
+                for _ in range(n_steps):
+                    k1 = a @ x
+                    k2 = a @ (x + 0.5 * h * k1)
+                    k3 = a @ (x + 0.5 * h * k2)
+                    k4 = a @ (x + h * k3)
+                    x = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            out.append(x)
+            t_prev = t
+        return np.array(out)
+
+    def assert_matches_textbook(self, rates, pump_r, grid):
+        fastest = max(pump_r, rates.gfeed_total, rates.gpar_minus,
+                      rates.gpar_plus)
+        a, x0, dt_cap = rate_matrix(rates, pump_r), GROUND.as_array(), 0.1 / fastest
+        reference = self.textbook_rk4(a, x0, grid, dt_cap)
+        assert np.max(np.abs(evolve_linear(a, x0, grid, dt_cap) - reference)) <= 1e-11
+
+    @pytest.mark.parametrize("grid", [
+        np.linspace(0.0, 600.0, 601),
+        np.linspace(0.0, 30.0, 601),
+        np.linspace(0.7, 450.0, 601),
+        np.linspace(2.5, 400.0, 5),
+    ], ids=["linspace-9-steps", "linspace-1-step", "late-start", "five-points"])
+    def test_matches_textbook_rk4(self, benchmark_rates, benchmark_params, grid):
+        self.assert_matches_textbook(benchmark_rates, benchmark_params.pump_r, grid)
+
+    def test_drifting_segments_keep_their_own_times(self, benchmark_rates,
+                                                    benchmark_params):
+        # Neighbouring segments agree to 3e-13 but the first and last differ
+        # by 3e-10: one uniform step over them would misplace the samples.
+        grid = np.cumsum(0.25 * (1.0 + 3e-13) ** np.arange(1000))
+        self.assert_matches_textbook(benchmark_rates, benchmark_params.pump_r, grid)
+
+    @settings(max_examples=40, deadline=None)
+    @given(start=st.sampled_from([0.0, 0.3, 17.0]),
+           gaps=st.lists(st.sampled_from([0.05, 0.4, 1.0, 2.5, 7.0])
+                         | st.floats(1e-3, 20.0), min_size=1, max_size=40))
+    def test_non_uniform_grid_matches_textbook_rk4(self, benchmark_rates,
+                                                   benchmark_params, start, gaps):
+        grid = start + np.cumsum(np.concatenate(([0.0], gaps)))
+        self.assert_matches_textbook(benchmark_rates, benchmark_params.pump_r, grid)
+
+    # Segment lengths of a linspace grid differ in their last bits, by more
+    # than 1e-12 relative from about 4001 points on.
+    @pytest.mark.parametrize("points", [601, 20001])
+    def test_linspace_grid_builds_one_step_matrix(self, benchmark_rates,
+                                                  benchmark_params, monkeypatch,
+                                                  points):
+        calls = []
+
+        def counting(a, h):
+            calls.append(h)
+            return step_matrix(a, h)
+
+        step_matrix = integrate.rk4_step_matrix
+        monkeypatch.setattr(integrate, "rk4_step_matrix", counting)
+        tau = np.linspace(0.0, 500.0, points)
+        regression_g2_nonresonant_numeric(benchmark_rates, benchmark_params.pump_r,
+                                          Branch.MINUS, tau)
+        assert len(calls) == 1
+
+    def test_growing_system_names_first_non_finite_sample(self):
+        # e^t overflows past t ~ 709.8: the sample at 700 is finite, 750 not.
+        a = np.array([[1.0, 0.0], [0.0, -1.0]])
+        grid = np.arange(50.0, 1001.0, 50.0)
+        with pytest.raises(IntegrationError, match=r"t = 750\.0$"):
+            evolve_linear(a, np.array([1.0, 1.0]), grid, 0.1)
 
 
 class TestSteadyState:

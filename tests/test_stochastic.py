@@ -157,6 +157,20 @@ class TestSimulate:
             assert fractions[key] == pytest.approx(value, rel=0.05, abs=2e-4)
 
 
+class TestValidation:
+    @pytest.mark.parametrize("duration", [np.inf, np.nan])
+    def test_trajectory_duration_must_be_finite(self, duration):
+        with pytest.raises(ParameterError, match="duration"):
+            TrajectoryConfig(duration=duration)
+
+    @pytest.mark.parametrize("bad", [7, -1])
+    def test_out_of_range_tag_rejected(self, bad):
+        with pytest.raises(ParameterError, match="tags"):
+            PhotonStream(times=np.array([1.0, 2.0, 3.0]),
+                         tags=np.array([0, 1, bad], dtype=np.int8),
+                         duration=5.0)
+
+
 class TestErgodicityAndRenewal:
     def test_occupations_match_steady_state_within_3se(self):
         params, rates = make_setup()
@@ -228,6 +242,43 @@ class TestHistogram:
 
 
 class TestFano:
+    @staticmethod
+    def histogram_fano(stream, window):
+        n_windows = int(stream.duration / window)
+        counts, _ = np.histogram(stream.times,
+                                 np.arange(n_windows + 1) * window)
+        return float(counts.var(ddof=1) / counts.mean())
+
+    def test_counts_follow_numpy_histogram_at_edges(self):
+        # 100 windows of 2.0 end at 200.0 inside a 201.5 duration: photons on
+        # inner edges open a window, one on the last edge closes the last
+        # window, and those past it are not counted.
+        rng = np.random.default_rng(57)
+        times = np.unique(np.concatenate((
+            2.0 * rng.integers(0, 100, 60), [200.0, 200.5, 201.5],
+            rng.uniform(0.0, 201.5, 300))))
+        stream = PhotonStream(times=times,
+                              tags=np.zeros(times.size, dtype=np.int8),
+                              duration=201.5)
+        assert fano_factor(stream, 2.0) == self.histogram_fano(stream, 2.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), window=st.floats(min_value=0.01, max_value=50.0),
+           extra=st.floats(min_value=0.0, max_value=3.0))
+    def test_counts_match_numpy_histogram_property(self, data, window, extra):
+        duration = (101 + data.draw(st.integers(0, 50)) + extra) * window
+        on_edges = data.draw(st.lists(st.integers(0, int(duration / window)),
+                                      min_size=1, max_size=40))
+        anywhere = data.draw(st.lists(
+            st.floats(min_value=0.0, max_value=duration), max_size=40))
+        times = np.unique(np.concatenate(([0.0], np.array(on_edges) * window,
+                                          anywhere)))
+        times = times[times <= duration]
+        stream = PhotonStream(times=times,
+                              tags=np.zeros(times.size, dtype=np.int8),
+                              duration=duration)
+        assert fano_factor(stream, window) == self.histogram_fano(stream, window)
+
     def test_poisson_baseline_is_unity(self):
         rng = np.random.default_rng(54)
         stream = poisson_stream(rng, rate=0.05, duration=4e5)
