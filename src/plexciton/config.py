@@ -92,9 +92,12 @@ def _parse_lines(path: str) -> dict[str, str]:
 
 def _as_float(key: str, text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"key '{key}': not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key '{key}': must be finite, got {text!r}")
+    return value
 
 
 def _as_int(key: str, text: str) -> int:
@@ -142,12 +145,7 @@ def parse_config(path: str) -> RunConfig:
                 )
             values[key] = text.lower()
         elif key == "v0_over_delta_sweep":
-            try:
-                sweep = tuple(float(part) for part in text.split(","))
-            except ValueError:
-                raise ConfigError(
-                    f"key 'v0_over_delta_sweep': not a comma list of numbers: {text!r}"
-                ) from None
+            sweep = tuple(_as_float(key, part) for part in text.split(","))
             if not sweep or any(ratio <= 0.0 for ratio in sweep):
                 raise ConfigError("key 'v0_over_delta_sweep': ratios must be positive")
             values[key] = sweep
@@ -170,9 +168,8 @@ def parse_config(path: str) -> RunConfig:
     if values["n_trajectories"] < 1:
         raise ConfigError("key 'n_trajectories': must be at least 1")
     for key in ("tau_max", "duration", "fano_window"):
-        if values[key] is not None and not (0.0 < values[key] < math.inf):
-            raise ConfigError(
-                f"key '{key}': must be positive and finite, got {values[key]}")
+        if values[key] is not None and values[key] <= 0.0:
+            raise ConfigError(f"key '{key}': must be positive, got {values[key]}")
     if (values["omega_min"] is None) != (values["omega_max"] is None):
         raise ConfigError("omega_min and omega_max must be given together")
     if values["omega_min"] is not None and values["omega_min"] >= values["omega_max"]:

@@ -2,9 +2,10 @@
 
 Every ODE in this package is linear (or affine, which callers lift to linear
 form with an augmented constant coordinate), so one classic RK4 step equals
-multiplication by the degree-4 Taylor polynomial of ``exp(h A)``.  Each
-segment between samples is split into ``ceil(segment / dt_cap)`` equal steps,
-so a segment is a power of one step matrix.
+multiplication by the degree-4 Taylor polynomial of ``exp(h A)``.  The step
+rule lives here: steps are at most ``STEP_SAFETY / max|A_ij|`` (the fastest
+rate of the system) or a caller's smaller ``dt_cap``, and each segment between
+samples is split into equal steps, so a segment is a power of one step matrix.
 
 Sample grids are mostly uniform, so the propagator works on runs of samples
 that lie on one uniform lattice, to 1e-14 of their time, and take the same
@@ -31,6 +32,9 @@ import numpy as np
 
 from .errors import IntegrationError, ParameterError
 
+# Bound on every internal RK4 step, as a fraction of the fastest rate.
+STEP_SAFETY = 0.1
+
 # Samples share one segment matrix while each time is within this fraction of
 # itself of the run's uniform lattice: about 45 units in the last place, where
 # np.linspace grids stray by at most 2.
@@ -48,7 +52,7 @@ def rk4_step_matrix(a: np.ndarray, h: float) -> np.ndarray:
 
 
 def evolve_linear(a: np.ndarray, x0: np.ndarray, grid: np.ndarray,
-                  dt_cap: float) -> np.ndarray:
+                  dt_cap: float = np.inf) -> np.ndarray:
     """Propagate ``x' = A x`` from t = 0 and sample at the requested times.
 
     Parameters
@@ -59,9 +63,11 @@ def evolve_linear(a: np.ndarray, x0: np.ndarray, grid: np.ndarray,
         State at t = 0.
     grid : ndarray
         Nonnegative, strictly increasing sample times.
-    dt_cap : float
-        Upper bound on the internal step; each inter-sample segment is split
-        uniformly into ``ceil(segment / dt_cap)`` steps.
+    dt_cap : float, optional
+        Extra bound on the internal step.  The step is at most
+        ``min(dt_cap, STEP_SAFETY / max|A_ij|)`` (``dt_cap`` alone when ``A``
+        is zero); each inter-sample segment is split uniformly into
+        ``ceil(segment / step bound)`` steps.
 
     Returns
     -------
@@ -83,6 +89,9 @@ def evolve_linear(a: np.ndarray, x0: np.ndarray, grid: np.ndarray,
         raise ParameterError("grid must be nonnegative and strictly increasing")
     if not (dt_cap > 0.0):
         raise ParameterError(f"dt_cap must be positive, got {dt_cap}")
+    fastest = np.abs(a).max()
+    if fastest > 0.0:
+        dt_cap = min(dt_cap, STEP_SAFETY / fastest)
 
     x = np.asarray(x0, dtype=float)
     out = np.empty((grid.size, x.size))

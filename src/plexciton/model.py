@@ -84,8 +84,12 @@ class SystemParams:
     scenario: Scenario = Scenario.NONRESONANT
 
     def __post_init__(self) -> None:
-        if not (self.v0 > 0.0):
-            raise ParameterError(f"v0 must be positive, got {self.v0}")
+        if not (0.0 < self.v0 < math.inf):
+            raise ParameterError(f"v0 must be positive and finite, got {self.v0}")
+        for name in ("omega0", "omega1"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         for name in ("gamma_r", "gamma_nr", "gamma_perp", "gamma_u",
                      "pump_r", "omega_l_rabi"):
             value = getattr(self, name)

@@ -15,11 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSteadyStateError, IntegrationError, ParameterError
-from .integrate import evolve_linear
+# STEP_SAFETY stays importable from here; the step rule is in integrate.
+from .integrate import STEP_SAFETY, evolve_linear
 from .model import Branch, BranchRates
-
-# Bound on every internal RK4 step, as a fraction of the fastest rate.
-STEP_SAFETY = 0.1
 
 _NORM_TOL = 1e-9
 
@@ -90,21 +88,15 @@ def rate_matrix(rates: BranchRates, pump_r: float) -> np.ndarray:
     ])
 
 
-def _dt_cap(rates: BranchRates, pump_r: float, dt_max: float) -> float:
-    fastest = max(pump_r, rates.gfeed_total, rates.gpar_minus, rates.gpar_plus)
-    if fastest > 0.0:
-        return min(dt_max, STEP_SAFETY / fastest)
-    return dt_max
-
-
 def evolve_populations(initial: Populations, rates: BranchRates, pump_r: float,
                        t_end: float, dt_max: float,
                        n_samples: int = 200) -> PopulationTrajectory:
     """Integrate the balance equations with fixed-step RK4.
 
-    The internal step never exceeds ``dt_max`` nor ``0.1`` divided by the
-    fastest rate in the system.  The final state must stay normalized to
-    within 1e-9 or an :class:`IntegrationError` is raised.
+    The internal step never exceeds ``dt_max`` nor the propagator's own
+    bound, ``STEP_SAFETY`` divided by the fastest rate in the system.  The
+    final state must stay normalized to within 1e-9 or an
+    :class:`IntegrationError` is raised.
     """
     if abs(initial.total - 1.0) > _NORM_TOL:
         raise ParameterError(f"initial populations sum to {initial.total}, not 1")
@@ -116,7 +108,7 @@ def evolve_populations(initial: Populations, rates: BranchRates, pump_r: float,
         raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
     times = np.linspace(0.0, t_end, n_samples + 1)
     states = evolve_linear(rate_matrix(rates, pump_r), initial.as_array(),
-                           times, _dt_cap(rates, pump_r, dt_max))
+                           times, dt_max)
     if abs(float(states[-1].sum()) - 1.0) > _NORM_TOL:
         raise IntegrationError(
             f"final populations sum to {states[-1].sum()}, drifted off 1"
@@ -161,6 +153,6 @@ def regression_g2_nonresonant_numeric(rates: BranchRates, pump_r: float,
     stationary = steady_state_analytic(rates, pump_r).branch(branch)
     a = rate_matrix(rates, pump_r)
     x0 = np.array([1.0, 0.0, 0.0, 0.0])
-    states = evolve_linear(a, x0, tau_grid, _dt_cap(rates, pump_r, np.inf))
+    states = evolve_linear(a, x0, tau_grid)
     idx = 2 if branch is Branch.MINUS else 3
     return states[:, idx] / stationary

@@ -220,29 +220,17 @@ def occupation_fractions(params: SystemParams, rates: BranchRates,
     return {state: value / total for state, value in sums.items()}
 
 
-def _pair_lags(times: np.ndarray, tau_max: float) -> np.ndarray:
-    """Lags of every ordered photon pair separated by at most tau_max."""
-    n = times.size
-    hi = np.searchsorted(times, times + tau_max, side="right")
-    lens = hi - np.arange(n) - 1
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0)
-    # Flattened [i+1, hi_i) index ranges.
-    starts = np.arange(1, n + 1)
-    offsets = np.repeat(np.concatenate(([0], np.cumsum(lens)[:-1])), lens)
-    flat_j = np.repeat(starts, lens) + np.arange(total) - offsets
-    return times[flat_j] - np.repeat(times, lens)
-
-
 def g2_histogram(stream: PhotonStream, branch: Branch | None,
                  tau_bins: np.ndarray) -> CorrelationSeries:
     """Coincidence histogram normalized to the uncorrelated pair density.
 
-    Counts every ordered photon pair whose lag falls within the bins (not
-    just successive pairs) and divides each bin by the expected count of a
-    rate-matched uncorrelated stream, ``rate**2 * width * (T - tau_center)``.
-    Per-bin standard errors assume Poisson pair counts.
+    Counts every ordered photon pair ``i < j`` with ``t_j <= t_i + e_last``
+    (not just successive pairs), ``e_last`` the last edge, into the bins by
+    np.histogram's rule (last bin closed), and divides each bin by the
+    expected count of a rate-matched uncorrelated stream,
+    ``rate**2 * width * (T - tau_center)``.  Per-bin standard errors assume
+    Poisson pair counts.  Pairs are counted one index offset ``j - i`` at a
+    time, so memory is O(photons) whatever the lag window holds.
     """
     edges = np.asarray(tau_bins, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
@@ -260,8 +248,15 @@ def g2_histogram(stream: PhotonStream, branch: Branch | None,
         )
     duration = stream.duration
     rate = times.size / duration
-    lags = _pair_lags(times, float(edges[-1]))
-    counts, _ = np.histogram(lags, edges)
+    # Photon i pairs with i+1 .. last[i]; ``first`` holds the photons with a
+    # partner at offset k.
+    last = np.searchsorted(times, times + edges[-1], "right") - 1
+    counts = np.zeros(edges.size - 1, dtype=np.int64)
+    first = np.arange(times.size)
+    k = 1
+    while (first := first[last[first] >= first + k]).size:
+        counts += np.histogram(times[first + k] - times[first], edges)[0]
+        k += 1
     centers = 0.5 * (edges[:-1] + edges[1:])
     widths = np.diff(edges)
     exposure = rate ** 2 * widths * (duration - centers)

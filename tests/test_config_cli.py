@@ -97,6 +97,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=key):
             parse_config(path)
 
+    @pytest.mark.parametrize("key", ["omega_min", "omega0", "omega1", "v0",
+                                     "v0_over_delta_sweep", "unit_scale"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_number_rejected(self, tmp_path, key, value):
+        text = "0.5, " + value if key == "v0_over_delta_sweep" else value
+        lines = [line for line in BASE_CFG.splitlines()
+                 if not line.startswith(key + " ")]
+        path = write_cfg(tmp_path, "\n".join(lines + [f"{key} = {text}", ""]))
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            parse_config(path)
+
     def test_branch_filter_parsed(self, tmp_path):
         path = write_cfg(tmp_path, BASE_CFG + "branch = minus\n")
         assert parse_config(path).branch_filter is Branch.MINUS
@@ -306,6 +317,13 @@ class TestExitCodes:
         path = write_cfg(tmp_path, BASE_CFG.replace("nonresonant", "resonant"))
         assert main(["rates", "--config", str(path)]) == 2
         capsys.readouterr()
+
+    def test_non_finite_grid_is_2_and_writes_nothing(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BASE_CFG + "omega_min = -inf\nomega_max = 3.0\n")
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+        assert "omega_min" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_numerical_error_is_3(self, tmp_path, capsys, monkeypatch):
         import plexciton.cli as cli_module

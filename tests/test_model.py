@@ -167,6 +167,12 @@ class TestSystemParams:
         with pytest.raises(ParameterError, match="v0"):
             make_params(v0=0.0)
 
+    @pytest.mark.parametrize("name", ["omega0", "omega1", "v0"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_frequency(self, name, value):
+        with pytest.raises(ParameterError, match=name):
+            make_params(**{name: value})
+
     def test_rejects_subphysical_dephasing(self):
         with pytest.raises(ParameterError, match="gamma_perp"):
             make_params(gamma_r=1.0, gamma_nr=1.0, gamma_perp=0.9)

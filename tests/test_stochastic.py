@@ -1,7 +1,9 @@
+import functools
 import hashlib
 import os
 import stat
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +201,42 @@ class TestErgodicityAndRenewal:
         assert abs(r1) < 3.0 / np.sqrt(n)
 
 
+@functools.cache
+def half_integer_stream():
+    """1.2e4 photons on half-integer times with a dense burst of 2000.
+
+    Every lag is a multiple of 0.5 and exact in floating point, so lags can
+    sit exactly on bin edges.  The burst at spacing 0.5 gives its photons
+    hundreds of partners within lags of a few hundred.
+    """
+    rng = np.random.default_rng(58)
+    gaps = np.concatenate((rng.integers(1, 8, 5000), np.ones(2000, dtype=int),
+                           rng.integers(1, 8, 5000)))
+    times = 0.5 * np.cumsum(gaps)
+    return PhotonStream(times=times, tags=np.zeros(times.size, dtype=np.int8),
+                        duration=float(times[-1]) + 3.0)
+
+
+def reference_pair_lags(times, tau_max):
+    """Lags of all pairs j > i with lag <= tau_max, by blocked ``np.subtract.outer``."""
+    parts = []
+    for lo in range(0, times.size, 500):
+        rows = times[lo:lo + 500]
+        hi = np.searchsorted(times, rows[-1] + tau_max, "right")
+        lags = np.subtract.outer(times[lo:hi], rows).T
+        later = np.arange(lo, hi)[None, :] > np.arange(lo, lo + rows.size)[:, None]
+        parts.append(lags[later & (lags <= tau_max)])
+    return np.concatenate(parts)
+
+
+def histogram_counts(stream, edges):
+    """Pair counts behind ``g2_histogram``, undoing its documented normalization."""
+    hist = g2_histogram(stream, None, edges)
+    rate = stream.n_photons / stream.duration
+    exposure = rate ** 2 * np.diff(edges) * (stream.duration - hist.tau)
+    return np.rint(hist.values * exposure).astype(np.int64)
+
+
 class TestHistogram:
     def test_poisson_stream_is_flat_unity(self):
         rng = np.random.default_rng(51)
@@ -240,6 +278,44 @@ class TestHistogram:
         with pytest.raises(ParameterError):
             g2_histogram(stream, Branch.MINUS, np.array([-1.0, 1.0]))
 
+    # Lags land exactly on inner edges (0.5, 3.0, ...) and on the last edge;
+    # the burst needs hundreds of index offsets.
+    @pytest.mark.parametrize("edges", [
+        [0.0, 0.5, 3.0, 3.5, 10.0, 40.5, 41.0, 120.0, 250.0],
+        [2.5, 7.0, 7.5, 100.0],
+        [0.0, 300.0],
+    ], ids=["uneven", "late-start", "one-bin"])
+    def test_counts_match_every_pair(self, edges):
+        stream = half_integer_stream()
+        edges = np.array(edges)
+        reference, _ = np.histogram(reference_pair_lags(stream.times, edges[-1]),
+                                    edges)
+        assert np.array_equal(histogram_counts(stream, edges), reference)
+
+    @settings(max_examples=40, deadline=None)
+    @given(edges=st.lists(st.integers(0, 160), min_size=2, max_size=12,
+                          unique=True))
+    def test_counts_match_every_pair_property(self, edges):
+        stream = half_integer_stream()
+        edges = 0.5 * np.sort(edges)
+        lags = reference_pair_lags(stream.times, edges[-1])
+        assert np.array_equal(histogram_counts(stream, edges),
+                              np.histogram(lags, edges)[0])
+
+    def test_memory_stays_bounded_in_pairs(self):
+        # 1e4 photons with 500 partners each within the last edge: 5e6
+        # pairs, 40 MB as one lag array.
+        times = np.arange(1.0, 10001.0)
+        stream = PhotonStream(times=times, tags=np.zeros(times.size, dtype=np.int8),
+                              duration=10001.0)
+        edges = np.linspace(0.0, 500.0, 51)
+        tracemalloc.start()
+        try:
+            g2_histogram(stream, None, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 class TestFano:
     @staticmethod
