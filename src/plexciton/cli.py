@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .bloch import bloch_steady_state
-from .config import RunConfig, parse_config
+from .config import PHYSICS_KEYS, RunConfig, parse_config
 from .correlations import (
     detected_spectrum,
     g2_nonresonant_analytic,
@@ -77,18 +77,11 @@ def _csv_text(comments: list[str], header: list[str],
 
 
 def _provenance(params: SystemParams, config: RunConfig) -> list[str]:
-    return [
-        f"plexciton {__version__}",
-        ("params: omega0={omega0} omega1={omega1} v0={v0} gamma_r={gamma_r} "
-         "gamma_nr={gamma_nr} gamma_perp={gamma_perp} gamma_u={gamma_u} "
-         "pump_r={pump_r} drive_rabi={drive} scenario={scenario}").format(
-            omega0=_fmt(params.omega0), omega1=_fmt(params.omega1),
-            v0=_fmt(params.v0), gamma_r=_fmt(params.gamma_r),
-            gamma_nr=_fmt(params.gamma_nr), gamma_perp=_fmt(params.gamma_perp),
-            gamma_u=_fmt(params.gamma_u), pump_r=_fmt(params.pump_r),
-            drive=_fmt(params.omega_l_rabi), scenario=params.scenario.value),
-        f"unit_scale={_fmt(config.unit_scale)}",
-    ]
+    numbers = " ".join(f"{key}={_fmt(getattr(params, field))}"
+                       for key, field in PHYSICS_KEYS.items() if key != "scenario")
+    return [f"plexciton {__version__}",
+            f"params: {numbers} scenario={params.scenario.value}",
+            f"unit_scale={_fmt(config.unit_scale)}"]
 
 
 def cmd_spectrum(config: RunConfig, out_dir: str) -> list[str]:

@@ -15,39 +15,9 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .model import Branch, Scenario, SystemParams
 
-REQUIRED_KEYS = (
-    "scenario",
-    "omega0",
-    "omega1",
-    "v0",
-    "gamma_r",
-    "gamma_nr",
-    "gamma_perp",
-    "gamma_u",
-    "pump_r",
-)
-
-# key -> default (None means "derive at command time")
-OPTIONAL_KEYS = {
-    "drive_rabi": 0.0,
-    "unit_scale": 1.0,
-    "omega_min": None,
-    "omega_max": None,
-    "omega_steps": 4001,
-    "tau_max": None,
-    "tau_steps": 601,
-    "bins": 20,
-    "duration": None,
-    "n_trajectories": 1,
-    "master_seed": 1,
-    "branch": "both",
-    "fano_window": None,
-    "v0_over_delta_sweep": None,
-}
-
-_NONNEGATIVE = ("gamma_r", "gamma_nr", "gamma_perp", "gamma_u", "pump_r",
-                "drive_rabi", "unit_scale")
-_INT_KEYS = ("omega_steps", "tau_steps", "bins", "n_trajectories", "master_seed")
+# Largest grid step or bin count.  A 10**6-point grid takes tens of MB; a
+# mistyped 10**10 would ask for tens of GB.
+MAX_STEPS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -70,6 +40,84 @@ class RunConfig:
     v0_over_delta_sweep: tuple[float, ...] | None
 
 
+def _number(kind, ok=lambda _: True, rule=""):
+    """Parser of an int, or a finite float, that passes ``ok``; ``rule`` says
+    what ``ok`` asks for."""
+    def parse(key: str, text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(f"key '{key}': not {what}: {text!r}") from None
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"key '{key}': must be finite, got {text!r}")
+        if not ok(value):
+            raise ConfigError(f"key '{key}': must be {rule}, got {value}")
+        return value
+    return parse
+
+
+def _choice(enum, **extra):
+    """Parser of an ``enum`` value or ``extra`` word, in any case."""
+    options = {member.value: member for member in enum} | extra
+
+    def parse(key: str, text: str):
+        if text.lower() not in options:
+            raise ConfigError(f"key '{key}': must be one of "
+                              f"{', '.join(options)}, got {text!r}")
+        return options[text.lower()]
+    return parse
+
+
+_nonnegative = _number(float, lambda x: x >= 0.0, "nonnegative")
+_positive = _number(float, lambda x: x > 0.0, "positive")
+_steps = _number(int, lambda n: 2 <= n <= MAX_STEPS, f"in 2..{MAX_STEPS}")
+
+
+def _ratios(key: str, text: str) -> tuple[float, ...]:
+    return tuple(_positive(key, part) for part in text.split(","))
+
+
+_REQUIRED = object()
+
+# key -> (parser, default).  Each parser checks type and range and names the
+# key when it fails; _REQUIRED keys have no default, and None is derived at
+# command time.  The physics keys come first, in SystemParams field order,
+# which the CLI's parameter echo follows.
+_KEYS = {
+    "omega0": (_number(float), _REQUIRED),
+    "omega1": (_number(float), _REQUIRED),
+    "v0": (_positive, _REQUIRED),
+    "gamma_r": (_nonnegative, _REQUIRED),
+    "gamma_nr": (_nonnegative, _REQUIRED),
+    "gamma_perp": (_nonnegative, _REQUIRED),
+    "gamma_u": (_nonnegative, _REQUIRED),
+    "pump_r": (_nonnegative, _REQUIRED),
+    "drive_rabi": (_nonnegative, 0.0),
+    "scenario": (_choice(Scenario), _REQUIRED),
+    "unit_scale": (_nonnegative, 1.0),
+    "omega_min": (_number(float), None),
+    "omega_max": (_number(float), None),
+    "omega_steps": (_steps, 4001),
+    "tau_max": (_positive, None),
+    "tau_steps": (_steps, 601),
+    "bins": (_steps, 20),
+    "duration": (_positive, None),
+    "n_trajectories": (_number(int, lambda n: n >= 1, "at least 1"), 1),
+    "master_seed": (_number(int), 1),
+    "branch": (_choice(Branch, both=None), None),
+    "fano_window": (_positive, None),
+    "v0_over_delta_sweep": (_ratios, None),
+}
+
+# Keys that fill a field of another name.
+_FIELD = {"drive_rabi": "omega_l_rabi", "branch": "branch_filter"}
+
+# Physics key -> SystemParams field, in field order.
+PHYSICS_KEYS = {key: _FIELD.get(key, key) for key in _KEYS
+                if _FIELD.get(key, key) in SystemParams.__dataclass_fields__}
+
+
 def _parse_lines(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -90,23 +138,6 @@ def _parse_lines(path: str) -> dict[str, str]:
     return entries
 
 
-def _as_float(key: str, text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"key '{key}': not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"key '{key}': must be finite, got {text!r}")
-    return value
-
-
-def _as_int(key: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"key '{key}': not an integer: {text!r}") from None
-
-
 def parse_config(path: str) -> RunConfig:
     """Read, validate, and type a configuration file.
 
@@ -119,88 +150,20 @@ def parse_config(path: str) -> RunConfig:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     entries = _parse_lines(path)
-
-    known = set(REQUIRED_KEYS) | set(OPTIONAL_KEYS)
     for key in entries:
-        if key not in known:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key '{key}'")
-    missing = [key for key in REQUIRED_KEYS if key not in entries]
+    missing = [key for key, (_, default) in _KEYS.items()
+               if default is _REQUIRED and key not in entries]
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
 
-    values: dict[str, object] = {}
-    for key, text in entries.items():
-        if key == "scenario":
-            try:
-                values[key] = Scenario(text.lower())
-            except ValueError:
-                raise ConfigError(
-                    f"key 'scenario': must be 'nonresonant' or 'resonant', "
-                    f"got {text!r}"
-                ) from None
-        elif key == "branch":
-            if text.lower() not in ("minus", "plus", "both"):
-                raise ConfigError(
-                    f"key 'branch': must be 'minus', 'plus', or 'both', got {text!r}"
-                )
-            values[key] = text.lower()
-        elif key == "v0_over_delta_sweep":
-            sweep = tuple(_as_float(key, part) for part in text.split(","))
-            if not sweep or any(ratio <= 0.0 for ratio in sweep):
-                raise ConfigError("key 'v0_over_delta_sweep': ratios must be positive")
-            values[key] = sweep
-        elif key in _INT_KEYS:
-            values[key] = _as_int(key, text)
-        else:
-            values[key] = _as_float(key, text)
-
-    for key, default in OPTIONAL_KEYS.items():
-        values.setdefault(key, default)
-
-    for key in _NONNEGATIVE:
-        if values[key] is not None and values[key] < 0.0:
-            raise ConfigError(f"key '{key}': must be nonnegative, got {values[key]}")
-    if values["v0"] <= 0.0:
-        raise ConfigError(f"key 'v0': must be positive, got {values['v0']}")
-    for key in ("omega_steps", "tau_steps", "bins"):
-        if values[key] < 2:
-            raise ConfigError(f"key '{key}': must be at least 2, got {values[key]}")
-    if values["n_trajectories"] < 1:
-        raise ConfigError("key 'n_trajectories': must be at least 1")
-    for key in ("tau_max", "duration", "fano_window"):
-        if values[key] is not None and values[key] <= 0.0:
-            raise ConfigError(f"key '{key}': must be positive, got {values[key]}")
+    values = {_FIELD.get(key, key): parse(key, entries[key]) if key in entries
+              else default for key, (parse, default) in _KEYS.items()}
     if (values["omega_min"] is None) != (values["omega_max"] is None):
         raise ConfigError("omega_min and omega_max must be given together")
     if values["omega_min"] is not None and values["omega_min"] >= values["omega_max"]:
         raise ConfigError("omega_min must be below omega_max")
-
-    params = SystemParams(
-        omega0=values["omega0"],
-        omega1=values["omega1"],
-        v0=values["v0"],
-        gamma_r=values["gamma_r"],
-        gamma_nr=values["gamma_nr"],
-        gamma_perp=values["gamma_perp"],
-        gamma_u=values["gamma_u"],
-        pump_r=values["pump_r"],
-        omega_l_rabi=values["drive_rabi"],
-        scenario=values["scenario"],
-    )
-    branch_filter = None if values["branch"] == "both" else Branch(values["branch"])
-    return RunConfig(
-        params=params,
-        unit_scale=values["unit_scale"],
-        omega_min=values["omega_min"],
-        omega_max=values["omega_max"],
-        omega_steps=values["omega_steps"],
-        tau_max=values["tau_max"],
-        tau_steps=values["tau_steps"],
-        bins=values["bins"],
-        duration=values["duration"],
-        n_trajectories=values["n_trajectories"],
-        master_seed=values["master_seed"],
-        branch_filter=branch_filter,
-        fano_window=values["fano_window"],
-        v0_over_delta_sweep=values["v0_over_delta_sweep"],
-    )
+    params = SystemParams(**{field: values.pop(field)
+                             for field in PHYSICS_KEYS.values()})
+    return RunConfig(params=params, **values)

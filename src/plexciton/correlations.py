@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, RegimeWarning, ResolutionError
+from .integrate import check_grid
 from .model import Branch, BranchRates, DressedBasis
 from .rate_dynamics import Populations, steady_state_analytic
 
@@ -26,15 +27,6 @@ from .rate_dynamics import Populations, steady_state_analytic
 DEGENERATE_RATE_TOL = 1e-9
 
 _COMBINED = "combined"
-
-
-def _check_grid(grid: np.ndarray, name: str) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ParameterError(f"{name} must be a non-empty 1-d array")
-    if np.any(np.diff(grid) <= 0.0):
-        raise ParameterError(f"{name} must be strictly increasing")
-    return grid
 
 
 @dataclass(frozen=True)
@@ -53,9 +45,7 @@ class CorrelationSeries:
     stderr: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        tau = _check_grid(self.tau, "tau")
-        if tau[0] < 0.0:
-            raise ParameterError("tau grid must be nonnegative")
+        tau = check_grid(self.tau, "tau")
         if self.values.shape != tau.shape:
             raise ParameterError("values and tau must have matching shapes")
         if self.stderr is not None and self.stderr.shape != tau.shape:
@@ -71,7 +61,7 @@ class SpectrumSeries:
     branch: Branch | str | None
 
     def __post_init__(self) -> None:
-        omega = _check_grid(self.omega, "omega")
+        omega = check_grid(self.omega, "omega", nonnegative=False)
         if self.values.shape != omega.shape:
             raise ParameterError("values and omega must have matching shapes")
         if np.any(self.values < 0.0):
@@ -85,7 +75,7 @@ def g1_analytic(branch: Branch, rates: BranchRates, steady: Populations,
     ``g1(tau) = p_b(inf) * exp(-(gperp_b + i * omega_b) * tau)``; negative
     lags follow by complex conjugation and are not tabulated.
     """
-    tau = _check_grid(tau_grid, "tau_grid")
+    tau = check_grid(tau_grid, "tau_grid")
     ch = rates.branch(branch)
     values = steady.branch(branch) * np.exp(-(ch.gperp + 1j * basis.omega(branch)) * tau)
     return CorrelationSeries(tau=tau, values=values, branch=branch,
@@ -96,7 +86,7 @@ def spectrum_analytic(branch: Branch, rates: BranchRates, steady: Populations,
                       basis: DressedBasis,
                       omega_grid: np.ndarray) -> SpectrumSeries:
     """Lorentzian emission line of one branch, without the dipole weight."""
-    omega = _check_grid(omega_grid, "omega_grid")
+    omega = check_grid(omega_grid, "omega_grid", nonnegative=False)
     ch = rates.branch(branch)
     pop = steady.branch(branch)
     values = 2.0 * ch.gperp * pop / ((omega - basis.omega(branch)) ** 2 + ch.gperp ** 2)
@@ -112,7 +102,7 @@ def detected_spectrum(rates: BranchRates, steady: Populations,
     ``2 p_b(inf) / gamma_perp`` for either branch, so their ratio equals the
     stationary population ratio, the fourth power of the mixing cotangent.
     """
-    omega = _check_grid(omega_grid, "omega_grid")
+    omega = check_grid(omega_grid, "omega_grid", nonnegative=False)
     total = np.zeros_like(omega)
     for branch in Branch:
         part = spectrum_analytic(branch, rates, steady, basis, omega)
@@ -222,9 +212,7 @@ def g2_nonresonant_analytic(branch: Branch, rates: BranchRates, pump_r: float,
     small against both branch decay rates, not only against ``gpar_b``; the
     warning fires when ``s`` reaches the slower of the two.
     """
-    tau = _check_grid(tau_grid, "tau_grid")
-    if tau[0] < 0.0:
-        raise ParameterError("tau grid must be nonnegative")
+    tau = check_grid(tau_grid, "tau_grid")
     gpar_b = rates.branch(branch).gpar
     slow = pump_r + gamma_total
     slowest = min(rates.gpar_minus, rates.gpar_plus)
@@ -259,9 +247,7 @@ def g2_resonant_analytic(branch: Branch, rates: BranchRates,
     The raw (unnormalized) form needs the branch drive amplitude to fix the
     stationary population.
     """
-    tau = _check_grid(tau_grid, "tau_grid")
-    if tau[0] < 0.0:
-        raise ParameterError("tau grid must be nonnegative")
+    tau = check_grid(tau_grid, "tau_grid")
     ch = rates.branch(branch)
     gpar_b, gperp_b = ch.gpar, ch.gperp
     if not (gpar_b > 0.0 and gperp_b > 0.0):

@@ -1,4 +1,7 @@
-"""Fixed-step fourth-order Runge-Kutta propagation for small linear systems.
+"""Fixed-step fourth-order Runge-Kutta propagation for small linear systems,
+and :func:`check_grid`, the one check of every lag, time and frequency grid
+the package takes: finite, strictly increasing and, for lags and times,
+nonnegative.
 
 Every ODE in this package is linear (or affine, which callers lift to linear
 form with an augmented constant coordinate), so one classic RK4 step equals
@@ -41,6 +44,21 @@ STEP_SAFETY = 0.1
 _RUN_RTOL = 1e-14
 
 
+def check_grid(grid, name: str, nonnegative: bool = True) -> np.ndarray:
+    """``grid`` as a float array, or :class:`ParameterError` naming ``name``
+    unless it is a non-empty 1-d array of finite, strictly increasing
+    values, nonnegative when ``nonnegative``."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ParameterError(f"{name} must be a non-empty 1-d array")
+    # A NaN fails every comparison; an increasing grid is infinite only at ends.
+    if not ((grid[:-1] < grid[1:]).all() and -np.inf < grid[0] and grid[-1] < np.inf):
+        raise ParameterError(f"{name} must be finite and strictly increasing")
+    if nonnegative and grid[0] < 0.0:
+        raise ParameterError(f"{name} must be nonnegative")
+    return grid
+
+
 def rk4_step_matrix(a: np.ndarray, h: float) -> np.ndarray:
     """One-step RK4 propagator ``I + hA + .. + (hA)^4/24`` for ``x' = A x``."""
     ha = h * a
@@ -62,7 +80,7 @@ def evolve_linear(a: np.ndarray, x0: np.ndarray, grid: np.ndarray,
     x0 : ndarray
         State at t = 0.
     grid : ndarray
-        Nonnegative, strictly increasing sample times.
+        Sample times, checked by :func:`check_grid`.
     dt_cap : float, optional
         Extra bound on the internal step.  The step is at most
         ``min(dt_cap, STEP_SAFETY / max|A_ij|)`` (``dt_cap`` alone when ``A``
@@ -76,17 +94,12 @@ def evolve_linear(a: np.ndarray, x0: np.ndarray, grid: np.ndarray,
     Raises
     ------
     ParameterError
-        If the grid is empty, negative or not strictly increasing, or
-        ``dt_cap`` is not positive.
+        If the grid fails :func:`check_grid` or ``dt_cap`` is not positive.
     IntegrationError
         If a sampled state contains non-finite entries; the message names
         the first such sample.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ParameterError("grid must be a non-empty 1-d array")
-    if grid[0] < 0.0 or np.any(np.diff(grid) <= 0.0):
-        raise ParameterError("grid must be nonnegative and strictly increasing")
+    grid = check_grid(grid, "grid")
     if not (dt_cap > 0.0):
         raise ParameterError(f"dt_cap must be positive, got {dt_cap}")
     fastest = np.abs(a).max()

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateSteadyStateError, IntegrationError, ParameterError
 # STEP_SAFETY stays importable from here; the step rule is in integrate.
-from .integrate import STEP_SAFETY, evolve_linear
+from .integrate import STEP_SAFETY, check_grid, evolve_linear
 from .model import Branch, BranchRates
 
 _NORM_TOL = 1e-9
@@ -60,10 +60,9 @@ class PopulationTrajectory:
     values: np.ndarray  # shape (n, 4)
 
     def __post_init__(self) -> None:
-        if self.times.ndim != 1 or self.values.shape != (self.times.size, 4):
+        times = check_grid(self.times, "trajectory times")
+        if self.values.shape != (times.size, 4):
             raise ParameterError("trajectory arrays have inconsistent shapes")
-        if np.any(np.diff(self.times) <= 0.0):
-            raise ParameterError("trajectory times must be strictly increasing")
         if np.any(self.values < -_NORM_TOL) or np.any(self.values > 1.0 + _NORM_TOL):
             raise ParameterError("trajectory contains out-of-range populations")
 
@@ -100,8 +99,8 @@ def evolve_populations(initial: Populations, rates: BranchRates, pump_r: float,
     """
     if abs(initial.total - 1.0) > _NORM_TOL:
         raise ParameterError(f"initial populations sum to {initial.total}, not 1")
-    if not (t_end > 0.0):
-        raise ParameterError(f"t_end must be positive, got {t_end}")
+    if not (0.0 < t_end < np.inf):
+        raise ParameterError(f"t_end must be positive and finite, got {t_end}")
     if not (dt_max > 0.0):
         raise ParameterError(f"dt_max must be positive, got {dt_max}")
     if n_samples < 1:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, InsufficientDataError, ParameterError
 from .correlations import CorrelationSeries
+from .integrate import check_grid
 from .model import Branch, BranchRates, SystemParams
 
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -29,6 +30,11 @@ _MASK64 = (1 << 64) - 1
 
 # Cycles sampled per vectorized block.
 _CHUNK = 1 << 19
+
+# Most pump cycles one run may be expected to take, over all its
+# trajectories.  Each cycle keeps a timestamp and a tag, so the cap holds the
+# stream arrays to about 1.2 GB.
+MAX_CYCLES = 1 << 27
 
 _TAG = {Branch.MINUS: 0, Branch.PLUS: 1}
 _TAG_CHAR = {0: "-", 1: "+"}
@@ -111,25 +117,31 @@ class EmissionRate:
     n_photons: int
 
 
-def _check_reachable_exits(params: SystemParams, rates: BranchRates) -> None:
+def _check_run(params: SystemParams, rates: BranchRates, duration: float,
+               n_trajectories: int) -> None:
+    """Reject a run with a state it cannot leave or over ``MAX_CYCLES``."""
     if params.pump_r == 0.0:
         return  # only the ground state is ever visited
     if rates.gfeed_total == 0.0:
-        raise ConfigError(
-            "upper level is reachable (pump_r > 0) but has zero exit rate "
-            "(gamma_u = 0)"
-        )
+        raise ConfigError("upper level is reachable (pump_r > 0) but has "
+                          "zero exit rate (gamma_u = 0)")
     if min(rates.gpar_minus, rates.gpar_plus) == 0.0:
-        raise ConfigError(
-            "a dressed branch is reachable but has zero decay rate "
-            "(gamma_r + gamma_nr = 0)"
-        )
+        raise ConfigError("a dressed branch is reachable but has zero decay "
+                          "rate (gamma_r + gamma_nr = 0)")
+    mean_cycle = 1.0 / params.pump_r + (
+        1.0 + rates.gfeed_minus / rates.gpar_minus
+        + rates.gfeed_plus / rates.gpar_plus) / rates.gfeed_total
+    cycles = n_trajectories * duration / mean_cycle
+    if cycles > MAX_CYCLES:
+        raise ParameterError(f"n_trajectories x duration = {n_trajectories} x "
+                             f"{duration} is ~{cycles:.3g} pump cycles, over "
+                             f"the cap of {MAX_CYCLES}")
 
 
 def simulate_stream(params: SystemParams, rates: BranchRates,
                     config: TrajectoryConfig) -> list[PhotonStream]:
     """Simulate the jump process and return one photon stream per trajectory."""
-    _check_reachable_exits(params, rates)
+    _check_run(params, rates, config.duration, config.n_trajectories)
     return [
         _simulate_one(params, rates, config, index)
         for index in range(config.n_trajectories)
@@ -199,7 +211,7 @@ def occupation_fractions(params: SystemParams, rates: BranchRates,
     Accumulated over completed pump cycles, so the result carries an
     end-effect bias of at most one cycle over the run length.
     """
-    _check_reachable_exits(params, rates)
+    _check_run(params, rates, config.duration, 1)
     if params.pump_r == 0.0:
         return {"gg": 1.0, "uu": 0.0, "mm": 0.0, "pp": 0.0}
     rng = np.random.Generator(
@@ -232,11 +244,9 @@ def g2_histogram(stream: PhotonStream, branch: Branch | None,
     Poisson pair counts.  Pairs are counted one index offset ``j - i`` at a
     time, so memory is O(photons) whatever the lag window holds.
     """
-    edges = np.asarray(tau_bins, dtype=float)
-    if edges.ndim != 1 or edges.size < 2:
+    edges = check_grid(tau_bins, "tau_bins")
+    if edges.size < 2:
         raise ParameterError("tau_bins must contain at least two edges")
-    if edges[0] < 0.0 or np.any(np.diff(edges) <= 0.0):
-        raise ParameterError("tau_bins must be nonnegative and increasing")
     if edges[-1] >= 0.5 * stream.duration:
         raise ParameterError(
             "largest lag bin must stay well below the stream duration"

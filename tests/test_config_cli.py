@@ -1,9 +1,11 @@
 import math
 import os
 import stat
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plexciton import Branch, ConfigError, Scenario, parse_config
 from plexciton.cli import main
@@ -112,6 +114,120 @@ class TestParseConfig:
         path = write_cfg(tmp_path, BASE_CFG + "branch = minus\n")
         assert parse_config(path).branch_filter is Branch.MINUS
 
+    @pytest.mark.parametrize("key", ["omega_steps", "tau_steps", "bins"])
+    def test_step_count_limit_parses(self, tmp_path, key):
+        path = write_cfg(tmp_path, BASE_CFG + f"{key} = 1000000\n")
+        assert getattr(parse_config(path), key) == 10 ** 6
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_valid_config_round_trips_property(self, data):
+        # Parses to the written values; any one value made invalid raises
+        # ConfigError naming its key, and nothing else.
+        written = data.draw(valid_configs())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(cfg_text(written))
+            config = parse_config(path)
+            for key, value in written.items():
+                assert parsed_value(config, key) == expected_value(key, value)
+
+            for key in written:
+                bad = data.draw(st.sampled_from(NOT_A_VALUE)
+                                | st.sampled_from(OUT_OF_RANGE.get(key, ["x"])))
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(cfg_text({**written, key: bad}))
+                with pytest.raises(ConfigError, match=f"'{key}'"):
+                    parse_config(path)
+
+
+_finite = st.floats(-1e6, 1e6)
+_nonnegative = st.floats(0.0, 1e6)
+_positive = st.floats(1e-6, 1e6)
+_steps = st.integers(2, 10 ** 6)
+
+OPTIONAL_VALUES = {
+    "drive_rabi": _nonnegative,
+    "unit_scale": _nonnegative,
+    "omega_steps": _steps,
+    "tau_max": _positive,
+    "tau_steps": _steps,
+    "bins": _steps,
+    "duration": _positive,
+    "n_trajectories": st.integers(1, 10 ** 6),
+    "master_seed": st.integers(-2 ** 70, 2 ** 70),
+    "branch": st.sampled_from(["minus", "plus", "both", "Plus", "BOTH"]),
+    "fano_window": _positive,
+    "v0_over_delta_sweep": st.lists(_positive, min_size=1, max_size=4).map(tuple),
+}
+
+# Invalid for every key: not a number, not finite, or not a word any key takes.
+NOT_A_VALUE = ["abc", "nan", "inf", "-inf", "1e400", "1..2"]
+
+# Numbers, or words, outside one key's range.
+OUT_OF_RANGE = {
+    "scenario": ["pulsed", "both"],
+    "v0": ["0", "-1.5"],
+    **{key: ["-1e-3"] for key in ("gamma_r", "gamma_nr", "gamma_perp",
+                                 "gamma_u", "pump_r", "drive_rabi",
+                                 "unit_scale")},
+    **{key: ["0", "-3.0"] for key in ("tau_max", "duration", "fano_window")},
+    **{key: ["1", "0", "1000001", "10000000000", "2.5"]
+       for key in ("omega_steps", "tau_steps", "bins")},
+    "n_trajectories": ["0", "-4", "1.5"],
+    "master_seed": ["3.5"],
+    "branch": ["all", "nonresonant"],
+    "v0_over_delta_sweep": ["0.5, -1", "0.5,", "0"],
+}
+
+
+@st.composite
+def valid_configs(draw):
+    """Required keys plus any subset of the optional ones, all in range."""
+    gamma_r, gamma_nr = draw(_nonnegative), draw(_nonnegative)
+    written = {
+        "scenario": draw(st.sampled_from(["nonresonant", "resonant",
+                                          "Resonant"])),
+        "omega0": draw(_finite),
+        "omega1": draw(_finite),
+        "v0": draw(_positive),
+        "gamma_r": gamma_r,
+        "gamma_nr": gamma_nr,
+        "gamma_perp": (gamma_r + gamma_nr) / 2.0 + draw(_nonnegative),
+        "gamma_u": draw(_nonnegative),
+        "pump_r": draw(_nonnegative),
+    }
+    for key in draw(st.sets(st.sampled_from(sorted(OPTIONAL_VALUES)))):
+        written[key] = draw(OPTIONAL_VALUES[key])
+    if draw(st.booleans()):
+        low = draw(_finite)
+        written["omega_min"], written["omega_max"] = low, low + draw(_positive)
+    return written
+
+
+def cfg_text(written):
+    def text(value):
+        if isinstance(value, tuple):
+            return ", ".join(repr(part) for part in value)
+        return value if isinstance(value, str) else repr(value)
+    return "".join(f"{key} = {text(value)}\n" for key, value in written.items())
+
+
+def parsed_value(config, key):
+    field = {"drive_rabi": "omega_l_rabi"}.get(key, key)
+    if hasattr(config.params, field):
+        return getattr(config.params, field)
+    return config.branch_filter if key == "branch" else getattr(config, key)
+
+
+def expected_value(key, value):
+    if key == "scenario":
+        return Scenario(value.lower())
+    if key == "branch":
+        return None if value.lower() == "both" else Branch(value.lower())
+    return value
+
 
 @pytest.fixture(scope="module")
 def g2_csv(tmp_path_factory):
@@ -155,6 +271,13 @@ class TestG2Command:
         tau = cols["tau"]  # gamma_par = 1, so the column is the raw lag
         ramp = (1.0 - np.exp(-gpar_minus * tau / 2.0)) ** 2
         assert np.max(np.abs(cols["R_minus"] - ramp)) < 1e-12
+
+    def test_parameter_echo(self, g2_csv):
+        comments, _, _ = g2_csv
+        assert comments[1] == (
+            "# params: omega0=1.0 omega1=-1.0 v0=1.0 gamma_r=1.0 gamma_nr=0.0 "
+            "gamma_perp=0.5 gamma_u=0.005 pump_r=0.005 drive_rabi=0.0 "
+            "scenario=nonresonant")
 
     def test_benchmark_value_on_grid(self, g2_csv):
         # Derived benchmark: 1 - 0.04/(2 + sqrt(2)) - exp(-1).  Its common
@@ -323,6 +446,23 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
         assert "omega_min" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("key", ["omega_steps", "tau_steps", "bins"])
+    @pytest.mark.parametrize("value", [10 ** 6 + 1, 10 ** 10])
+    def test_huge_step_count_is_2_and_writes_nothing(self, tmp_path, capsys,
+                                                     key, value):
+        cfg = write_cfg(tmp_path, BASE_CFG + f"{key} = {value}\n")
+        out = tmp_path / "out"
+        assert main(["g2", "--config", cfg, "--out", str(out)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_duration_is_2_and_writes_nothing(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BASE_CFG + "duration = 1e300\n")
+        out = tmp_path / "out"
+        assert main(["trajectory", "--config", cfg, "--out", str(out)]) == 2
+        assert "duration" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     def test_numerical_error_is_3(self, tmp_path, capsys, monkeypatch):

@@ -5,18 +5,26 @@ import numpy as np
 import pytest
 
 from plexciton import (
+    BlochState,
     Branch,
     ParameterError,
+    PhotonStream,
+    Populations,
+    SpectrumSeries,
     RegimeWarning,
     ResolutionError,
     SystemParams,
     branch_rates,
     detected_spectrum,
     dressed_basis,
+    evolve_bloch,
+    evolve_populations,
     g1_analytic,
+    g2_histogram,
     g2_nonresonant_analytic,
     g2_resonant_analytic,
     regression_g2_nonresonant_numeric,
+    regression_g2_resonant_numeric,
     spectrum_analytic,
     spectrum_fft_check,
     steady_state_analytic,
@@ -414,3 +422,44 @@ class TestCoincidenceProperties:
                 assert np.all(values >= 0.0)
                 assert np.all(values < 1.0)
                 assert np.all(np.diff(values) >= -1e-14)
+
+
+# Every public call that takes a lag, time or frequency grid, as
+# f(rates, steady, basis, grid); evolve_populations builds its grid from t_end.
+GRID_CALLS = {
+    "regression_g2_nonresonant_numeric": lambda r, s, b, grid:
+        regression_g2_nonresonant_numeric(r, 0.005, Branch.MINUS, grid),
+    "regression_g2_resonant_numeric": lambda r, s, b, grid:
+        regression_g2_resonant_numeric(0.1, 1.0, 0.5, grid),
+    "evolve_bloch": lambda r, s, b, grid:
+        evolve_bloch(BlochState(0.0, 0.0, 0.0), 0.1, 1.0, 0.5, grid),
+    "evolve_populations": lambda r, s, b, grid:
+        evolve_populations(Populations(1.0, 0.0, 0.0, 0.0), r, 0.005,
+                           t_end=grid[-1], dt_max=0.1),
+    "g1_analytic": lambda r, s, b, grid:
+        g1_analytic(Branch.MINUS, r, s, b, grid),
+    "spectrum_analytic": lambda r, s, b, grid:
+        spectrum_analytic(Branch.PLUS, r, s, b, grid),
+    "detected_spectrum": lambda r, s, b, grid: detected_spectrum(r, s, b, grid),
+    "g2_nonresonant_analytic": lambda r, s, b, grid:
+        g2_nonresonant_analytic(Branch.MINUS, r, 0.005, 0.005, grid),
+    "g2_resonant_analytic": lambda r, s, b, grid:
+        g2_resonant_analytic(Branch.MINUS, r, grid),
+    "g2_histogram": lambda r, s, b, grid:
+        g2_histogram(PhotonStream(np.empty(0), np.empty(0, dtype=np.int8), 100.0),
+                     Branch.MINUS, grid),
+    "CorrelationSeries": lambda r, s, b, grid:
+        CorrelationSeries(tau=grid, values=np.zeros(4), branch=Branch.MINUS,
+                          normalized=True),
+    "SpectrumSeries": lambda r, s, b, grid:
+        SpectrumSeries(omega=grid, values=np.zeros(4), branch=Branch.MINUS),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", sorted(GRID_CALLS))
+def test_non_finite_grid_rejected(call, bad, benchmark_rates, benchmark_steady,
+                                  benchmark_basis):
+    grid = np.array([0.0, 1.0, 2.0, bad])
+    with pytest.raises(ParameterError):
+        GRID_CALLS[call](benchmark_rates, benchmark_steady, benchmark_basis, grid)

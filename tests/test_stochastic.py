@@ -29,7 +29,7 @@ from plexciton import (
     steady_state_analytic,
     write_photon_stream,
 )
-from plexciton.stochastic import _CHUNK, atomic_write
+from plexciton.stochastic import _CHUNK, MAX_CYCLES, atomic_write
 
 
 def make_setup(pump=0.005, feed=0.005, gamma_r=1.0, gamma_nr=0.0, v0=1.0,
@@ -164,6 +164,23 @@ class TestValidation:
     def test_trajectory_duration_must_be_finite(self, duration):
         with pytest.raises(ParameterError, match="duration"):
             TrajectoryConfig(duration=duration)
+
+    @pytest.mark.parametrize("run", [simulate_stream, occupation_fractions])
+    def test_huge_run_rejected_before_sampling(self, run):
+        params, rates = make_setup()
+        with pytest.raises(ParameterError, match="pump cycles"):
+            run(params, rates, TrajectoryConfig(duration=1e300))
+
+    def test_run_size_counts_every_trajectory(self):
+        # Each trajectory alone is under the cap, the two together are not.
+        params, rates = make_setup()
+        mean_cycle = 1.0 / params.pump_r + (
+            1.0 + rates.gfeed_minus / rates.gpar_minus
+            + rates.gfeed_plus / rates.gpar_plus) / rates.gfeed_total
+        config = TrajectoryConfig(duration=0.75 * MAX_CYCLES * mean_cycle,
+                                  n_trajectories=2)
+        with pytest.raises(ParameterError, match="pump cycles"):
+            simulate_stream(params, rates, config)
 
     @pytest.mark.parametrize("bad", [7, -1])
     def test_out_of_range_tag_rejected(self, bad):
