@@ -363,15 +363,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             config = replace(config, master_seed=args.seed)
         if args.scenario is not None:
-            config = replace(
-                config,
-                params=replace(config.params, scenario=Scenario(args.scenario)),
-            )
+            config = replace(config, params=replace(
+                config.params, scenario=Scenario(args.scenario)))
         out_dir = args.out
         if args.command in ("spectrum", "g2", "trajectory"):
             out_dir = out_dir or "."
-            os.makedirs(out_dir, exist_ok=True)
-        elif out_dir is not None:
+        if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
 
         if args.command == "spectrum":

@@ -40,9 +40,12 @@ class RunConfig:
     v0_over_delta_sweep: tuple[float, ...] | None
 
 
-def _number(kind, ok=lambda _: True, rule=""):
-    """Parser of an int, or a finite float, that passes ``ok``; ``rule`` says
-    what ``ok`` asks for."""
+def _number(kind, low=-math.inf, high=math.inf, above=False):
+    """Parser of an int, or a finite float, no less than ``low`` (greater if
+    ``above``) and no more than ``high``."""
+    rule = (f"in {low}..{high}" if high < math.inf
+            else f"{'>' if above else '>='} {low}")
+
     def parse(key: str, text: str):
         try:
             value = kind(text)
@@ -51,7 +54,7 @@ def _number(kind, ok=lambda _: True, rule=""):
             raise ConfigError(f"key '{key}': not {what}: {text!r}") from None
         if kind is float and not math.isfinite(value):
             raise ConfigError(f"key '{key}': must be finite, got {text!r}")
-        if not ok(value):
+        if value < low or value > high or (above and value == low):
             raise ConfigError(f"key '{key}': must be {rule}, got {value}")
         return value
     return parse
@@ -69,9 +72,9 @@ def _choice(enum, **extra):
     return parse
 
 
-_nonnegative = _number(float, lambda x: x >= 0.0, "nonnegative")
-_positive = _number(float, lambda x: x > 0.0, "positive")
-_steps = _number(int, lambda n: 2 <= n <= MAX_STEPS, f"in 2..{MAX_STEPS}")
+_nonnegative = _number(float, low=0)
+_positive = _number(float, low=0, above=True)
+_steps = _number(int, low=2, high=MAX_STEPS)
 
 
 def _ratios(key: str, text: str) -> tuple[float, ...]:
@@ -103,7 +106,7 @@ _KEYS = {
     "tau_steps": (_steps, 601),
     "bins": (_steps, 20),
     "duration": (_positive, None),
-    "n_trajectories": (_number(int, lambda n: n >= 1, "at least 1"), 1),
+    "n_trajectories": (_number(int, low=1), 1),
     "master_seed": (_number(int), 1),
     "branch": (_choice(Branch, both=None), None),
     "fano_window": (_positive, None),

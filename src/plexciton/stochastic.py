@@ -31,10 +31,11 @@ _MASK64 = (1 << 64) - 1
 # Cycles sampled per vectorized block.
 _CHUNK = 1 << 19
 
-# Most pump cycles one run may be expected to take, over all its
-# trajectories.  Each cycle keeps a timestamp and a tag, so the cap holds the
-# stream arrays to about 1.2 GB.
-MAX_CYCLES = 1 << 27
+# Most photons one simulate_stream run may be expected to keep, over all its
+# trajectories (a float64 time and an int8 tag each: about 1.2 GB).
+# occupation_fractions keeps none; it refuses a run over as many pump cycles
+# rather than sample a huge duration without end.
+MAX_PHOTONS = 1 << 27
 
 _TAG = {Branch.MINUS: 0, Branch.PLUS: 1}
 _TAG_CHAR = {0: "-", 1: "+"}
@@ -68,8 +69,7 @@ class TrajectoryConfig:
                 f"duration must be positive and finite, got {self.duration}")
         if self.n_trajectories < 1:
             raise ParameterError(
-                f"n_trajectories must be >= 1, got {self.n_trajectories}"
-            )
+                f"n_trajectories must be >= 1, got {self.n_trajectories}")
 
 
 @dataclass(frozen=True)
@@ -117,9 +117,10 @@ class EmissionRate:
     n_photons: int
 
 
-def _check_run(params: SystemParams, rates: BranchRates, duration: float,
-               n_trajectories: int) -> None:
-    """Reject a run with a state it cannot leave or over ``MAX_CYCLES``."""
+def _check_run(params: SystemParams, rates: BranchRates,
+               config: TrajectoryConfig, stream: bool) -> None:
+    """Reject a run with a state it cannot leave, or one expected to keep over
+    ``MAX_PHOTONS`` photons (a ``stream``) or else one trajectory's cycles."""
     if params.pump_r == 0.0:
         return  # only the ground state is ever visited
     if rates.gfeed_total == 0.0:
@@ -131,21 +132,23 @@ def _check_run(params: SystemParams, rates: BranchRates, duration: float,
     mean_cycle = 1.0 / params.pump_r + (
         1.0 + rates.gfeed_minus / rates.gpar_minus
         + rates.gfeed_plus / rates.gpar_plus) / rates.gfeed_total
-    cycles = n_trajectories * duration / mean_cycle
-    if cycles > MAX_CYCLES:
-        raise ParameterError(f"n_trajectories x duration = {n_trajectories} x "
-                             f"{duration} is ~{cycles:.3g} pump cycles, over "
-                             f"the cap of {MAX_CYCLES}")
+    kept, what = config.duration / mean_cycle, "pump cycles"
+    if stream:
+        if config.branch_filter is not None:
+            kept *= rates.branch(config.branch_filter).gfeed / rates.gfeed_total
+        kept *= config.n_trajectories * params.quantum_yield
+        what = f"photons kept (n_trajectories = {config.n_trajectories})"
+    if kept > MAX_PHOTONS:
+        raise ParameterError(f"duration {config.duration} gives ~{kept:.3g} "
+                             f"{what}, over the cap of {MAX_PHOTONS}")
 
 
 def simulate_stream(params: SystemParams, rates: BranchRates,
                     config: TrajectoryConfig) -> list[PhotonStream]:
     """Simulate the jump process and return one photon stream per trajectory."""
-    _check_run(params, rates, config.duration, config.n_trajectories)
-    return [
-        _simulate_one(params, rates, config, index)
-        for index in range(config.n_trajectories)
-    ]
+    _check_run(params, rates, config, stream=True)
+    return [_simulate_one(params, rates, config, index)
+            for index in range(config.n_trajectories)]
 
 
 def _cycle_blocks(rng: np.random.Generator, params: SystemParams,
@@ -178,9 +181,8 @@ def _simulate_one(params: SystemParams, rates: BranchRates,
     if params.pump_r == 0.0:
         return PhotonStream(times=np.empty(0), tags=np.empty(0, dtype=np.int8),
                             duration=duration)
-    rng = np.random.Generator(
-        np.random.PCG64(derive_trajectory_seed(config.master_seed, index))
-    )
+    rng = np.random.Generator(np.random.PCG64(
+        derive_trajectory_seed(config.master_seed, index)))
     yield_ = params.quantum_yield
     want = None if config.branch_filter is None else _TAG[config.branch_filter]
 
@@ -211,12 +213,11 @@ def occupation_fractions(params: SystemParams, rates: BranchRates,
     Accumulated over completed pump cycles, so the result carries an
     end-effect bias of at most one cycle over the run length.
     """
-    _check_run(params, rates, config.duration, 1)
+    _check_run(params, rates, config, stream=False)
     if params.pump_r == 0.0:
         return {"gg": 1.0, "uu": 0.0, "mm": 0.0, "pp": 0.0}
-    rng = np.random.Generator(
-        np.random.PCG64(derive_trajectory_seed(config.master_seed, 0))
-    )
+    rng = np.random.Generator(np.random.PCG64(
+        derive_trajectory_seed(config.master_seed, 0)))
     sums = {"gg": 0.0, "uu": 0.0, "mm": 0.0, "pp": 0.0}
     for ends, dwell_g, dwell_u, is_minus, dwell_b in _cycle_blocks(
             rng, params, rates, config.duration):
@@ -249,8 +250,7 @@ def g2_histogram(stream: PhotonStream, branch: Branch | None,
         raise ParameterError("tau_bins must contain at least two edges")
     if edges[-1] >= 0.5 * stream.duration:
         raise ParameterError(
-            "largest lag bin must stay well below the stream duration"
-        )
+            "largest lag bin must stay well below the stream duration")
     times = stream.times_for(branch)
     if times.size < 1e4:
         raise InsufficientDataError(

@@ -29,7 +29,8 @@ from plexciton import (
     steady_state_analytic,
     write_photon_stream,
 )
-from plexciton.stochastic import _CHUNK, MAX_CYCLES, atomic_write
+from plexciton import stochastic
+from plexciton.stochastic import _CHUNK, MAX_PHOTONS, atomic_write
 
 
 def make_setup(pump=0.005, feed=0.005, gamma_r=1.0, gamma_nr=0.0, v0=1.0,
@@ -168,7 +169,7 @@ class TestValidation:
     @pytest.mark.parametrize("run", [simulate_stream, occupation_fractions])
     def test_huge_run_rejected_before_sampling(self, run):
         params, rates = make_setup()
-        with pytest.raises(ParameterError, match="pump cycles"):
+        with pytest.raises(ParameterError, match="over the cap"):
             run(params, rates, TrajectoryConfig(duration=1e300))
 
     def test_run_size_counts_every_trajectory(self):
@@ -177,9 +178,25 @@ class TestValidation:
         mean_cycle = 1.0 / params.pump_r + (
             1.0 + rates.gfeed_minus / rates.gpar_minus
             + rates.gfeed_plus / rates.gpar_plus) / rates.gfeed_total
-        config = TrajectoryConfig(duration=0.75 * MAX_CYCLES * mean_cycle,
+        config = TrajectoryConfig(duration=0.75 * MAX_PHOTONS * mean_cycle,
                                   n_trajectories=2)
-        with pytest.raises(ParameterError, match="pump cycles"):
+        with pytest.raises(ParameterError, match="photons kept"):
+            simulate_stream(params, rates, config)
+
+    @pytest.mark.parametrize("branch", [None, Branch.MINUS, Branch.PLUS])
+    def test_run_size_counts_kept_photons(self, monkeypatch, branch):
+        # The estimate follows the yield (0.25 here) and the branch filter
+        # (the minus branch takes 15% of cycles): the run passes a cap 5%
+        # above the photons it keeps and fails one 5% below.  2e5 cycles keep
+        # at least 7e3 photons, so 5% is over 4 sigma of counting noise.
+        params, rates = make_setup(gamma_nr=3.0)
+        config = TrajectoryConfig(duration=4e7, n_trajectories=2,
+                                  branch_filter=branch)
+        kept = sum(s.n_photons for s in simulate_stream(params, rates, config))
+        monkeypatch.setattr(stochastic, "MAX_PHOTONS", int(1.05 * kept))
+        simulate_stream(params, rates, config)
+        monkeypatch.setattr(stochastic, "MAX_PHOTONS", int(0.95 * kept))
+        with pytest.raises(ParameterError, match="photons kept"):
             simulate_stream(params, rates, config)
 
     @pytest.mark.parametrize("bad", [7, -1])
