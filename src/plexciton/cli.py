@@ -8,8 +8,8 @@ trajectory    stochastic photon streams plus estimator summary
 rates         human- and machine-readable parameter/rate report
 steady-state  stationary populations of the configured scenario
 
-Exit codes: 0 success, 2 configuration or parameter error, 3 numerical
-failure or insufficient data.
+Exit codes: 0 success, else the error's ``exit_code`` (2 bad input or a path
+the OS refuses, 3 numerical failure).  Each command computes before it writes.
 """
 
 from __future__ import annotations
@@ -33,12 +33,10 @@ from .correlations import (
 )
 from .errors import (
     ConfigError,
-    DegenerateSteadyStateError,
     InsufficientDataError,
-    IntegrationError,
     ParameterError,
+    PlexcitonError,
     RegimeWarning,
-    ResolutionError,
 )
 from .model import (
     Branch,
@@ -58,9 +56,6 @@ from .stochastic import (
     simulate_stream,
     write_photon_stream,
 )
-
-_VALIDATION_ERRORS = (ConfigError, ParameterError, DegenerateSteadyStateError)
-_NUMERICAL_ERRORS = (IntegrationError, ResolutionError, InsufficientDataError)
 
 
 def _fmt(value: float) -> str:
@@ -98,7 +93,7 @@ def cmd_spectrum(config: RunConfig, out_dir: str) -> list[str]:
         couplings = [base.v0]
         names = ["spectrum.csv"]
 
-    paths = []
+    outputs = []
     for v0, name in zip(couplings, names):
         params = replace(base, v0=v0)
         basis = dressed_basis(params)
@@ -125,10 +120,10 @@ def cmd_spectrum(config: RunConfig, out_dir: str) -> list[str]:
              basis.w_plus * s_plus.values,
              combined.values],
         )
-        path = os.path.join(out_dir, name)
+        outputs.append((os.path.join(out_dir, name), text))
+    for path, text in outputs:
         atomic_write(path, [text])
-        paths.append(path)
-    return paths
+    return [path for path, _ in outputs]
 
 
 def cmd_g2(config: RunConfig, out_dir: str) -> str:
@@ -186,12 +181,6 @@ def cmd_trajectory(config: RunConfig, out_dir: str) -> list[str]:
                             master_seed=config.master_seed,
                             branch_filter=config.branch_filter)
     streams = simulate_stream(params, rates, traj)
-    paths = []
-    for index, stream in enumerate(streams):
-        path = os.path.join(out_dir, f"photons_{index:03d}.tsv")
-        write_photon_stream(stream, path)
-        paths.append(path)
-
     stream = streams[0]
     comments = _provenance(params, config) + [
         f"master_seed={config.master_seed}",
@@ -230,9 +219,12 @@ def cmd_trajectory(config: RunConfig, out_dir: str) -> list[str]:
         ["tau", "g2", "stderr"],
         [hist.tau, hist.values, hist.stderr],
     )
-    summary = os.path.join(out_dir, "summary.csv")
-    atomic_write(summary, [text])
-    paths.append(summary)
+    paths = [os.path.join(out_dir, f"photons_{index:03d}.tsv")
+             for index in range(len(streams))]
+    for path, photons in zip(paths, streams):
+        write_photon_stream(photons, path)
+    paths.append(os.path.join(out_dir, "summary.csv"))
+    atomic_write(paths[-1], [text])
     return paths
 
 
@@ -383,12 +375,11 @@ def main(argv: list[str] | None = None) -> int:
             cmd_rates(config, out_dir)
         else:
             cmd_steady_state(config, out_dir)
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    except (PlexcitonError, OSError) as exc:
+        code = getattr(exc, "exit_code", 2)
+        print(f"{'numerical failure' if code == 3 else 'error'}: {exc}",
+              file=sys.stderr)
+        return code
     return 0
 
 

@@ -123,7 +123,7 @@ PHYSICS_KEYS = {key: _FIELD.get(key, key) for key in _KEYS
 
 def _parse_lines(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

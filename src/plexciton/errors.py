@@ -4,6 +4,8 @@
 class PlexcitonError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 2  # the command line's exit status; 3 for numerical failures
+
 
 class ParameterError(PlexcitonError, ValueError):
     """A physical parameter or derived quantity is outside its valid domain."""
@@ -16,6 +18,8 @@ class DegenerateSteadyStateError(PlexcitonError, ValueError):
 class IntegrationError(PlexcitonError, RuntimeError):
     """Numerical time integration produced non-finite or unnormalized output."""
 
+    exit_code = 3
+
 
 class ConfigError(PlexcitonError, ValueError):
     """A run configuration file is missing, malformed, or inconsistent."""
@@ -24,9 +28,13 @@ class ConfigError(PlexcitonError, ValueError):
 class InsufficientDataError(PlexcitonError, ValueError):
     """A statistical estimator was given too few events to be meaningful."""
 
+    exit_code = 3
+
 
 class ResolutionError(PlexcitonError, ValueError):
     """A sampled series is too coarse or too short for the requested transform."""
+
+    exit_code = 3
 
 
 class RegimeWarning(UserWarning):

@@ -33,9 +33,15 @@ _CHUNK = 1 << 19
 
 # Most photons one simulate_stream run may be expected to keep, over all its
 # trajectories (a float64 time and an int8 tag each: about 1.2 GB).
-# occupation_fractions keeps none; it refuses a run over as many pump cycles
-# rather than sample a huge duration without end.
 MAX_PHOTONS = 1 << 27
+
+# Most pump cycles one run may draw, over all its trajectories, counted in
+# whole blocks: 2048 blocks, about a minute of sampling at ~36 ms per block
+# on one core.
+MAX_CYCLES = 1 << 30
+
+# Most counting windows fano_factor may use (about 32 bytes each: 1.07 GB).
+MAX_WINDOWS = 1 << 25
 
 _TAG = {Branch.MINUS: 0, Branch.PLUS: 1}
 _TAG_CHAR = {0: "-", 1: "+"}
@@ -119,8 +125,10 @@ class EmissionRate:
 
 def _check_run(params: SystemParams, rates: BranchRates,
                config: TrajectoryConfig, stream: bool) -> None:
-    """Reject a run with a state it cannot leave, or one expected to keep over
-    ``MAX_PHOTONS`` photons (a ``stream``) or else one trajectory's cycles."""
+    """Reject a run with a state it cannot leave, a ``stream`` run expected
+    to keep over ``MAX_PHOTONS`` photons (memory), or a run that would draw
+    over ``MAX_CYCLES`` cycles (time).  Each trajectory draws whole blocks;
+    ``occupation_fractions`` runs only the first."""
     if params.pump_r == 0.0:
         return  # only the ground state is ever visited
     if rates.gfeed_total == 0.0:
@@ -132,15 +140,22 @@ def _check_run(params: SystemParams, rates: BranchRates,
     mean_cycle = 1.0 / params.pump_r + (
         1.0 + rates.gfeed_minus / rates.gpar_minus
         + rates.gfeed_plus / rates.gpar_plus) / rates.gfeed_total
-    kept, what = config.duration / mean_cycle, "pump cycles"
+    cycles = config.duration / mean_cycle
+    n = config.n_trajectories if stream else 1
     if stream:
+        kept = cycles * n * params.quantum_yield
         if config.branch_filter is not None:
             kept *= rates.branch(config.branch_filter).gfeed / rates.gfeed_total
-        kept *= config.n_trajectories * params.quantum_yield
-        what = f"photons kept (n_trajectories = {config.n_trajectories})"
-    if kept > MAX_PHOTONS:
-        raise ParameterError(f"duration {config.duration} gives ~{kept:.3g} "
-                             f"{what}, over the cap of {MAX_PHOTONS}")
+        if kept > MAX_PHOTONS:
+            raise ParameterError(
+                f"duration {config.duration} gives ~{kept:.3g} photons kept "
+                f"(n_trajectories = {n}), over the cap of {MAX_PHOTONS}")
+    blocks = n * max(1.0, np.ceil(cycles / _CHUNK))
+    if blocks > MAX_CYCLES // _CHUNK:
+        raise ParameterError(
+            f"duration {config.duration} draws ~{blocks:.3g} blocks of "
+            f"{_CHUNK} pump cycles (n_trajectories = {n}), over the cap of "
+            f"{MAX_CYCLES // _CHUNK}")
 
 
 def simulate_stream(params: SystemParams, rates: BranchRates,
@@ -280,6 +295,10 @@ def fano_factor(stream: PhotonStream, window: float) -> float:
     """Variance-to-mean ratio of photon counts in disjoint windows."""
     if not (window > 0.0):
         raise ParameterError(f"window must be positive, got {window}")
+    if stream.duration / window > MAX_WINDOWS:
+        raise ParameterError(f"window {window} splits the duration "
+                             f"{stream.duration} into over the cap of "
+                             f"{MAX_WINDOWS} windows")
     n_windows = int(stream.duration / window)
     if n_windows < 100:
         raise InsufficientDataError(
@@ -357,7 +376,7 @@ def read_photon_stream(path) -> PhotonStream:
     duration = None
     times: list[float] = []
     tags: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:

@@ -478,6 +478,63 @@ class TestExitCodes:
         assert "numerical" in capsys.readouterr().err
 
 
+def _preset_text(name, old, new):
+    with open(os.path.join(PRESETS, name), encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    return text.replace(old, new)
+
+
+_SHORT_RUN = _preset_text("trajectory.cfg", "duration = 6.0e7", "duration = 1e6")
+_ZERO_YIELD = BASE_CFG.replace("gamma_r = 1.0", "gamma_r = 0.0").replace(
+    "gamma_nr = 0.0", "gamma_nr = 1.0")
+
+# command, config file bytes (None: the config path is a directory), whether
+# --out is an existing regular file, and the exit code.
+BAD_RUNS = [
+    pytest.param("g2", None, False, 2, id="config-is-directory"),
+    pytest.param("g2", BASE_CFG.encode() + b"tau_max = 1\xff\n", False, 2,
+                 id="undecodable-byte"),
+    pytest.param("g2", BASE_CFG.encode(), True, 2, id="out-is-file"),
+    pytest.param("trajectory", _SHORT_RUN.encode(), False, 3,
+                 id="too-few-photons"),
+    pytest.param("trajectory", _preset_text(
+        "trajectory.cfg", "tau_max = 600.0", "tau_max = 3e7").encode(),
+                 False, 2, id="lag-window-over-half-duration"),
+    pytest.param("spectrum", (BASE_CFG + "v0_over_delta_sweep = 0.5, 1e-4\n")
+                 .encode(), False, 2, id="sweep-fails-at-second-value"),
+    pytest.param("trajectory", (_SHORT_RUN + "fano_window = 1e-300\n").encode(),
+                 False, 2, id="fano-window-count"),
+    pytest.param("trajectory", (_ZERO_YIELD + "duration = 1e300\n").encode(),
+                 False, 2, id="zero-yield-huge-duration"),
+    pytest.param("trajectory", (BASE_CFG + "duration = 1\n"
+                                "n_trajectories = 1000000\n").encode(),
+                 False, 2, id="million-trajectories"),
+]
+
+
+class TestFailureBoundary:
+    @pytest.mark.parametrize("command, config, out_is_file, code", BAD_RUNS)
+    def test_fails_with_one_line_and_writes_nothing(self, tmp_path, capsys,
+                                                     command, config,
+                                                     out_is_file, code):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+        if config is None:
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(config)
+        if out_is_file:
+            out.write_text("kept\n")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("numerical failure: " if code == 3 else "error: ")
+        if out_is_file:
+            assert out.read_text() == "kept\n"
+        else:
+            assert not out.exists() or not any(out.iterdir())
+
+
 class TestOutputFiles:
     def test_outputs_follow_umask(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE_CFG)

@@ -4,6 +4,7 @@ import os
 import stat
 import tempfile
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -198,6 +199,40 @@ class TestValidation:
         monkeypatch.setattr(stochastic, "MAX_PHOTONS", int(0.95 * kept))
         with pytest.raises(ParameterError, match="photons kept"):
             simulate_stream(params, rates, config)
+
+    def test_run_draw_counts_whole_blocks(self, monkeypatch):
+        # 1.5 blocks' worth of mean cycles draws two whole blocks per
+        # trajectory; the cap counts them over every trajectory of a stream
+        # run, and over the one trajectory occupation_fractions samples.
+        params, rates = make_setup()
+        mean_cycle = 1.0 / params.pump_r + (
+            1.0 + rates.gfeed_minus / rates.gpar_minus
+            + rates.gfeed_plus / rates.gpar_plus) / rates.gfeed_total
+        drawn = []
+        blocks = stochastic._cycle_blocks
+
+        def counting(*args):
+            for block in blocks(*args):
+                drawn.append(block[0].size)
+                yield block
+
+        monkeypatch.setattr(stochastic, "_cycle_blocks", counting)
+        monkeypatch.setattr(stochastic, "MAX_CYCLES", 4 * _CHUNK)
+        config = TrajectoryConfig(duration=1.5 * _CHUNK * mean_cycle,
+                                  n_trajectories=2)
+        simulate_stream(params, rates, config)
+        assert drawn == [_CHUNK] * 4
+        with pytest.raises(ParameterError, match="over the cap"):
+            simulate_stream(params, rates, replace(config, n_trajectories=3))
+        occupation_fractions(params, rates, replace(config, n_trajectories=3))
+        assert len(drawn) == 6
+
+    def test_run_keeping_nothing_is_still_capped(self, monkeypatch):
+        # Quantum yield 0 keeps no photon, so only the draw cap stops this.
+        params, rates = make_setup(gamma_r=0.0, gamma_nr=1.0)
+        monkeypatch.setattr(stochastic, "MAX_CYCLES", 4 * _CHUNK)
+        with pytest.raises(ParameterError, match="over the cap"):
+            simulate_stream(params, rates, TrajectoryConfig(duration=1e300))
 
     @pytest.mark.parametrize("bad", [7, -1])
     def test_out_of_range_tag_rejected(self, bad):
@@ -419,6 +454,16 @@ class TestFano:
         fano = fano_factor(stream, window=1.0 / slow)
         assert fano < 1.0
 
+    def test_window_count_capped(self, monkeypatch):
+        rng = np.random.default_rng(58)
+        stream = poisson_stream(rng, rate=0.5, duration=1e3)
+        with pytest.raises(ParameterError, match="over the cap"):
+            fano_factor(stream, window=1e-300)  # refused before allocating
+        monkeypatch.setattr(stochastic, "MAX_WINDOWS", 1000)
+        assert fano_factor(stream, window=1.0) == self.histogram_fano(stream, 1.0)
+        with pytest.raises(ParameterError, match="over the cap"):
+            fano_factor(stream, window=0.999)
+
     def test_requires_100_windows(self):
         rng = np.random.default_rng(56)
         stream = poisson_stream(rng, rate=0.5, duration=1e3)
@@ -488,6 +533,12 @@ class TestSerialization:
         path = tmp_path / "broken.tsv"
         path.write_text(text)
         with pytest.raises(ParameterError, match=rf"broken\.tsv:{line}: "):
+            read_photon_stream(path)
+
+    def test_undecodable_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "broken.tsv"
+        path.write_bytes(b"# duration=10.0\n1.5\t-\n2.5\xff\t+\n")
+        with pytest.raises(ParameterError, match=r"broken\.tsv:3: "):
             read_photon_stream(path)
 
     @pytest.mark.parametrize("text", ["# duration=nan\n1.5\t-\n",
