@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, stochastic
 from .bloch import bloch_steady_state
 from .config import PHYSICS_KEYS, RunConfig, parse_config
 from .correlations import (
@@ -180,6 +180,13 @@ def cmd_trajectory(config: RunConfig, out_dir: str) -> list[str]:
                             n_trajectories=config.n_trajectories,
                             master_seed=config.master_seed,
                             branch_filter=config.branch_filter)
+    slow = params.pump_r + params.gamma_u
+    window = config.fano_window
+    if window is None and slow > 0.0:
+        # The default widens to stay within the window cap.
+        window = max(1.0 / slow, config.duration / stochastic.MAX_WINDOWS)
+    if window is not None:
+        stochastic.fano_windows(config.duration, window)  # before sampling
     streams = simulate_stream(params, rates, traj)
     stream = streams[0]
     comments = _provenance(params, config) + [
@@ -187,7 +194,6 @@ def cmd_trajectory(config: RunConfig, out_dir: str) -> list[str]:
         f"duration={_fmt(stream.duration)}",
         f"n_photons={stream.n_photons}",
     ]
-    slow = params.pump_r + params.gamma_u
     for branch in (Branch.MINUS, Branch.PLUS):
         if config.branch_filter not in (None, branch):
             continue
@@ -199,9 +205,6 @@ def cmd_trajectory(config: RunConfig, out_dir: str) -> list[str]:
             )
         except InsufficientDataError:
             comments.append(f"rate_{branch.value}=unavailable (no photons)")
-    window = config.fano_window
-    if window is None and slow > 0.0:
-        window = 1.0 / slow
     if window is not None:
         try:
             comments.append(f"fano_window={_fmt(window)} "

@@ -10,7 +10,12 @@ Reproducibility: trajectory ``i`` uses ``numpy``'s PCG64 generator seeded
 with ``splitmix64(master_seed + i * 0x9E3779B97F4A7C15 mod 2**64)``.  Within
 a trajectory the draws come in fixed-size cycle blocks, ordered as: ground
 dwell, upper dwell, branch choice, branch dwell (unit exponential), and,
-only when the quantum yield is below one, the detection draw.
+only when the quantum yield is below one, the detection draw.  The last
+block of a run is computed only up to the first cycle that must end past
+the duration (``reach``, see ``_cycle_blocks``): the rest of its branch
+choices is skipped over, and its branch dwells are left undrawn unless a
+detection draw follows.  No drawn value changes, so streams are the same
+bytes as when every block was computed whole.
 """
 
 from __future__ import annotations
@@ -36,12 +41,17 @@ _CHUNK = 1 << 19
 MAX_PHOTONS = 1 << 27
 
 # Most pump cycles one run may draw, over all its trajectories, counted in
-# whole blocks: 2048 blocks, about a minute of sampling at ~36 ms per block
-# on one core.
+# whole blocks (the dwell arrays of a last block are drawn whole too): 2048
+# blocks, about 75 s of sampling at ~35-40 ms per whole block on one core of
+# a 2-vCPU Xeon VM (numpy 2.4).
 MAX_CYCLES = 1 << 30
 
 # Most counting windows fano_factor may use (about 32 bytes each: 1.07 GB).
 MAX_WINDOWS = 1 << 25
+
+# Most photon pairs g2_histogram may count: about 77 s of counting at ~18 ns
+# per pair on the same core.
+MAX_PAIRS = 1 << 32
 
 _TAG = {Branch.MINUS: 0, Branch.PLUS: 1}
 _TAG_CHAR = {0: "-", 1: "+"}
@@ -167,27 +177,74 @@ def simulate_stream(params: SystemParams, rates: BranchRates,
 
 
 def _cycle_blocks(rng: np.random.Generator, params: SystemParams,
-                  rates: BranchRates, duration: float):
-    """Yield ``(ends, dwell_g, dwell_u, is_minus, dwell_b)`` per cycle block.
+                  rates: BranchRates, duration: float, yield_: float = 1.0):
+    """Yield ``(ends, keep, dwell_g, dwell_u, is_minus, dwell_b)`` per block.
 
-    Each block makes the four per-cycle draws in contract order; ``ends``
-    holds the absolute time each cycle's branch decay completes.  The
-    generator is lazy, so draws a consumer makes between two blocks (the
-    detection draw) keep their place in the stream.  A consumer drops a
-    block's arrays before asking for the next, so that only one block is
-    held in memory at a time.
+    ``ends`` holds the absolute time each cycle's branch decay completes;
+    ``keep`` marks the cycles that complete within ``duration`` and, when
+    ``yield_`` is below one, pass the detection draw.  Each block draws in
+    contract order: ground dwell, upper dwell, branch choice, branch dwell,
+    then the detection draw.
+
+    Only the first ``reach`` cycles of a block are computed: those up to and
+    including the first whose ``t0 + cumsum(dwell_g + dwell_u)`` exceeds
+    ``duration``, or all of them when none does.  That is ``ends`` without
+    the branch dwells, and rounding is monotone, so every later cycle ends
+    past ``duration`` too and the block is the run's last.  The search runs
+    only when the run is expected to end within the block; otherwise
+    ``reach`` is the whole block, which is always safe.
+
+    No drawn value changes, so neither do the stream's bytes.  The two
+    dwell arrays are drawn whole, because the ziggurat takes a variable
+    number of 64-bit words and later draws depend on them.  A uniform
+    double takes exactly one word, so the branch choice draws ``reach``
+    values and advances the generator past the rest.  The branch dwell is
+    drawn whole only when a later draw needs the state after it (a whole
+    block, or the detection draw), and the detection draw comes last.
+    ``ends`` is a prefix of the whole block's sequential cumulative sum.
+    Blocks are lazy, and a consumer drops a block's arrays before asking
+    for the next, so only one block is held at a time.
     """
     p_minus = rates.gfeed_minus / rates.gfeed_total
+    mean_gu = 1.0 / params.pump_r + 1.0 / rates.gfeed_total
+    detect = yield_ < 1.0
     t0 = 0.0
     while t0 < duration:
         dwell_g = rng.exponential(1.0 / params.pump_r, _CHUNK)
         dwell_u = rng.exponential(1.0 / rates.gfeed_total, _CHUNK)
-        is_minus = rng.random(_CHUNK) < p_minus
-        branch_rate = np.where(is_minus, rates.gpar_minus, rates.gpar_plus)
-        dwell_b = rng.exponential(1.0, _CHUNK) / branch_rate
-        ends = t0 + np.cumsum(dwell_g + dwell_u + dwell_b)
+        reach = _CHUNK
+        if duration - t0 <= _CHUNK * mean_gu:
+            # The run is expected to end in this block.  Search doubling
+            # prefixes from about the expected crossing; first == n means
+            # that none of the n cycles passes duration.
+            n = 1 << 10
+            while n * mean_gu < duration - t0:
+                n *= 2
+            while (first := int(np.searchsorted(
+                    t0 + np.cumsum(dwell_g[:n] + dwell_u[:n]), duration,
+                    "right"))) == n < _CHUNK:
+                n *= 2
+            reach = min(first + 1, _CHUNK)
+        if reach < _CHUNK:  # free the whole arrays before the rest is made
+            dwell_g, dwell_u = dwell_g[:reach].copy(), dwell_u[:reach].copy()
+        is_minus = rng.random(reach) < p_minus
+        rng.bit_generator.advance(_CHUNK - reach)
+        unit = rng.exponential(
+            1.0, _CHUNK if detect or reach == _CHUNK else reach)
+        dwell_b = unit[:reach] / np.where(is_minus, rates.gpar_minus,
+                                          rates.gpar_plus)
+        del unit
+        # t0 + cumsum(dwell_g + dwell_u + dwell_b), in place: fewer
+        # temporaries leave fewer holes in the heap.
+        ends = dwell_g + dwell_u
+        ends += dwell_b
+        np.cumsum(ends, out=ends)
+        ends += t0
         t0 = float(ends[-1])
-        yield ends, dwell_g, dwell_u, is_minus, dwell_b
+        keep = ends <= duration
+        if detect:
+            keep &= rng.random(reach) < yield_
+        yield ends, keep, dwell_g, dwell_u, is_minus, dwell_b
 
 
 def _simulate_one(params: SystemParams, rates: BranchRates,
@@ -198,21 +255,18 @@ def _simulate_one(params: SystemParams, rates: BranchRates,
                             duration=duration)
     rng = np.random.Generator(np.random.PCG64(
         derive_trajectory_seed(config.master_seed, index)))
-    yield_ = params.quantum_yield
     want = None if config.branch_filter is None else _TAG[config.branch_filter]
 
     times_parts: list[np.ndarray] = []
     tags_parts: list[np.ndarray] = []
-    for emit, _, _, is_minus, _ in _cycle_blocks(rng, params, rates, duration):
-        keep = emit <= duration
-        if yield_ < 1.0:
-            keep &= rng.random(_CHUNK) < yield_
+    for emit, keep, _, _, is_minus, _ in _cycle_blocks(
+            rng, params, rates, duration, params.quantum_yield):
         tags = np.where(is_minus, np.int8(0), np.int8(1))
         if want is not None:
             keep &= tags == want
         times_parts.append(emit[keep])
         tags_parts.append(tags[keep])
-        del emit, is_minus, _
+        del emit, keep, is_minus, _
 
     return PhotonStream(
         times=np.concatenate(times_parts),
@@ -234,14 +288,13 @@ def occupation_fractions(params: SystemParams, rates: BranchRates,
     rng = np.random.Generator(np.random.PCG64(
         derive_trajectory_seed(config.master_seed, 0)))
     sums = {"gg": 0.0, "uu": 0.0, "mm": 0.0, "pp": 0.0}
-    for ends, dwell_g, dwell_u, is_minus, dwell_b in _cycle_blocks(
+    for ends, keep, dwell_g, dwell_u, is_minus, dwell_b in _cycle_blocks(
             rng, params, rates, config.duration):
-        keep = ends <= config.duration
         sums["gg"] += float(dwell_g[keep].sum())
         sums["uu"] += float(dwell_u[keep].sum())
         sums["mm"] += float(dwell_b[keep & is_minus].sum())
         sums["pp"] += float(dwell_b[keep & ~is_minus].sum())
-        del ends, dwell_g, dwell_u, is_minus, dwell_b
+        del ends, keep, dwell_g, dwell_u, is_minus, dwell_b
     total = sum(sums.values())
     if total == 0.0:
         raise InsufficientDataError("no completed cycle within the duration")
@@ -258,7 +311,9 @@ def g2_histogram(stream: PhotonStream, branch: Branch | None,
     expected count of a rate-matched uncorrelated stream,
     ``rate**2 * width * (T - tau_center)``.  Per-bin standard errors assume
     Poisson pair counts.  Pairs are counted one index offset ``j - i`` at a
-    time, so memory is O(photons) whatever the lag window holds.
+    time, so memory is O(photons) whatever the lag window holds.  The
+    pairs are counted before the sweep, and more than ``MAX_PAIRS`` are
+    refused.
     """
     edges = check_grid(tau_bins, "tau_bins")
     if edges.size < 2:
@@ -276,8 +331,13 @@ def g2_histogram(stream: PhotonStream, branch: Branch | None,
     # Photon i pairs with i+1 .. last[i]; ``first`` holds the photons with a
     # partner at offset k.
     last = np.searchsorted(times, times + edges[-1], "right") - 1
-    counts = np.zeros(edges.size - 1, dtype=np.int64)
     first = np.arange(times.size)
+    pairs = int((last - first).sum())
+    if pairs > MAX_PAIRS:
+        raise ParameterError(
+            f"largest lag {edges[-1]} gives {pairs} photon pairs, over the "
+            f"cap of {MAX_PAIRS}")
+    counts = np.zeros(edges.size - 1, dtype=np.int64)
     k = 1
     while (first := first[last[first] >= first + k]).size:
         counts += np.histogram(times[first + k] - times[first], edges)[0]
@@ -291,15 +351,21 @@ def g2_histogram(stream: PhotonStream, branch: Branch | None,
                              normalized=True, stderr=stderr)
 
 
-def fano_factor(stream: PhotonStream, window: float) -> float:
-    """Variance-to-mean ratio of photon counts in disjoint windows."""
+def fano_windows(duration: float, window: float) -> int:
+    """Number of whole counting windows ``fano_factor`` uses; a window that
+    is not positive or gives over ``MAX_WINDOWS`` of them is refused."""
     if not (window > 0.0):
         raise ParameterError(f"window must be positive, got {window}")
-    if stream.duration / window > MAX_WINDOWS:
+    if duration / window > MAX_WINDOWS:
         raise ParameterError(f"window {window} splits the duration "
-                             f"{stream.duration} into over the cap of "
+                             f"{duration} into over the cap of "
                              f"{MAX_WINDOWS} windows")
-    n_windows = int(stream.duration / window)
+    return int(duration / window)
+
+
+def fano_factor(stream: PhotonStream, window: float) -> float:
+    """Variance-to-mean ratio of photon counts in disjoint windows."""
+    n_windows = fano_windows(stream.duration, window)
     if n_windows < 100:
         raise InsufficientDataError(
             f"duration covers only {n_windows} windows, need at least 100"

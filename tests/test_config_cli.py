@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plexciton import Branch, ConfigError, Scenario, parse_config
+from plexciton import cli as cli_module, stochastic
 from plexciton.cli import main
 
 PRESETS = os.path.join(os.path.dirname(__file__), os.pardir, "presets")
@@ -379,6 +380,28 @@ class TestTrajectoryCommand:
         target = steady.p_mm * rates.grad_minus
         assert abs(value - target) <= 4.0 * stderr
 
+    def test_default_fano_window_widens_to_window_cap(self, tmp_path,
+                                                       monkeypatch):
+        # 6e7 / 2^16 = 915.5 is wider than 1/(pump_r + gamma_u) = 100.
+        monkeypatch.setattr(stochastic, "MAX_WINDOWS", 1 << 16)
+        cfg = os.path.join(PRESETS, "trajectory.cfg")
+        out = tmp_path / "run"
+        assert main(["trajectory", "--config", cfg, "--out", str(out)]) == 0
+        comments, _, _ = read_csv(out / "summary.csv")
+        line = next(c for c in comments if c.startswith("# fano_window="))
+        assert line.startswith(f"# fano_window={6.0e7 / (1 << 16)!r} fano=")
+
+    def test_window_over_cap_refused_before_sampling(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def sampled(*args):
+            raise AssertionError("sampled before the window check")
+
+        monkeypatch.setattr(cli_module, "simulate_stream", sampled)
+        cfg = write_cfg(tmp_path, _LONG_RUN_TOO_MANY_WINDOWS)
+        assert main(["trajectory", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "over the cap of 33554432 windows" in capsys.readouterr().err
+
 
 class TestRatesCommand:
     def test_resonant_weak_drive_report(self, capsys):
@@ -486,6 +509,10 @@ def _preset_text(name, old, new):
 
 
 _SHORT_RUN = _preset_text("trajectory.cfg", "duration = 6.0e7", "duration = 1e6")
+# 6e9 / 100 = 6e7 windows, over MAX_WINDOWS; sampling would keep 1.5e7 photons.
+_LONG_RUN_TOO_MANY_WINDOWS = _preset_text(
+    "trajectory.cfg", "duration = 6.0e7",
+    "duration = 6.0e9\nfano_window = 100.0")
 _ZERO_YIELD = BASE_CFG.replace("gamma_r = 1.0", "gamma_r = 0.0").replace(
     "gamma_nr = 0.0", "gamma_nr = 1.0")
 
@@ -505,6 +532,8 @@ BAD_RUNS = [
                  .encode(), False, 2, id="sweep-fails-at-second-value"),
     pytest.param("trajectory", (_SHORT_RUN + "fano_window = 1e-300\n").encode(),
                  False, 2, id="fano-window-count"),
+    pytest.param("trajectory", _LONG_RUN_TOO_MANY_WINDOWS.encode(), False, 2,
+                 id="fano-window-count-long-run"),
     pytest.param("trajectory", (_ZERO_YIELD + "duration = 1e300\n").encode(),
                  False, 2, id="zero-yield-huge-duration"),
     pytest.param("trajectory", (BASE_CFG + "duration = 1\n"

@@ -161,6 +161,136 @@ class TestSimulate:
             assert fractions[key] == pytest.approx(value, rel=0.05, abs=2e-4)
 
 
+def reference_blocks(rng, params, rates, duration, yield_):
+    """The full-block sampler: every draw of a block made whole, and (yield
+    below one) the detection draw after the block."""
+    p_minus = rates.gfeed_minus / rates.gfeed_total
+    t0 = 0.0
+    while t0 < duration:
+        dwell_g = rng.exponential(1.0 / params.pump_r, _CHUNK)
+        dwell_u = rng.exponential(1.0 / rates.gfeed_total, _CHUNK)
+        is_minus = rng.random(_CHUNK) < p_minus
+        branch_rate = np.where(is_minus, rates.gpar_minus, rates.gpar_plus)
+        dwell_b = rng.exponential(1.0, _CHUNK) / branch_rate
+        ends = t0 + np.cumsum(dwell_g + dwell_u + dwell_b)
+        t0 = float(ends[-1])
+        keep = ends <= duration
+        if yield_ < 1.0:
+            keep &= rng.random(_CHUNK) < yield_
+        yield ends, keep, dwell_g, dwell_u, is_minus, dwell_b
+
+
+def reference_rng(config):
+    return np.random.Generator(np.random.PCG64(
+        derive_trajectory_seed(config.master_seed, 0)))
+
+
+def reference_stream(params, rates, config):
+    """Times and tags of trajectory 0 by the full-block sampler."""
+    times, tags = [], []
+    for ends, keep, _, _, is_minus, _ in reference_blocks(
+            reference_rng(config), params, rates, config.duration,
+            params.quantum_yield):
+        tag = np.where(is_minus, np.int8(0), np.int8(1))
+        if config.branch_filter is not None:
+            keep &= tag == (config.branch_filter is Branch.PLUS)
+        times.append(ends[keep])
+        tags.append(tag[keep])
+    return np.concatenate(times), np.concatenate(tags)
+
+
+def reference_occupations(params, rates, config):
+    """``repr`` of occupation_fractions by the full-block sampler."""
+    sums = {"gg": 0.0, "uu": 0.0, "mm": 0.0, "pp": 0.0}
+    for ends, keep, dwell_g, dwell_u, is_minus, dwell_b in reference_blocks(
+            reference_rng(config), params, rates, config.duration, 1.0):
+        sums["gg"] += float(dwell_g[keep].sum())
+        sums["uu"] += float(dwell_u[keep].sum())
+        sums["mm"] += float(dwell_b[keep & is_minus].sum())
+        sums["pp"] += float(dwell_b[keep & ~is_minus].sum())
+    total = sum(sums.values())
+    if total == 0.0:
+        return "InsufficientDataError"
+    return repr({state: value / total for state, value in sums.items()})
+
+
+def occupations_repr(params, rates, config):
+    try:
+        return repr(occupation_fractions(params, rates, config))
+    except InsufficientDataError:
+        return "InsufficientDataError"
+
+
+# Unit and sub-unit quantum yield at fast rates: a cycle takes about 3.
+PREFIX_SETUPS = {"unit-yield": make_setup(pump=1.0, feed=1.0),
+                 "lossy": make_setup(pump=1.0, feed=1.0, gamma_nr=0.3)}
+BLOCK_TIME = 3.0 * _CHUNK  # about one block of cycles
+
+
+class TestPrefixSampler:
+    """The last block of a run is computed only up to its duration, with
+    every drawn value, and so every stream, unchanged."""
+
+    @staticmethod
+    def assert_matches_full_blocks(params, rates, config):
+        stream = simulate_stream(params, rates, config)[0]
+        times, tags = reference_stream(params, rates, config)
+        assert np.array_equal(stream.times, times)
+        assert np.array_equal(stream.tags, tags)
+        if config.branch_filter is None:
+            assert (occupations_repr(params, rates, config)
+                    == reference_occupations(params, rates, config))
+
+    @pytest.mark.parametrize("setup", PREFIX_SETUPS)
+    @pytest.mark.parametrize("branch", [None, Branch.MINUS, Branch.PLUS])
+    @pytest.mark.parametrize("where", ["no-cycle", "block-1",
+                                       "just-past-block-1", "block-3"])
+    def test_streams_match_full_blocks(self, setup, branch, where):
+        params, rates = PREFIX_SETUPS[setup]
+        config = TrajectoryConfig(duration=1.0, master_seed=404,
+                                  branch_filter=branch)
+        if where == "no-cycle":
+            duration = 0.01
+        elif where == "block-1":
+            duration = 300.0
+        elif where == "block-3":
+            duration = 2.5 * BLOCK_TIME
+        else:  # the second block keeps a cycle or so
+            first = next(reference_blocks(reference_rng(config), params,
+                                          rates, np.inf, 1.0))
+            duration = float(first[0][-1]) + 4.0
+        assert (params.quantum_yield < 1.0) == (setup == "lossy")
+        self.assert_matches_full_blocks(params, rates,
+                                        replace(config, duration=duration))
+
+    @settings(max_examples=15, deadline=None)
+    @given(setup=st.sampled_from(sorted(PREFIX_SETUPS)),
+           branch=st.sampled_from([None, Branch.MINUS, Branch.PLUS]),
+           exponent=st.floats(min_value=-7.0, max_value=0.1))
+    def test_streams_match_full_blocks_property(self, setup, branch,
+                                                exponent):
+        # From under one cycle (no photon) to just past one block.
+        params, rates = PREFIX_SETUPS[setup]
+        config = TrajectoryConfig(duration=BLOCK_TIME * 10.0 ** exponent,
+                                  master_seed=405, branch_filter=branch)
+        self.assert_matches_full_blocks(params, rates, config)
+
+    def test_short_run_allocates_under_three_blocks(self):
+        # About 100 cycles: the ground and upper dwells are drawn whole
+        # (8 MB); the full-block sampler allocated about seven block-sized
+        # arrays.
+        params, rates = PREFIX_SETUPS["unit-yield"]
+        config = TrajectoryConfig(duration=300.0)
+        tracemalloc.start()
+        try:
+            simulate_stream(params, rates, config)
+            occupation_fractions(params, rates, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * _CHUNK * 8
+
+
 class TestValidation:
     @pytest.mark.parametrize("duration", [np.inf, np.nan])
     def test_trajectory_duration_must_be_finite(self, duration):
@@ -201,9 +331,11 @@ class TestValidation:
             simulate_stream(params, rates, config)
 
     def test_run_draw_counts_whole_blocks(self, monkeypatch):
-        # 1.5 blocks' worth of mean cycles draws two whole blocks per
-        # trajectory; the cap counts them over every trajectory of a stream
-        # run, and over the one trajectory occupation_fractions samples.
+        # 1.5 blocks' worth of mean cycles draws two blocks per trajectory:
+        # the first is computed whole, the second only up to the duration,
+        # but the dwell arrays of both are drawn whole.  The cap counts
+        # these blocks over every trajectory of a stream run, and over the
+        # one trajectory occupation_fractions samples.
         params, rates = make_setup()
         mean_cycle = 1.0 / params.pump_r + (
             1.0 + rates.gfeed_minus / rates.gpar_minus
@@ -221,7 +353,7 @@ class TestValidation:
         config = TrajectoryConfig(duration=1.5 * _CHUNK * mean_cycle,
                                   n_trajectories=2)
         simulate_stream(params, rates, config)
-        assert drawn == [_CHUNK] * 4
+        assert len(drawn) == 4 and drawn[0] == drawn[2] == _CHUNK
         with pytest.raises(ParameterError, match="over the cap"):
             simulate_stream(params, rates, replace(config, n_trajectories=3))
         occupation_fractions(params, rates, replace(config, n_trajectories=3))
@@ -385,6 +517,18 @@ class TestHistogram:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    def test_pair_count_capped(self, monkeypatch):
+        stream = half_integer_stream()
+        edges = np.array([0.0, 300.0])
+        pairs = int(histogram_counts(stream, edges).sum())  # every lag <= 300
+        monkeypatch.setattr(stochastic, "MAX_PAIRS", pairs)
+        g2_histogram(stream, None, edges)
+        monkeypatch.setattr(stochastic, "MAX_PAIRS", pairs - 1)
+        with pytest.raises(ParameterError, match=(
+                rf"{pairs} photon pairs, over the cap of {pairs - 1}")):
+            g2_histogram(stream, None, edges)
+
 
 class TestFano:
     @staticmethod
