@@ -185,8 +185,13 @@ def cmd_trajectory(config: RunConfig, out_dir: str) -> list[str]:
     if window is None and slow > 0.0:
         # The default widens to stay within the window cap.
         window = max(1.0 / slow, config.duration / stochastic.MAX_WINDOWS)
+    hist_branch = config.branch_filter or Branch.MINUS
+    tau_max = config.tau_max if config.tau_max is not None else (
+        3.0 / slow if slow > 0.0 else config.duration / 100.0)
+    # Both caps are checked before sampling.
     if window is not None:
-        stochastic.fano_windows(config.duration, window)  # before sampling
+        stochastic.fano_windows(config.duration, window)
+    stochastic._check_pairs(params, rates, traj, hist_branch, tau_max)
     streams = simulate_stream(params, rates, traj)
     stream = streams[0]
     comments = _provenance(params, config) + [
@@ -212,9 +217,6 @@ def cmd_trajectory(config: RunConfig, out_dir: str) -> list[str]:
         except InsufficientDataError as exc:
             comments.append(f"fano=unavailable ({exc})")
 
-    hist_branch = config.branch_filter or Branch.MINUS
-    tau_max = config.tau_max if config.tau_max is not None else (
-        3.0 / slow if slow > 0.0 else stream.duration / 100.0)
     edges = np.linspace(0.0, tau_max, config.bins + 1)
     hist = g2_histogram(stream, hist_branch, edges)
     text = _csv_text(

@@ -46,7 +46,9 @@ MAX_PHOTONS = 1 << 27
 # a 2-vCPU Xeon VM (numpy 2.4).
 MAX_CYCLES = 1 << 30
 
-# Most counting windows fano_factor may use (about 32 bytes each: 1.07 GB).
+# Most counting windows fano_factor may use: its tracemalloc peak is 16.0
+# bytes a window, the counts and one temporary of their variance (537 MB
+# at the cap, with 1000 photons).
 MAX_WINDOWS = 1 << 25
 
 # Most photon pairs g2_histogram may count: about 77 s of counting at ~18 ns
@@ -133,6 +135,25 @@ class EmissionRate:
     n_photons: int
 
 
+def _mean_cycle(params: SystemParams, rates: BranchRates) -> float:
+    """Mean duration of one pump cycle G -> U -> branch -> G."""
+    return 1.0 / params.pump_r + (
+        1.0 + rates.gfeed_minus / rates.gpar_minus
+        + rates.gfeed_plus / rates.gpar_plus) / rates.gfeed_total
+
+
+def _expected_kept(params: SystemParams, rates: BranchRates, duration: float,
+                   branch: Branch | None) -> float:
+    """Photons one trajectory is expected to keep: pump cycles in
+    ``duration`` times the quantum yield and, for one ``branch``, its share
+    of the cycles.  Needs ``pump_r > 0`` and the rates ``_check_run``
+    requires."""
+    kept = duration / _mean_cycle(params, rates) * params.quantum_yield
+    if branch is not None:
+        kept *= rates.branch(branch).gfeed / rates.gfeed_total
+    return kept
+
+
 def _check_run(params: SystemParams, rates: BranchRates,
                config: TrajectoryConfig, stream: bool) -> None:
     """Reject a run with a state it cannot leave, a ``stream`` run expected
@@ -147,15 +168,11 @@ def _check_run(params: SystemParams, rates: BranchRates,
     if min(rates.gpar_minus, rates.gpar_plus) == 0.0:
         raise ConfigError("a dressed branch is reachable but has zero decay "
                           "rate (gamma_r + gamma_nr = 0)")
-    mean_cycle = 1.0 / params.pump_r + (
-        1.0 + rates.gfeed_minus / rates.gpar_minus
-        + rates.gfeed_plus / rates.gpar_plus) / rates.gfeed_total
-    cycles = config.duration / mean_cycle
+    cycles = config.duration / _mean_cycle(params, rates)
     n = config.n_trajectories if stream else 1
     if stream:
-        kept = cycles * n * params.quantum_yield
-        if config.branch_filter is not None:
-            kept *= rates.branch(config.branch_filter).gfeed / rates.gfeed_total
+        kept = n * _expected_kept(params, rates, config.duration,
+                                  config.branch_filter)
         if kept > MAX_PHOTONS:
             raise ParameterError(
                 f"duration {config.duration} gives ~{kept:.3g} photons kept "
@@ -301,6 +318,33 @@ def occupation_fractions(params: SystemParams, rates: BranchRates,
     return {state: value / total for state, value in sums.items()}
 
 
+def _check_pairs(params: SystemParams, rates: BranchRates,
+                 config: TrajectoryConfig, branch: Branch,
+                 tau_max: float) -> None:
+    """Refuse, before sampling, a run whose first stream is expected to give
+    ``g2_histogram`` over twice ``MAX_PAIRS`` pairs of ``branch`` photons
+    within ``tau_max``: ``n**2 * tau_max / duration`` for ``n`` expected
+    kept photons of the branch.  The run is checked as ``simulate_stream``
+    checks it first.
+
+    The margin keeps runs the exact count accepts.  That count is about the
+    expected one times ``1 - tau_max / (2 duration)``, over 3/4 because
+    ``tau_max`` must stay below half the duration; antibunching and the
+    spread of ``n`` move it little at the 2**17 or more photons a refused
+    count needs.  On the trajectory preset's rates it was 0.74-1.00 of the
+    expected count (durations 6e7 and 6e8, lags 600 to 0.48 duration).
+    """
+    _check_run(params, rates, config, stream=True)
+    if params.pump_r == 0.0:
+        return
+    n = _expected_kept(params, rates, config.duration, branch)
+    pairs = n * n * tau_max / config.duration
+    if pairs > 2 * MAX_PAIRS:
+        raise ParameterError(
+            f"largest lag {tau_max} is expected to give ~{pairs:.3g} photon "
+            f"pairs, over twice the cap of {MAX_PAIRS}")
+
+
 def g2_histogram(stream: PhotonStream, branch: Branch | None,
                  tau_bins: np.ndarray) -> CorrelationSeries:
     """Coincidence histogram normalized to the uncorrelated pair density.
@@ -364,18 +408,30 @@ def fano_windows(duration: float, window: float) -> int:
 
 
 def fano_factor(stream: PhotonStream, window: float) -> float:
-    """Variance-to-mean ratio of photon counts in disjoint windows."""
+    """Variance-to-mean ratio of photon counts in disjoint windows.
+
+    Window ``k`` of the ``n = fano_windows(duration, window)`` whole windows
+    is ``[k*window, (k+1)*window)``, the last one closed, and photons past
+    ``n*window`` are not counted: np.histogram's rule for the edges
+    ``np.arange(n + 1) * window``.  Each photon is counted into its window,
+    so the cost is O(photons + windows).
+    """
     n_windows = fano_windows(stream.duration, window)
     if n_windows < 100:
         raise InsufficientDataError(
             f"duration covers only {n_windows} windows, need at least 100"
         )
-    edges = np.arange(n_windows + 1) * window
-    # np.histogram's counts by one search of the sorted timestamps: windows
-    # are [e_i, e_i+1), the last one closed.
-    cumulative = np.searchsorted(stream.times, edges, "left")
-    cumulative[-1] = np.searchsorted(stream.times, edges[-1], "right")
-    counts = np.diff(cumulative)
+    times = stream.times[:np.searchsorted(stream.times, n_windows * window,
+                                          "right")]
+    # The quotient and the edges k*window round apart, so next to an edge
+    # the floor can be one window off either way (at most one while there
+    # are far fewer than 2**52 windows); check it against the edges.
+    index = (times / window).astype(np.int64)
+    index -= times < index * window
+    index += times >= (index + 1) * window
+    np.minimum(index, n_windows - 1, out=index)  # a photon on the last edge
+    counts = np.bincount(index, minlength=n_windows)
+    del index
     mean = counts.mean()
     if mean == 0.0:
         raise InsufficientDataError("no photons in any counting window")

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plexciton import Branch, ConfigError, Scenario, parse_config
+from plexciton import (Branch, ConfigError, Scenario, TrajectoryConfig,
+                       branch_rates, dressed_basis, parse_config)
 from plexciton import cli as cli_module, stochastic
 from plexciton.cli import main
 
@@ -402,6 +403,43 @@ class TestTrajectoryCommand:
                      "--out", str(tmp_path / "out")]) == 2
         assert "over the cap of 33554432 windows" in capsys.readouterr().err
 
+    def test_pair_count_over_cap_refused_before_sampling(
+            self, tmp_path, capsys, monkeypatch):
+        def sampled(*args):
+            raise AssertionError("sampled before the pair check")
+
+        monkeypatch.setattr(cli_module, "simulate_stream", sampled)
+        cfg = write_cfg(tmp_path, _LONG_RUN_TOO_MANY_PAIRS)
+        assert main(["trajectory", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "photon pairs, over twice the cap of 4294967296" in err
+
+    def test_pair_check_before_sampling_keeps_runs_at_the_cap(
+            self, tmp_path, capsys, monkeypatch):
+        # A lag window of 1e5 holds ~36 minus photons, and the exact pair
+        # count is 3% below the expected one: the run at a cap of exactly
+        # its count completes, and one pair less is refused by that count.
+        cfg = write_cfg(tmp_path, _preset_text(
+            "trajectory.cfg", "tau_max = 600.0", "tau_max = 1e5"))
+        config = parse_config(cfg)
+        rates = branch_rates(config.params, dressed_basis(config.params))
+        run = TrajectoryConfig(duration=config.duration,
+                               master_seed=config.master_seed)
+        stream = stochastic.simulate_stream(config.params, rates, run)[0]
+        times = stream.times_for(Branch.MINUS)
+        pairs = int((np.searchsorted(times, times + 1e5, "right") - 1
+                     - np.arange(times.size)).sum())
+        monkeypatch.setattr(stochastic, "MAX_PAIRS", pairs)
+        assert main(["trajectory", "--config", cfg,
+                     "--out", str(tmp_path / "a")]) == 0
+        monkeypatch.setattr(stochastic, "MAX_PAIRS", pairs - 1)
+        assert main(["trajectory", "--config", cfg,
+                     "--out", str(tmp_path / "b")]) == 2
+        err = capsys.readouterr().err
+        assert f"gives {pairs} photon pairs, over the cap" in err
+
 
 class TestRatesCommand:
     def test_resonant_weak_drive_report(self, capsys):
@@ -513,6 +551,11 @@ _SHORT_RUN = _preset_text("trajectory.cfg", "duration = 6.0e7", "duration = 1e6"
 _LONG_RUN_TOO_MANY_WINDOWS = _preset_text(
     "trajectory.cfg", "duration = 6.0e7",
     "duration = 6.0e9\nfano_window = 100.0")
+# The same run with its default window and a lag window of 2.9e9: ~2.2e6
+# minus photons are expected to give ~2.3e12 pairs, over 2 * MAX_PAIRS.
+_LONG_RUN_TOO_MANY_PAIRS = _preset_text(
+    "trajectory.cfg", "duration = 6.0e7", "duration = 6.0e9").replace(
+    "tau_max = 600.0", "tau_max = 2.9e9")
 _ZERO_YIELD = BASE_CFG.replace("gamma_r = 1.0", "gamma_r = 0.0").replace(
     "gamma_nr = 0.0", "gamma_nr = 1.0")
 
