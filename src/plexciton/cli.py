@@ -89,6 +89,14 @@ def cmd_spectrum(config: RunConfig, out_dir: str) -> list[str]:
             )
         couplings = [ratio * abs(base.delta) for ratio in config.v0_over_delta_sweep]
         names = [f"spectrum_v0dd_{ratio:g}.csv" for ratio in config.v0_over_delta_sweep]
+        # Each file is named by its ratio at six significant digits.
+        first = {}
+        for ratio, name in zip(config.v0_over_delta_sweep, names):
+            if name in first:
+                raise ConfigError(
+                    f"v0_over_delta_sweep values {first[name]!r} and "
+                    f"{ratio!r} both name the file {name}")
+            first[name] = ratio
     else:
         couplings = [base.v0]
         names = ["spectrum.csv"]

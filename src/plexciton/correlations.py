@@ -5,8 +5,9 @@ dephasing rate while rotating at the branch transition frequency, so each
 line is a Lorentzian.  Detected intensities additionally carry the squared
 branch dipole weight, which makes the two peak heights scale with the fourth
 power of the mixing-angle cotangent while the linewidths scale with its
-square.  Second-order coincidences start at exactly zero for both excitation
-schemes: the source emits photons one at a time.
+square.  Second-order coincidences are normalized, divided by the squared
+zero-lag first-order coherence, and start at exactly zero for both
+excitation schemes: the source emits photons one at a time.
 """
 
 from __future__ import annotations
@@ -20,28 +21,23 @@ import numpy as np
 from .errors import ParameterError, RegimeWarning, ResolutionError
 from .integrate import check_grid
 from .model import Branch, BranchRates, DressedBasis
-from .rate_dynamics import Populations, steady_state_analytic
+from .rate_dynamics import Populations
 
 # Relative gap between branch dephasing and decay below which the
 # second-order coincidence switches to its removable-singularity limit.
 DEGENERATE_RATE_TOL = 1e-9
-
-_COMBINED = "combined"
 
 
 @dataclass(frozen=True)
 class CorrelationSeries:
     """A correlation function sampled on a nonnegative lag grid.
 
-    ``normalized`` distinguishes coincidences divided by the squared
-    zero-lag first-order coherence from raw ones.  Estimated series (from
-    photon streams) carry per-bin standard errors; analytic ones do not.
+    Estimated series (from photon streams) carry per-bin standard errors;
+    analytic ones do not.
     """
 
     tau: np.ndarray
     values: np.ndarray
-    branch: Branch | str | None
-    normalized: bool
     stderr: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -58,7 +54,6 @@ class SpectrumSeries:
 
     omega: np.ndarray
     values: np.ndarray
-    branch: Branch | str | None
 
     def __post_init__(self) -> None:
         omega = check_grid(self.omega, "omega", nonnegative=False)
@@ -78,8 +73,7 @@ def g1_analytic(branch: Branch, rates: BranchRates, steady: Populations,
     tau = check_grid(tau_grid, "tau_grid")
     ch = rates.branch(branch)
     values = steady.branch(branch) * np.exp(-(ch.gperp + 1j * basis.omega(branch)) * tau)
-    return CorrelationSeries(tau=tau, values=values, branch=branch,
-                             normalized=False)
+    return CorrelationSeries(tau=tau, values=values)
 
 
 def spectrum_analytic(branch: Branch, rates: BranchRates, steady: Populations,
@@ -90,7 +84,7 @@ def spectrum_analytic(branch: Branch, rates: BranchRates, steady: Populations,
     ch = rates.branch(branch)
     pop = steady.branch(branch)
     values = 2.0 * ch.gperp * pop / ((omega - basis.omega(branch)) ** 2 + ch.gperp ** 2)
-    return SpectrumSeries(omega=omega, values=values, branch=branch)
+    return SpectrumSeries(omega=omega, values=values)
 
 
 def detected_spectrum(rates: BranchRates, steady: Populations,
@@ -107,7 +101,7 @@ def detected_spectrum(rates: BranchRates, steady: Populations,
     for branch in Branch:
         part = spectrum_analytic(branch, rates, steady, basis, omega)
         total += rates.branch(branch).dipole_w * part.values
-    return SpectrumSeries(omega=omega, values=total, branch=_COMBINED)
+    return SpectrumSeries(omega=omega, values=total)
 
 
 def _decay_scale(tau: np.ndarray, amplitudes: np.ndarray) -> float | None:
@@ -157,8 +151,7 @@ def spectrum_fft_check(g1: CorrelationSeries) -> SpectrumSeries:
             # Zero signal transforms to a zero spectrum on the natural grid.
             n = 2 * (tau.size - 1)
             omega = 2.0 * math.pi * np.fft.fftshift(np.fft.fftfreq(n, dt))
-            return SpectrumSeries(omega=omega, values=np.zeros(n),
-                                  branch=g1.branch)
+            return SpectrumSeries(omega=omega, values=np.zeros(n))
         raise ResolutionError("series does not decay within the sampled span")
     if tau[-1] * gamma_est < 20.0:
         raise ResolutionError(
@@ -179,13 +172,12 @@ def spectrum_fft_check(g1: CorrelationSeries) -> SpectrumSeries:
     density = np.fft.fftshift(spectrum.real)
     if np.any(density < -1e-9 * density.max(initial=0.0) - 1e-300):
         raise ResolutionError("transform produced significantly negative density")
-    return SpectrumSeries(omega=omega, values=np.maximum(density, 0.0),
-                          branch=g1.branch)
+    return SpectrumSeries(omega=omega, values=np.maximum(density, 0.0))
 
 
 def g2_nonresonant_analytic(branch: Branch, rates: BranchRates, pump_r: float,
-                            gamma_total: float, tau_grid: np.ndarray,
-                            normalized: bool = True) -> CorrelationSeries:
+                            gamma_total: float,
+                            tau_grid: np.ndarray) -> CorrelationSeries:
     """Two-photon coincidence of one branch under incoherent pumping.
 
     Leading-order closed form in the slow-pumping regime
@@ -225,16 +217,11 @@ def g2_nonresonant_analytic(branch: Branch, rates: BranchRates, pump_r: float,
         )
     eps = slow / gpar_b
     values = -np.expm1(-slow * tau) + eps * np.expm1(-gpar_b * tau)
-    if not normalized:
-        pop = steady_state_analytic(rates, pump_r).branch(branch)
-        values = pop ** 2 * values
-    return CorrelationSeries(tau=tau, values=values, branch=branch,
-                             normalized=normalized)
+    return CorrelationSeries(tau=tau, values=values)
 
 
 def g2_resonant_analytic(branch: Branch, rates: BranchRates,
-                         tau_grid: np.ndarray, normalized: bool = True,
-                         drive_rabi: float | None = None) -> CorrelationSeries:
+                         tau_grid: np.ndarray) -> CorrelationSeries:
     """Two-photon coincidence of one branch under weak resonant driving.
 
         g2(tau) = (gperp_b (1 - exp(-gpar_b tau))
@@ -243,9 +230,6 @@ def g2_resonant_analytic(branch: Branch, rates: BranchRates,
     When the two rates coincide to within ``DEGENERATE_RATE_TOL`` the
     removable singularity is replaced by its limit
     ``1 - (1 + gpar_b tau) exp(-gpar_b tau)``.
-
-    The raw (unnormalized) form needs the branch drive amplitude to fix the
-    stationary population.
     """
     tau = check_grid(tau_grid, "tau_grid")
     ch = rates.branch(branch)
@@ -259,10 +243,4 @@ def g2_resonant_analytic(branch: Branch, rates: BranchRates,
     else:
         values = (-gperp_b * np.expm1(-gpar_b * tau)
                   + gpar_b * np.expm1(-gperp_b * tau)) / (gperp_b - gpar_b)
-    if not normalized:
-        if drive_rabi is None:
-            raise ParameterError("raw resonant coincidences need drive_rabi")
-        pop = 2.0 * drive_rabi ** 2 / (gperp_b * gpar_b)
-        values = pop ** 2 * values
-    return CorrelationSeries(tau=tau, values=values, branch=branch,
-                             normalized=normalized)
+    return CorrelationSeries(tau=tau, values=values)

@@ -318,14 +318,22 @@ def occupation_fractions(params: SystemParams, rates: BranchRates,
     return {state: value / total for state, value in sums.items()}
 
 
+def _check_lag(tau_max: float, duration: float) -> None:
+    """Refuse a largest lag of half the stream duration or more."""
+    if tau_max >= 0.5 * duration:
+        raise ParameterError(
+            f"largest lag {tau_max} must stay below half the stream "
+            f"duration {duration}")
+
+
 def _check_pairs(params: SystemParams, rates: BranchRates,
                  config: TrajectoryConfig, branch: Branch,
                  tau_max: float) -> None:
-    """Refuse, before sampling, a run whose first stream is expected to give
-    ``g2_histogram`` over twice ``MAX_PAIRS`` pairs of ``branch`` photons
-    within ``tau_max``: ``n**2 * tau_max / duration`` for ``n`` expected
-    kept photons of the branch.  The run is checked as ``simulate_stream``
-    checks it first.
+    """Refuse, before sampling, a run that ``g2_histogram`` would refuse
+    for its lag window, or whose first stream is expected to give it over
+    twice ``MAX_PAIRS`` pairs of ``branch`` photons within ``tau_max``:
+    ``n**2 * tau_max / duration`` for ``n`` expected kept photons of the
+    branch.  The run is checked as ``simulate_stream`` checks it first.
 
     The margin keeps runs the exact count accepts.  That count is about the
     expected one times ``1 - tau_max / (2 duration)``, over 3/4 because
@@ -335,6 +343,7 @@ def _check_pairs(params: SystemParams, rates: BranchRates,
     expected count (durations 6e7 and 6e8, lags 600 to 0.48 duration).
     """
     _check_run(params, rates, config, stream=True)
+    _check_lag(tau_max, config.duration)
     if params.pump_r == 0.0:
         return
     n = _expected_kept(params, rates, config.duration, branch)
@@ -362,9 +371,7 @@ def g2_histogram(stream: PhotonStream, branch: Branch | None,
     edges = check_grid(tau_bins, "tau_bins")
     if edges.size < 2:
         raise ParameterError("tau_bins must contain at least two edges")
-    if edges[-1] >= 0.5 * stream.duration:
-        raise ParameterError(
-            "largest lag bin must stay well below the stream duration")
+    _check_lag(edges[-1], stream.duration)
     times = stream.times_for(branch)
     if times.size < 1e4:
         raise InsufficientDataError(
@@ -391,8 +398,7 @@ def g2_histogram(stream: PhotonStream, branch: Branch | None,
     exposure = rate ** 2 * widths * (duration - centers)
     values = counts / exposure
     stderr = np.sqrt(np.maximum(counts, 1)) / exposure
-    return CorrelationSeries(tau=centers, values=values, branch=branch,
-                             normalized=True, stderr=stderr)
+    return CorrelationSeries(tau=centers, values=values, stderr=stderr)
 
 
 def fano_windows(duration: float, window: float) -> int:

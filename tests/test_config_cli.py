@@ -416,6 +416,20 @@ class TestTrajectoryCommand:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "photon pairs, over twice the cap of 4294967296" in err
 
+    def test_lag_over_half_duration_refused_before_sampling(
+            self, tmp_path, capsys, monkeypatch):
+        def sampled(*args):
+            raise AssertionError("sampled before the lag check")
+
+        monkeypatch.setattr(cli_module, "simulate_stream", sampled)
+        cfg = write_cfg(tmp_path, _LONG_DIM_RUN_LAG_OVER_HALF)
+        assert main(["trajectory", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert ("largest lag 3100000000.0 must stay below half the stream "
+                "duration 6000000000.0") in err
+
     def test_pair_check_before_sampling_keeps_runs_at_the_cap(
             self, tmp_path, capsys, monkeypatch):
         # A lag window of 1e5 holds ~36 minus photons, and the exact pair
@@ -556,6 +570,12 @@ _LONG_RUN_TOO_MANY_WINDOWS = _preset_text(
 _LONG_RUN_TOO_MANY_PAIRS = _preset_text(
     "trajectory.cfg", "duration = 6.0e7", "duration = 6.0e9").replace(
     "tau_max = 600.0", "tau_max = 2.9e9")
+# A 1% yield keeps the pair count low, so only the lag window, over half
+# the duration, is refused; sampling the run takes seconds.
+_LONG_DIM_RUN_LAG_OVER_HALF = _LONG_RUN_TOO_MANY_PAIRS.replace(
+    "tau_max = 2.9e9", "tau_max = 3.1e9").replace(
+    "gamma_nr = 0.0", "gamma_nr = 99.0").replace(
+    "gamma_perp = 0.5", "gamma_perp = 50.0")
 _ZERO_YIELD = BASE_CFG.replace("gamma_r = 1.0", "gamma_r = 0.0").replace(
     "gamma_nr = 0.0", "gamma_nr = 1.0")
 
@@ -573,6 +593,9 @@ BAD_RUNS = [
                  False, 2, id="lag-window-over-half-duration"),
     pytest.param("spectrum", (BASE_CFG + "v0_over_delta_sweep = 0.5, 1e-4\n")
                  .encode(), False, 2, id="sweep-fails-at-second-value"),
+    pytest.param("spectrum", (BASE_CFG + "v0_over_delta_sweep = 1.0000001, "
+                              "1.0000002\n").encode(), False, 2,
+                 id="sweep-file-names-collide"),
     pytest.param("trajectory", (_SHORT_RUN + "fano_window = 1e-300\n").encode(),
                  False, 2, id="fano-window-count"),
     pytest.param("trajectory", _LONG_RUN_TOO_MANY_WINDOWS.encode(), False, 2,

@@ -246,8 +246,7 @@ class TestSpectrumFftCheck:
 
     def test_zero_signal_zero_spectrum(self):
         tau = np.linspace(0.0, 10.0, 641)
-        g1 = CorrelationSeries(tau=tau, values=np.zeros(641, dtype=complex),
-                               branch=Branch.MINUS, normalized=False)
+        g1 = CorrelationSeries(tau=tau, values=np.zeros(641, dtype=complex))
         spec = spectrum_fft_check(g1)
         assert np.all(spec.values == 0.0)
 
@@ -287,20 +286,6 @@ class TestG2NonResonant:
                                      benchmark_params.pump_r, benchmark_params.gamma_u,
                                      np.array([100.0]))
         assert g2.values[0] == pytest.approx(0.6204048300760196, abs=1e-9)
-
-    def test_raw_form_carries_squared_population(self, benchmark_rates,
-                                                 benchmark_params, benchmark_steady):
-        tau = np.array([0.0, 50.0, 500.0])
-        norm = g2_nonresonant_analytic(Branch.PLUS, benchmark_rates,
-                                       benchmark_params.pump_r,
-                                       benchmark_params.gamma_u, tau)
-        raw = g2_nonresonant_analytic(Branch.PLUS, benchmark_rates,
-                                      benchmark_params.pump_r,
-                                      benchmark_params.gamma_u, tau,
-                                      normalized=False)
-        assert np.allclose(raw.values, benchmark_steady.p_pp ** 2 * norm.values,
-                           rtol=1e-14)
-        assert np.min(raw.values) >= -1e-12
 
     def test_regime_warning(self, benchmark_rates):
         with pytest.warns(RegimeWarning):
@@ -366,20 +351,6 @@ class TestG2Resonant:
         rates2 = branch_rates(params2, dressed_basis(params2))
         g2_near = g2_resonant_analytic(Branch.MINUS, rates2, tau)
         assert np.max(np.abs(g2_near.values - limit)) < 1e-5
-
-    def test_raw_form_needs_drive(self, benchmark_rates):
-        with pytest.raises(ParameterError, match="drive"):
-            g2_resonant_analytic(Branch.MINUS, benchmark_rates,
-                                 np.array([0.0, 1.0]), normalized=False)
-        raw = g2_resonant_analytic(Branch.MINUS, benchmark_rates,
-                                   np.array([0.0, 1.0]), normalized=False,
-                                   drive_rabi=0.01)
-        ch = benchmark_rates.branch(Branch.MINUS)
-        pop = 2.0 * 0.01 ** 2 / (ch.gperp * ch.gpar)
-        norm = g2_resonant_analytic(Branch.MINUS, benchmark_rates,
-                                    np.array([0.0, 1.0]))
-        assert raw.values[1] == pytest.approx(pop ** 2 * norm.values[1],
-                                              rel=1e-14)
 
 
 class TestCoincidenceProperties:
@@ -449,10 +420,9 @@ GRID_CALLS = {
         g2_histogram(PhotonStream(np.empty(0), np.empty(0, dtype=np.int8), 100.0),
                      Branch.MINUS, grid),
     "CorrelationSeries": lambda r, s, b, grid:
-        CorrelationSeries(tau=grid, values=np.zeros(4), branch=Branch.MINUS,
-                          normalized=True),
+        CorrelationSeries(tau=grid, values=np.zeros(4)),
     "SpectrumSeries": lambda r, s, b, grid:
-        SpectrumSeries(omega=grid, values=np.zeros(4), branch=Branch.MINUS),
+        SpectrumSeries(omega=grid, values=np.zeros(4)),
 }
 
 
