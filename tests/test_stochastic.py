@@ -5,6 +5,7 @@ import stat
 import tempfile
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -678,6 +679,83 @@ class TestEmissionRate:
             emission_rate(stream, None)
 
 
+def read_line_by_line(path):
+    """Reference reader: the format's rule applied one line at a time.
+
+    Returns ``(duration, times, tags)`` as lists, or raises
+    :class:`ParameterError` whose message is the ``path:line:`` (or
+    ``path:``) prefix the library's message must start with.
+    """
+    duration, header_line = None, None
+    times, tags, lines = [], [], []
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                if line.startswith("#"):
+                    if "duration=" in line:
+                        duration = float(line.split("duration=", 1)[1])
+                        header_line = lineno
+                    continue
+                stamp, _, tag = line.partition("\t")
+                times.append(float(stamp))
+                tags.append({"-": 0, "+": 1}[tag.strip()])
+                lines.append(lineno)
+            except (KeyError, ValueError):
+                raise ParameterError(f"{path}:{lineno}: malformed") from None
+    if duration is None:
+        raise ParameterError(f"{path}: missing '# duration=' header")
+    if not 0.0 < duration < np.inf:
+        raise ParameterError(f"{path}:{header_line}: ")
+    previous = -np.inf
+    for t, lineno in zip(times, lines):
+        if not (0.0 <= t <= duration and t > previous):
+            raise ParameterError(f"{path}:{lineno}: ")
+        previous = t
+    return duration, times, tags
+
+
+# Timestamps in each form repr gives: subnormal, exponent below 1e-4,
+# positional, exponent from 1e16, and near the largest durations.
+REPR_FORMS = [0.0, 5e-324, 1.5e-310, 2.2250738585072014e-308, 1e-5,
+              9.999999999999999e-05, 1e-4, 0.5, 9999999999999998.0, 1e16,
+              1.2345e17, 1e300]
+# A canonical row, as a function of the timestamp it should carry.
+CANONICAL_ROW = st.sampled_from([
+    lambda t: f"{t!r}\t-\n".encode(),
+    lambda t: f"{t!r}\t+\n".encode(),
+])
+# Whitespace that str.strip() and float() both drop, ASCII and not.
+_SPACE = st.sampled_from([" ", "\t", "  ", "\x0b", "\x0c", "\x1c", "\x85",
+                          "\u2003", "\u3000"])
+# Lines the writer never emits: other line ends, blank lines, comments,
+# stray whitespace, bad tags and numbers, undecodable bytes, rows whose
+# timestamp is out of order, out of range or NaN.
+ODD_LINE = st.one_of(
+    st.sampled_from([
+        lambda t: f"{t!r}\t-\r\n".encode(),
+        lambda t: f"{t!r}\t+\r".encode(),
+        lambda t: f"{t!r}\t\t-\n".encode(),
+        lambda t: f"\t{t!r}\t+\n".encode(),
+        lambda t: f"{t!r}\t- \n".encode(),
+        lambda t: f"{t!r}\tx\n".encode(),
+        lambda t: f"{t!r}\n".encode(),
+        lambda t: f"{t!r}\t\n".encode(),
+        lambda t: f"{t!r}e\t-\n".encode(),
+        lambda t: f"{t!r}\xff\t-\n".encode("utf-8", "surrogateescape"),
+        lambda t: f"1_{t!r}\t-\n".encode(),
+    ]),
+    st.builds(lambda a, b: lambda t: f"{a}{t!r}{b}\t-\n".encode(),
+              _SPACE, _SPACE),
+    st.sampled_from([b"\n", b"  \n", b"\t\n", b"\r\n", b"\r", b"#\n",
+                     b"# a comment\t-\n", b"# \xff\n", b"#duration=5e2\n",
+                     b"0.5\t+\n", b"2e3\t-\n", b"nan\t-\n", b"-1.0\t+\n",
+                     b"\xe2\x80\x83\n", b"\t-\n", b"+\n"]),
+)
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         params, rates = make_setup()
@@ -713,7 +791,15 @@ class TestSerialization:
         ("# duration=10.0\n1.5\t-\n2.5\n", 3),
         ("# duration=10.0\n1.5e\t-\n", 2),
         ("# duration=ten\n1.5\t-\n", 1),
-    ], ids=["bad-tag", "no-tab", "bad-number", "bad-duration"])
+        ("# duration=10.0\n2.0\t-\n1.0\t+\n", 3),
+        ("# duration=10.0\n1.0\t-\n\n1.0\t+\n", 4),
+        ("# duration=10.0\n-1.0\t-\n", 2),
+        ("# duration=10.0\n1.0\t-\n# note\n12.0\t+\n", 4),
+        ("1.0\t-\n2.0\t+\n# duration=1.5\n", 2),
+        ("# duration=0.0\n", 1),
+    ], ids=["bad-tag", "no-tab", "bad-number", "bad-duration",
+            "out-of-order", "repeated", "negative", "past-duration",
+            "header-last", "zero-duration"])
     def test_malformed_line_names_file_and_line(self, tmp_path, text, line):
         path = tmp_path / "broken.tsv"
         path.write_text(text)
@@ -726,33 +812,125 @@ class TestSerialization:
         with pytest.raises(ParameterError, match=r"broken\.tsv:3: "):
             read_photon_stream(path)
 
-    @pytest.mark.parametrize("text", ["# duration=nan\n1.5\t-\n",
-                                      "# duration=10.0\nnan\t-\n"],
-                             ids=["nan-duration", "nan-timestamp"])
-    def test_non_finite_values_rejected(self, tmp_path, text):
+    @pytest.mark.parametrize("text, line", [
+        ("# duration=nan\n1.5\t-\n", 1),
+        ("# duration=10.0\nnan\t-\n", 2),
+        ("# duration=inf\n1.5\t-\n", 1),
+        ("# duration=10.0\n1.0\t+\n2.0\t-\ninf\t-\n", 4),
+    ], ids=["nan-duration", "nan-timestamp", "inf-duration", "inf-timestamp"])
+    def test_non_finite_values_rejected(self, tmp_path, text, line):
         path = tmp_path / "nan.tsv"
         path.write_text(text)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=rf"nan\.tsv:{line}: "):
             read_photon_stream(path)
 
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(),
-           duration=st.floats(min_value=1e-9, max_value=1e12))
-    def test_write_read_round_trip_property(self, data, duration):
-        times = np.unique(data.draw(st.lists(
-            st.floats(min_value=0.0, max_value=duration), max_size=30)))
-        tags = np.array(data.draw(st.lists(st.sampled_from([0, 1]),
-                                           min_size=times.size,
-                                           max_size=times.size)),
-                        dtype=np.int8)
+    @given(times=st.lists(st.one_of(
+               st.floats(min_value=0.0, max_value=1e12),
+               st.floats(min_value=0.0, max_value=1e300),
+               st.floats(min_value=0.0, max_value=1e-4),
+               st.sampled_from(REPR_FORMS)), max_size=30),
+           tags=st.lists(st.sampled_from([0, 1]), min_size=30, max_size=30),
+           duration=st.floats(min_value=1e-9, max_value=1e300),
+           write_rows=st.integers(1, 8),
+           read_chars=st.integers(1, 64))
+    @example(times=REPR_FORMS, tags=[0, 1] * 15, duration=1.0,
+             write_rows=3, read_chars=1)
+    def test_write_read_round_trip_property(self, times, tags, duration,
+                                            write_rows, read_chars):
+        # Writing runs over several chunks of write_rows rows, and reading
+        # over chunk boundaries every read_chars characters.
+        times = np.unique(times)
+        tags = np.array(tags[:times.size], dtype=np.int8)
+        duration = float(np.max(times, initial=duration))
         stream = PhotonStream(times=times, tags=tags, duration=duration)
-        with tempfile.TemporaryDirectory() as tmp:
+        expected = f"# duration={duration!r}\n" + "".join(
+            f"{t!r}\t{'-+'[g]}\n" for t, g in zip(times.tolist(), tags))
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(stochastic, "_WRITE_ROWS", write_rows), \
+                mock.patch.object(stochastic, "_READ_CHARS", read_chars):
             path = os.path.join(tmp, "photons.tsv")
             write_photon_stream(stream, path)
+            with open(path, "rb") as fh:
+                written = fh.read()
             loaded = read_photon_stream(path)
+        assert written == expected.encode()
         assert loaded.duration == duration
         assert loaded.times.tobytes() == times.tobytes()
         assert np.array_equal(loaded.tags, tags)
+
+    def test_stream_longer_than_write_chunk(self, tmp_path):
+        rng = np.random.default_rng(84)
+        n = 2 * stochastic._WRITE_ROWS + 3
+        times = np.cumsum(rng.exponential(1.0, n))
+        tags = rng.integers(0, 2, n).astype(np.int8)
+        # A numpy duration is written as a plain float too.
+        stream = PhotonStream(times=times, tags=tags, duration=times[-1] + 1)
+        path = tmp_path / "photons.tsv"
+        write_photon_stream(stream, path)
+        expected = f"# duration={float(stream.duration)!r}\n" + "".join(
+            f"{t!r}\t{'-+'[g]}\n" for t, g in zip(times.tolist(), tags))
+        assert path.read_bytes() == expected.encode()
+        loaded = read_photon_stream(path)
+        assert loaded.times.tobytes() == times.tobytes()
+        assert np.array_equal(loaded.tags, tags)
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=st.lists(st.one_of(CANONICAL_ROW, CANONICAL_ROW, ODD_LINE),
+                          min_size=1, max_size=40),
+           header_at=st.integers(0, 40),
+           last_newline=st.booleans(),
+           read_chars=st.integers(1, 200))
+    def test_reader_matches_line_by_line(self, lines, header_at, last_newline,
+                                         read_chars):
+        # Rows count up from 1.0 wherever they sit, so canonical rows form
+        # valid runs that chunk boundaries cut; odd lines may break them.
+        times = iter(float(k) for k in range(1, len(lines) + 1))
+        body = [line if isinstance(line, bytes) else line(next(times))
+                for line in lines]
+        body.insert(min(header_at, len(body)), b"# duration=1e3\n")
+        text = b"".join(body)
+        if not last_newline:
+            text = text.rstrip(b"\n")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "photons.tsv")
+            with open(path, "wb") as fh:
+                fh.write(text)
+            try:
+                expected = read_line_by_line(path)
+            except ParameterError as exc:
+                expected = exc
+            with mock.patch.object(stochastic, "_READ_CHARS", read_chars):
+                try:
+                    loaded = read_photon_stream(path)
+                except ParameterError as exc:
+                    assert isinstance(expected, ParameterError), str(exc)
+                    assert str(exc).startswith(str(expected))
+                    return
+        assert not isinstance(expected, ParameterError), str(expected)
+        duration, times, tags = expected
+        assert loaded.duration == duration
+        assert loaded.times.tobytes() == np.array(times, float).tobytes()
+        assert loaded.tags.tolist() == tags
+
+    def test_write_and_read_memory_bounded(self, tmp_path):
+        rng = np.random.default_rng(85)
+        times = np.cumsum(rng.exponential(1.0, 150_000))
+        stream = PhotonStream(times=times,
+                              tags=rng.integers(0, 2, times.size).astype(np.int8),
+                              duration=times[-1] + 1.0)
+        path = tmp_path / "photons.tsv"
+        peaks = []
+        for run in (lambda: write_photon_stream(stream, path),
+                    lambda: read_photon_stream(path)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # The line-by-line writer and reader peaked at 6.4 and 8.8 MB.
+        assert peaks[0] < 4e6 and peaks[1] < 6e6, peaks
 
     def test_file_mode_follows_umask(self, tmp_path):
         stream = poisson_stream(np.random.default_rng(83), rate=0.1,
