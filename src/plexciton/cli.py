@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import __version__, stochastic
+from . import __version__
 from .bloch import bloch_steady_state
 from .config import PHYSICS_KEYS, RunConfig, parse_config
 from .correlations import (
@@ -53,6 +53,7 @@ from .stochastic import (
     emission_rate,
     fano_factor,
     g2_histogram,
+    plan_run,
     simulate_stream,
     write_photon_stream,
 )
@@ -188,18 +189,8 @@ def cmd_trajectory(config: RunConfig, out_dir: str) -> list[str]:
                             n_trajectories=config.n_trajectories,
                             master_seed=config.master_seed,
                             branch_filter=config.branch_filter)
-    slow = params.pump_r + params.gamma_u
-    window = config.fano_window
-    if window is None and slow > 0.0:
-        # The default widens to stay within the window cap.
-        window = max(1.0 / slow, config.duration / stochastic.MAX_WINDOWS)
-    hist_branch = config.branch_filter or Branch.MINUS
-    tau_max = config.tau_max if config.tau_max is not None else (
-        3.0 / slow if slow > 0.0 else config.duration / 100.0)
-    # Both caps are checked before sampling.
-    if window is not None:
-        stochastic.fano_windows(config.duration, window)
-    stochastic._check_pairs(params, rates, traj, hist_branch, tau_max)
+    window, tau_max, hist_branch = plan_run(params, rates, traj,
+                                            config.fano_window, config.tau_max)
     streams = simulate_stream(params, rates, traj)
     stream = streams[0]
     comments = _provenance(params, config) + [

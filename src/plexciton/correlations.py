@@ -23,10 +23,6 @@ from .integrate import check_grid
 from .model import Branch, BranchRates, DressedBasis
 from .rate_dynamics import Populations
 
-# Relative gap between branch dephasing and decay below which the
-# second-order coincidence switches to its removable-singularity limit.
-DEGENERATE_RATE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class CorrelationSeries:
@@ -227,9 +223,9 @@ def g2_resonant_analytic(branch: Branch, rates: BranchRates,
         g2(tau) = (gperp_b (1 - exp(-gpar_b tau))
                    - gpar_b (1 - exp(-gperp_b tau))) / (gperp_b - gpar_b)
 
-    When the two rates coincide to within ``DEGENERATE_RATE_TOL`` the
-    removable singularity is replaced by its limit
-    ``1 - (1 + gpar_b tau) exp(-gpar_b tau)``.
+    Within 1% of each other the rates ``lo <= hi`` give the same form, which
+    is symmetric in them, as ``1 - exp(-lo tau) (1 + lo tau phi1((lo - hi)
+    tau))``, ``phi1(x) = expm1(x)/x``, which neither cancels nor overflows.
     """
     tau = check_grid(tau_grid, "tau_grid")
     ch = rates.branch(branch)
@@ -238,8 +234,11 @@ def g2_resonant_analytic(branch: Branch, rates: BranchRates,
         raise ParameterError(
             f"branch rates must be positive, got gpar={gpar_b}, gperp={gperp_b}"
         )
-    if abs(gperp_b - gpar_b) < DEGENERATE_RATE_TOL * gpar_b:
-        values = 1.0 - (1.0 + gpar_b * tau) * np.exp(-gpar_b * tau)
+    if abs(gperp_b - gpar_b) < 1e-2 * gpar_b:
+        lo, hi = sorted((gpar_b, gperp_b))
+        x = (lo - hi) * tau
+        phi1 = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+        values = 1.0 - np.exp(-lo * tau) * (1.0 + lo * tau * phi1)
     else:
         values = (-gperp_b * np.expm1(-gpar_b * tau)
                   + gpar_b * np.expm1(-gperp_b * tau)) / (gperp_b - gpar_b)

@@ -343,14 +343,20 @@ def _check_lag(tau_max: float, duration: float) -> None:
             f"duration {duration}")
 
 
-def _check_pairs(params: SystemParams, rates: BranchRates,
-                 config: TrajectoryConfig, branch: Branch,
-                 tau_max: float) -> None:
-    """Refuse, before sampling, a run that ``g2_histogram`` would refuse
-    for its lag window, or whose first stream is expected to give it over
-    twice ``MAX_PAIRS`` pairs of ``branch`` photons within ``tau_max``:
-    ``n**2 * tau_max / duration`` for ``n`` expected kept photons of the
-    branch.  The run is checked as ``simulate_stream`` checks it first.
+def plan_run(params: SystemParams, rates: BranchRates,
+             config: TrajectoryConfig, window: float | None,
+             tau_max: float | None) -> tuple[float | None, float, Branch]:
+    """Resolve a run's ``(window, tau_max, branch)``; refuse, before
+    sampling, a run that would be refused after it.
+
+    With ``slow = pump_r + gamma_u`` the defaults are the Fano window
+    ``max(1/slow, duration/MAX_WINDOWS)`` (none if ``slow == 0``), the
+    largest lag ``3/slow`` (else ``duration/100``) and the branch filter,
+    else minus.  The checks run in order: the window cap, the run as
+    ``simulate_stream`` checks it, a lag that is positive, finite and below
+    half the duration, and the first stream's expected pairs of branch
+    photons within ``tau_max``, ``n**2 * tau_max / duration`` for ``n``
+    expected kept photons, against twice ``MAX_PAIRS``.
 
     The margin keeps runs the exact count accepts.  That count is about the
     expected one times ``1 - tau_max / (2 duration)``, over 3/4 because
@@ -359,16 +365,27 @@ def _check_pairs(params: SystemParams, rates: BranchRates,
     count needs.  On the trajectory preset's rates it was 0.74-1.00 of the
     expected count (durations 6e7 and 6e8, lags 600 to 0.48 duration).
     """
+    slow = params.pump_r + params.gamma_u
+    if window is None and slow > 0.0:
+        window = max(1.0 / slow, config.duration / MAX_WINDOWS)
+    if tau_max is None:
+        tau_max = 3.0 / slow if slow > 0.0 else config.duration / 100.0
+    branch = config.branch_filter or Branch.MINUS
+    if window is not None:
+        _fano_windows(config.duration, window)
     _check_run(params, rates, config, stream=True)
-    _check_lag(tau_max, config.duration)
-    if params.pump_r == 0.0:
-        return
-    n = _expected_kept(params, rates, config.duration, branch)
-    pairs = n * n * tau_max / config.duration
-    if pairs > 2 * MAX_PAIRS:
+    if not (0.0 < tau_max < np.inf):
         raise ParameterError(
-            f"largest lag {tau_max} is expected to give ~{pairs:.3g} photon "
-            f"pairs, over twice the cap of {MAX_PAIRS}")
+            f"largest lag must be positive and finite, got {tau_max}")
+    _check_lag(tau_max, config.duration)
+    if params.pump_r > 0.0:
+        n = _expected_kept(params, rates, config.duration, branch)
+        pairs = n * n * tau_max / config.duration
+        if pairs > 2 * MAX_PAIRS:
+            raise ParameterError(
+                f"largest lag {tau_max} is expected to give ~{pairs:.3g} "
+                f"photon pairs, over twice the cap of {MAX_PAIRS}")
+    return window, tau_max, branch
 
 
 def g2_histogram(stream: PhotonStream, branch: Branch | None,
@@ -418,7 +435,7 @@ def g2_histogram(stream: PhotonStream, branch: Branch | None,
     return CorrelationSeries(tau=centers, values=values, stderr=stderr)
 
 
-def fano_windows(duration: float, window: float) -> int:
+def _fano_windows(duration: float, window: float) -> int:
     """Number of whole counting windows ``fano_factor`` uses; a window that
     is not positive or gives over ``MAX_WINDOWS`` of them is refused."""
     if not (window > 0.0):
@@ -433,13 +450,13 @@ def fano_windows(duration: float, window: float) -> int:
 def fano_factor(stream: PhotonStream, window: float) -> float:
     """Variance-to-mean ratio of photon counts in disjoint windows.
 
-    Window ``k`` of the ``n = fano_windows(duration, window)`` whole windows
+    Window ``k`` of the ``n = _fano_windows(duration, window)`` whole windows
     is ``[k*window, (k+1)*window)``, the last one closed, and photons past
     ``n*window`` are not counted: np.histogram's rule for the edges
     ``np.arange(n + 1) * window``.  Each photon is counted into its window,
     so the cost is O(photons + windows).
     """
-    n_windows = fano_windows(stream.duration, window)
+    n_windows = _fano_windows(stream.duration, window)
     if n_windows < 100:
         raise InsufficientDataError(
             f"duration covers only {n_windows} windows, need at least 100"

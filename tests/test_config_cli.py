@@ -1,6 +1,7 @@
 import math
 import os
 import stat
+import sys
 import tempfile
 
 import numpy as np
@@ -392,44 +393,6 @@ class TestTrajectoryCommand:
         line = next(c for c in comments if c.startswith("# fano_window="))
         assert line.startswith(f"# fano_window={6.0e7 / (1 << 16)!r} fano=")
 
-    def test_window_over_cap_refused_before_sampling(self, tmp_path, capsys,
-                                                     monkeypatch):
-        def sampled(*args):
-            raise AssertionError("sampled before the window check")
-
-        monkeypatch.setattr(cli_module, "simulate_stream", sampled)
-        cfg = write_cfg(tmp_path, _LONG_RUN_TOO_MANY_WINDOWS)
-        assert main(["trajectory", "--config", cfg,
-                     "--out", str(tmp_path / "out")]) == 2
-        assert "over the cap of 33554432 windows" in capsys.readouterr().err
-
-    def test_pair_count_over_cap_refused_before_sampling(
-            self, tmp_path, capsys, monkeypatch):
-        def sampled(*args):
-            raise AssertionError("sampled before the pair check")
-
-        monkeypatch.setattr(cli_module, "simulate_stream", sampled)
-        cfg = write_cfg(tmp_path, _LONG_RUN_TOO_MANY_PAIRS)
-        assert main(["trajectory", "--config", cfg,
-                     "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: ")
-        assert "photon pairs, over twice the cap of 4294967296" in err
-
-    def test_lag_over_half_duration_refused_before_sampling(
-            self, tmp_path, capsys, monkeypatch):
-        def sampled(*args):
-            raise AssertionError("sampled before the lag check")
-
-        monkeypatch.setattr(cli_module, "simulate_stream", sampled)
-        cfg = write_cfg(tmp_path, _LONG_DIM_RUN_LAG_OVER_HALF)
-        assert main(["trajectory", "--config", cfg,
-                     "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: ")
-        assert ("largest lag 3100000000.0 must stay below half the stream "
-                "duration 6000000000.0") in err
-
     def test_pair_check_before_sampling_keeps_runs_at_the_cap(
             self, tmp_path, capsys, monkeypatch):
         # A lag window of 1e5 holds ~36 minus photons, and the exact pair
@@ -505,6 +468,21 @@ class TestSteadyStateCommand:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("code", [0, 2])
+    def test_console_entry_point_exits_with_the_code(self, tmp_path, capsys,
+                                                      monkeypatch, code):
+        # pyproject's console script is plexciton.cli:entry; exit 2 is a
+        # config file that does not exist.
+        config = (os.path.join(PRESETS, "resonant_rates.cfg") if code == 0
+                  else str(tmp_path / "missing.cfg"))
+        monkeypatch.setattr(sys, "argv",
+                            ["plexciton", "rates", "--config", config])
+        with pytest.raises(SystemExit) as stop:
+            cli_module.entry()
+        assert stop.value.code == code
+        out, err = capsys.readouterr()
+        assert ("p_minus = " in out) if code == 0 else err.startswith("error: ")
+
     def test_validation_error_is_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "omega0 = 1.0\n")
         assert main(["g2", "--config", str(path),
@@ -608,7 +586,44 @@ BAD_RUNS = [
 ]
 
 
+# Runs refused before sampling: config file text and the message.
+REFUSED_BEFORE_SAMPLING = [
+    pytest.param(_LONG_RUN_TOO_MANY_WINDOWS,
+                 "over the cap of 33554432 windows", id="window-cap"),
+    pytest.param(_LONG_RUN_TOO_MANY_PAIRS,
+                 "photon pairs, over twice the cap of 4294967296",
+                 id="pair-cap"),
+    pytest.param(_LONG_DIM_RUN_LAG_OVER_HALF,
+                 "largest lag 3100000000.0 must stay below half the stream "
+                 "duration 6000000000.0", id="lag-over-half-duration"),
+    # ~2.5e8 photons kept in ~480 blocks: only the photon cap refuses it.
+    pytest.param(BASE_CFG + "duration = 1e11\n",
+                 "photons kept (n_trajectories = 1), over the cap of "
+                 "134217728", id="photon-cap"),
+    pytest.param(BASE_CFG + "duration = 1\nn_trajectories = 1000000\n",
+                 "pump cycles (n_trajectories = 1000000), over the cap of "
+                 "2048", id="million-trajectories"),
+    pytest.param(_ZERO_YIELD + "duration = 1e300\n",
+                 "pump cycles (n_trajectories = 1), over the cap of 2048",
+                 id="zero-yield-huge-duration"),
+]
+
+
 class TestFailureBoundary:
+    @pytest.mark.parametrize("config, message", REFUSED_BEFORE_SAMPLING)
+    def test_refused_before_sampling(self, tmp_path, capsys, monkeypatch,
+                                     config, message):
+        def sampled(*args):
+            raise AssertionError("sampled before the run was checked")
+
+        monkeypatch.setattr(cli_module, "simulate_stream", sampled)
+        cfg = write_cfg(tmp_path, config)
+        assert main(["trajectory", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert message in err
+
     @pytest.mark.parametrize("command, config, out_is_file, code", BAD_RUNS)
     def test_fails_with_one_line_and_writes_nothing(self, tmp_path, capsys,
                                                      command, config,

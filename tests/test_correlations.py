@@ -1,8 +1,10 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from plexciton import (
     BlochState,
@@ -351,6 +353,28 @@ class TestG2Resonant:
         rates2 = branch_rates(params2, dressed_basis(params2))
         g2_near = g2_resonant_analytic(Branch.MINUS, rates2, tau)
         assert np.max(np.abs(g2_near.values - limit)) < 1e-5
+
+
+    @pytest.mark.parametrize("gap", [0.0, 0.99e-9, 1.01e-9, 1e-8, -1e-6,
+                                     1e-6, -9.99e-3, 9.99e-3, 1e-2, -2e-2,
+                                     1.0])
+    def test_exact_weak_drive_bloch_through_the_degeneracy(
+            self, benchmark_rates, gap):
+        # Under weak drive the Bloch equations are linear from the ground
+        # state: d coh_im/dt = -gperp coh_im + Omega and d p_ee/dt =
+        # -gpar p_ee + 2 Omega coh_im, with g2 = p_ee / p_ee(inf) and
+        # p_ee(inf) = 2 Omega^2 / (gperp gpar); Omega = 1 scales out.  The
+        # state (coh_im, p_ee, 1) keeps the matrix from being triangular:
+        # scipy's expm for triangular matrices is off by ~6e-9 at gap 1e-9.
+        # At tau = 1e6 the gap times tau is far past where exp overflows.
+        gpar, gperp = 1.0, 1.0 + gap
+        a = np.array([[-gperp, 0.0, 1.0], [2.0, -gpar, 0.0], [0.0, 0.0, 0.0]])
+        tau = np.append(np.linspace(0.0, 40.0, 401), 1e6)
+        exact = np.array([expm(a * t)[1, 2] for t in tau]) * gperp * gpar / 2
+        rates = replace(benchmark_rates, gpar_minus=gpar, gperp_minus=gperp)
+        closed = g2_resonant_analytic(Branch.MINUS, rates, tau).values
+        assert closed[0] == 0.0
+        assert np.max(np.abs(closed - exact)) < 1e-13
 
 
 class TestCoincidenceProperties:

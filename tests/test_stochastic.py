@@ -375,6 +375,34 @@ class TestValidation:
                          duration=5.0)
 
 
+class TestPlanRun:
+    def test_defaults(self, monkeypatch):
+        params, rates = make_setup()  # pump_r + gamma_u = 0.01
+        run = TrajectoryConfig(duration=6e7)
+        assert stochastic.plan_run(params, rates, run, None, None) == (
+            100.0, 300.0, Branch.MINUS)
+        assert stochastic.plan_run(
+            params, rates, replace(run, branch_filter=Branch.PLUS), 5.0,
+            600.0) == (5.0, 600.0, Branch.PLUS)
+        # 6e7 / 2^16 = 915.5 windows is wider than 1/(pump_r + gamma_u).
+        monkeypatch.setattr(stochastic, "MAX_WINDOWS", 1 << 16)
+        assert stochastic.plan_run(params, rates, run, None, 600.0)[0] == (
+            6e7 / (1 << 16))
+
+    def test_defaults_without_slow_rates(self):
+        # No pump and no feeding: no Fano window, and a lag of 1% of the run.
+        params, rates = make_setup(pump=0.0, feed=0.0)
+        assert stochastic.plan_run(params, rates, TrajectoryConfig(
+            duration=1e4), None, None) == (None, 100.0, Branch.MINUS)
+
+    @pytest.mark.parametrize("tau_max", [np.nan, 0.0, -1.0, np.inf])
+    def test_lag_must_be_positive_and_finite(self, tau_max):
+        params, rates = make_setup()
+        with pytest.raises(ParameterError, match="positive and finite"):
+            stochastic.plan_run(params, rates, TrajectoryConfig(duration=6e7),
+                                None, tau_max)
+
+
 class TestErgodicityAndRenewal:
     def test_occupations_match_steady_state_within_3se(self):
         params, rates = make_setup()
