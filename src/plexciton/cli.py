@@ -9,7 +9,7 @@ rates         human- and machine-readable parameter/rate report
 steady-state  stationary populations of the configured scenario
 
 Exit codes: 0 success, else the error's ``exit_code`` (2 bad input or a path
-the OS refuses, 3 numerical failure).  Each command computes before it writes.
+the OS refuses, 3 numerical failure).  ``cmd_*`` compute, ``main`` writes.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .model import (
 )
 from .rate_dynamics import Populations, steady_state_analytic
 from .stochastic import (
+    PhotonStream,
     TrajectoryConfig,
     atomic_write,
     emission_rate,
@@ -57,6 +58,9 @@ from .stochastic import (
     simulate_stream,
     write_photon_stream,
 )
+
+# A command's outputs in write order: file name, then CSV/report text or stream.
+Outputs = list[tuple[str, str | PhotonStream]]
 
 
 def _fmt(value: float) -> str:
@@ -80,8 +84,8 @@ def _provenance(params: SystemParams, config: RunConfig) -> list[str]:
             f"unit_scale={_fmt(config.unit_scale)}"]
 
 
-def cmd_spectrum(config: RunConfig, out_dir: str) -> list[str]:
-    """Write one spectrum CSV per coupling value; returns the file paths."""
+def cmd_spectrum(config: RunConfig) -> Outputs:
+    """One spectrum CSV per coupling value."""
     base = config.params
     if config.v0_over_delta_sweep is not None:
         if base.delta == 0.0:
@@ -129,14 +133,12 @@ def cmd_spectrum(config: RunConfig, out_dir: str) -> list[str]:
              basis.w_plus * s_plus.values,
              combined.values],
         )
-        outputs.append((os.path.join(out_dir, name), text))
-    for path, text in outputs:
-        atomic_write(path, [text])
-    return [path for path, _ in outputs]
+        outputs.append((name, text))
+    return outputs
 
 
-def cmd_g2(config: RunConfig, out_dir: str) -> str:
-    """Write the four normalized coincidence curves; returns the file path."""
+def cmd_g2(config: RunConfig) -> Outputs:
+    """The four normalized coincidence curves in one CSV."""
     params = config.params
     basis = dressed_basis(params)
     rates = branch_rates(params, basis)
@@ -173,13 +175,11 @@ def cmd_g2(config: RunConfig, out_dir: str) -> str:
         [tau * gamma_par, curves["NR_minus"], curves["NR_plus"],
          curves["R_minus"], curves["R_plus"]],
     )
-    path = os.path.join(out_dir, "g2.csv")
-    atomic_write(path, [text])
-    return path
+    return [("g2.csv", text)]
 
 
-def cmd_trajectory(config: RunConfig, out_dir: str) -> list[str]:
-    """Simulate photon streams; write them and an estimator summary."""
+def cmd_trajectory(config: RunConfig) -> Outputs:
+    """Simulated photon streams, then their estimator summary."""
     params = config.params
     basis = dressed_basis(params)
     rates = branch_rates(params, basis)
@@ -223,13 +223,9 @@ def cmd_trajectory(config: RunConfig, out_dir: str) -> list[str]:
         ["tau", "g2", "stderr"],
         [hist.tau, hist.values, hist.stderr],
     )
-    paths = [os.path.join(out_dir, f"photons_{index:03d}.tsv")
-             for index in range(len(streams))]
-    for path, photons in zip(paths, streams):
-        write_photon_stream(photons, path)
-    paths.append(os.path.join(out_dir, "summary.csv"))
-    atomic_write(paths[-1], [text])
-    return paths
+    return ([(f"photons_{index:03d}.tsv", photons)
+             for index, photons in enumerate(streams)]
+            + [("summary.csv", text)])
 
 
 def _require_drive(params: SystemParams) -> None:
@@ -242,19 +238,8 @@ def _population_lines(steady: Populations) -> list[str]:
             for state in ("gg", "uu", "mm", "pp")]
 
 
-def _write_report(lines: list[str], out_dir: str | None, name: str) -> str:
-    """Print a report; also write it when an output dir is given."""
-    report = "\n".join(lines) + "\n"
-    sys.stdout.write(report)
-    if out_dir is None:
-        return ""
-    path = os.path.join(out_dir, name)
-    atomic_write(path, [report])
-    return path
-
-
-def cmd_rates(config: RunConfig, out_dir: str | None) -> str:
-    """Print the rates report; also write it when an output dir is given."""
+def cmd_rates(config: RunConfig) -> Outputs:
+    """The parameter and rate report."""
     params = config.params
     _require_drive(params)
     basis = dressed_basis(params)
@@ -308,11 +293,11 @@ def cmd_rates(config: RunConfig, out_dir: str | None) -> str:
         f"gamma_r_physical = {_fmt(params.gamma_r * scale)} THz",
         f"gamma_par_physical = {_fmt(params.gamma_par * scale)} THz",
     ]
-    return _write_report(lines, out_dir, "rates.txt")
+    return [("rates.txt", "\n".join(lines) + "\n")]
 
 
-def cmd_steady_state(config: RunConfig, out_dir: str | None) -> str:
-    """Print the stationary state; also write it when an output dir is given."""
+def cmd_steady_state(config: RunConfig) -> Outputs:
+    """The stationary-state report."""
     params = config.params
     _require_drive(params)
     basis = dressed_basis(params)
@@ -332,7 +317,7 @@ def cmd_steady_state(config: RunConfig, out_dir: str | None) -> str:
             ]
     else:
         lines += _population_lines(steady_state_analytic(rates, params.pump_r))
-    return _write_report(lines, out_dir, "steady_state.txt")
+    return [("steady_state.txt", "\n".join(lines) + "\n")]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -361,24 +346,24 @@ def main(argv: list[str] | None = None) -> int:
         if args.scenario is not None:
             config = replace(config, params=replace(
                 config.params, scenario=Scenario(args.scenario)))
-        out_dir = args.out
-        if args.command in ("spectrum", "g2", "trajectory"):
-            out_dir = out_dir or "."
+        writes_files = args.command in ("spectrum", "g2", "trajectory")
+        out_dir = (args.out or ".") if writes_files else args.out
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
 
-        if args.command == "spectrum":
-            for path in cmd_spectrum(config, out_dir):
-                print(path)
-        elif args.command == "g2":
-            print(cmd_g2(config, out_dir))
-        elif args.command == "trajectory":
-            for path in cmd_trajectory(config, out_dir):
-                print(path)
-        elif args.command == "rates":
-            cmd_rates(config, out_dir)
-        else:
-            cmd_steady_state(config, out_dir)
+        outputs = {"spectrum": cmd_spectrum, "g2": cmd_g2,
+                   "trajectory": cmd_trajectory, "rates": cmd_rates,
+                   "steady-state": cmd_steady_state}[args.command](config)
+        if not writes_files:
+            sys.stdout.write(outputs[0][1])
+        paths = [] if out_dir is None else [os.path.join(out_dir, n) for n, _ in outputs]
+        for path, (_, content) in zip(paths, outputs):
+            if isinstance(content, str):
+                atomic_write(path, [content])
+            else:
+                write_photon_stream(content, path)
+        if writes_files:
+            print("\n".join(paths))
     except (PlexcitonError, OSError) as exc:
         code = getattr(exc, "exit_code", 2)
         print(f"{'numerical failure' if code == 3 else 'error'}: {exc}",

@@ -38,6 +38,10 @@ class CorrelationSeries:
 
     def __post_init__(self) -> None:
         tau = check_grid(self.tau, "tau")
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "values", np.asarray(self.values))
+        if self.stderr is not None:
+            object.__setattr__(self, "stderr", np.asarray(self.stderr))
         if self.values.shape != tau.shape:
             raise ParameterError("values and tau must have matching shapes")
         if self.stderr is not None and self.stderr.shape != tau.shape:
@@ -53,6 +57,8 @@ class SpectrumSeries:
 
     def __post_init__(self) -> None:
         omega = check_grid(self.omega, "omega", nonnegative=False)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "values", np.asarray(self.values))
         if self.values.shape != omega.shape:
             raise ParameterError("values and omega must have matching shapes")
         if np.any(self.values < 0.0):

@@ -20,6 +20,7 @@ bytes as when every block was computed whole.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 
@@ -93,6 +94,13 @@ class TrajectoryConfig:
         if not (0.0 < self.duration < np.inf):
             raise ParameterError(
                 f"duration must be positive and finite, got {self.duration}")
+        for name in ("n_trajectories", "master_seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ParameterError(
+                    f"{name} must be an integer, got {value!r}") from None
         if self.n_trajectories < 1:
             raise ParameterError(
                 f"n_trajectories must be >= 1, got {self.n_trajectories}")
@@ -110,6 +118,8 @@ class PhotonStream:
     duration: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "times", np.asarray(self.times))
+        object.__setattr__(self, "tags", np.asarray(self.tags))
         if self.times.shape != self.tags.shape or self.times.ndim != 1:
             raise ParameterError("times and tags must be matching 1-d arrays")
         if np.any((self.tags != 0) & (self.tags != 1)):

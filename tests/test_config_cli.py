@@ -34,7 +34,7 @@ def read_csv(path):
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -522,7 +522,7 @@ class TestExitCodes:
         import plexciton.cli as cli_module
         from plexciton.errors import IntegrationError
 
-        def boom(config, out_dir):
+        def boom(config):
             raise IntegrationError("synthetic failure")
 
         monkeypatch.setattr(cli_module, "cmd_g2", boom)
@@ -634,18 +634,40 @@ class TestFailureBoundary:
         else:
             cfg.write_bytes(config)
         if out_is_file:
-            out.write_text("kept\n")
+            out.write_text("kept\n", encoding="utf-8")
         assert main([command, "--config", str(cfg), "--out", str(out)]) == code
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("numerical failure: " if code == 3 else "error: ")
         if out_is_file:
-            assert out.read_text() == "kept\n"
+            assert out.read_text(encoding="utf-8") == "kept\n"
         else:
             assert not out.exists() or not any(out.iterdir())
 
 
 class TestOutputFiles:
+    # A run whose later output path is a directory: the files written before
+    # it stay, and no path is printed.
+    @pytest.mark.parametrize("command, config, blocked, kept", [
+        pytest.param("spectrum", BASE_CFG + "v0_over_delta_sweep = 0.5, 1, 2\n",
+                     "spectrum_v0dd_1.csv", ["spectrum_v0dd_0.5.csv"],
+                     id="spectrum"),
+        pytest.param("trajectory", _preset_text(
+            "trajectory.cfg", "duration = 6.0e7",
+            "duration = 6.0e7\nn_trajectories = 2"),
+                     "photons_001.tsv", ["photons_000.tsv"], id="trajectory"),
+    ])
+    def test_failed_write_keeps_earlier_files_and_prints_no_path(
+            self, tmp_path, capsys, command, config, blocked, kept):
+        cfg = write_cfg(tmp_path, config)
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            kept + [blocked])
+
     def test_outputs_follow_umask(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE_CFG)
         out = tmp_path / "out"

@@ -15,6 +15,7 @@ import os
 
 import pytest
 
+from plexciton import PhotonStream, cli, parse_config
 from plexciton.cli import main
 
 PRESETS = os.path.join(os.path.dirname(__file__), os.pardir, "presets")
@@ -41,17 +42,40 @@ SHA256 = {
 }
 
 
+# What each preset run prints: the paths of the files it wrote, in write
+# order, or the report it also wrote under --out.
+STDOUT = {
+    "g2-g2_benchmark": ["g2.csv"],
+    "rates-resonant_rates": "rates.txt",
+    "spectrum-spectrum_benchmark": ["spectrum_v0dd_0.5.csv",
+                                    "spectrum_v0dd_1.csv",
+                                    "spectrum_v0dd_2.csv"],
+    "steady-state-g2_benchmark": "steady_state.txt",
+    "steady-state-resonant_rates": "steady_state.txt",
+    "trajectory-trajectory": ["photons_000.tsv", "summary.csv"],
+}
+
+
 @pytest.fixture(scope="module")
-def preset_outputs(tmp_path_factory):
+def preset_runs(tmp_path_factory):
+    """The output root and each run's stdout, by run directory name."""
     out = tmp_path_factory.mktemp("presets")
+    stdout = {}
     for command, config in COMMANDS:
         # Each command writes into its own directory, so two commands that
         # write the same file name keep both outputs.
         sub = out / f"{command}-{config.removesuffix('.cfg')}"
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()) as captured:
             code = main([command, "--config", os.path.join(PRESETS, config),
                          "--out", str(sub)])
         assert code == 0, f"{command} {config} exited {code}"
+        stdout[sub.name] = captured.getvalue()
+    return out, stdout
+
+
+@pytest.fixture(scope="module")
+def preset_outputs(preset_runs):
+    out, _ = preset_runs
     return {path.relative_to(out).as_posix():
             hashlib.sha256(path.read_bytes()).hexdigest()
             for path in out.rglob("*") if path.is_file()}
@@ -71,3 +95,29 @@ def _test_id(path):
 @pytest.mark.parametrize("name", sorted(SHA256), ids=_test_id)
 def test_preset_output_bytes_unchanged(preset_outputs, name):
     assert preset_outputs.get(name) == SHA256[name], f"{name} differs"
+
+
+@pytest.mark.parametrize("run", sorted(STDOUT))
+def test_preset_stdout(preset_runs, run):
+    out, stdout = preset_runs
+    expected = STDOUT[run]
+    if isinstance(expected, list):
+        assert stdout[run] == "".join(f"{out / run / name}\n" for name in expected)
+    else:
+        assert stdout[run].encode("utf-8") == (out / run / expected).read_bytes()
+
+
+@pytest.mark.parametrize("command, config", COMMANDS)
+def test_command_returns_outputs_and_writes_nothing(tmp_path, monkeypatch,
+                                                    capsys, command, config):
+    expected = STDOUT[f"{command}-{config.removesuffix('.cfg')}"]
+    run = getattr(cli, "cmd_" + command.replace("-", "_"))
+    parsed = parse_config(os.path.abspath(os.path.join(PRESETS, config)))
+    monkeypatch.chdir(tmp_path)
+    outputs = run(parsed)
+    assert [name for name, _ in outputs] == (
+        expected if isinstance(expected, list) else [expected])
+    assert all(isinstance(content, PhotonStream) == name.endswith(".tsv")
+               for name, content in outputs)
+    assert not any(tmp_path.iterdir())
+    assert capsys.readouterr() == ("", "")

@@ -14,9 +14,11 @@ from hypothesis import example, given, settings, strategies as st
 from plexciton import (
     Branch,
     ConfigError,
+    CorrelationSeries,
     InsufficientDataError,
     ParameterError,
     PhotonStream,
+    SpectrumSeries,
     SystemParams,
     TrajectoryConfig,
     branch_rates,
@@ -373,6 +375,46 @@ class TestValidation:
             PhotonStream(times=np.array([1.0, 2.0, 3.0]),
                          tags=np.array([0, 1, bad], dtype=np.int8),
                          duration=5.0)
+
+    # A constructor, then the fields it must store as arrays or the
+    # ParameterError message it must raise.
+    @pytest.mark.parametrize("make, expected", [
+        pytest.param(lambda: PhotonStream(times=[0.5], tags=[0], duration=1.0),
+                     ("times", "tags"), id="stream-lists"),
+        pytest.param(lambda: PhotonStream(times=[0.5, 0.6], tags=[0],
+                                          duration=1.0),
+                     "matching 1-d arrays", id="stream-list-lengths-differ"),
+        pytest.param(lambda: CorrelationSeries(tau=[0.0, 1.0], values=[1.0, 2.0],
+                                               stderr=(0.1, 0.1)),
+                     ("tau", "values", "stderr"), id="correlation-lists"),
+        pytest.param(lambda: CorrelationSeries(tau=[0.0, 1.0], values=[1.0]),
+                     "values and tau", id="correlation-list-lengths-differ"),
+        pytest.param(lambda: SpectrumSeries(omega=[0.0, 1.0], values=[1.0, 2.0]),
+                     ("omega", "values"), id="spectrum-lists"),
+        pytest.param(lambda: TrajectoryConfig(duration=1e3, n_trajectories=2.5),
+                     "n_trajectories must be an integer", id="fractional-count"),
+        pytest.param(lambda: TrajectoryConfig(duration=1e3, master_seed=1.5),
+                     "master_seed must be an integer", id="fractional-seed"),
+        pytest.param(lambda: TrajectoryConfig(duration=1e3, master_seed="7"),
+                     "master_seed must be an integer", id="string-seed"),
+    ])
+    def test_value_types_take_array_likes_and_refuse_wrong_types(self, make,
+                                                                  expected):
+        if isinstance(expected, str):
+            with pytest.raises(ParameterError, match=expected):
+                make()
+        else:
+            value = make()
+            for name in expected:
+                assert isinstance(getattr(value, name), np.ndarray), name
+
+    def test_numpy_integer_seed_is_stored_as_int(self):
+        # A numpy seed would overflow in the seed derivation's 64-bit sum.
+        config = TrajectoryConfig(duration=1e3, n_trajectories=np.int64(2),
+                                  master_seed=np.uint64(2 ** 63))
+        assert type(config.n_trajectories) is int and config.n_trajectories == 2
+        assert type(config.master_seed) is int and config.master_seed == 2 ** 63
+        derive_trajectory_seed(config.master_seed, 1)
 
 
 class TestPlanRun:
@@ -810,7 +852,7 @@ class TestSerialization:
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "broken.tsv"
-        path.write_text("1.5\t-\n2.5\t+\n")
+        path.write_text("1.5\t-\n2.5\t+\n", encoding="utf-8")
         with pytest.raises(ParameterError, match="duration"):
             read_photon_stream(path)
 
@@ -830,7 +872,7 @@ class TestSerialization:
             "header-last", "zero-duration"])
     def test_malformed_line_names_file_and_line(self, tmp_path, text, line):
         path = tmp_path / "broken.tsv"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(ParameterError, match=rf"broken\.tsv:{line}: "):
             read_photon_stream(path)
 
@@ -848,7 +890,7 @@ class TestSerialization:
     ], ids=["nan-duration", "nan-timestamp", "inf-duration", "inf-timestamp"])
     def test_non_finite_values_rejected(self, tmp_path, text, line):
         path = tmp_path / "nan.tsv"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(ParameterError, match=rf"nan\.tsv:{line}: "):
             read_photon_stream(path)
 
@@ -973,7 +1015,7 @@ class TestSerialization:
 
     def test_failed_write_keeps_target(self, tmp_path):
         path = tmp_path / "photons.tsv"
-        path.write_text("# duration=1.0\n")
+        path.write_text("# duration=1.0\n", encoding="utf-8")
 
         def chunks():
             yield "# duration=2.0\n"
@@ -981,5 +1023,5 @@ class TestSerialization:
 
         with pytest.raises(OSError, match="disk full"):
             atomic_write(path, chunks())
-        assert path.read_text() == "# duration=1.0\n"
+        assert path.read_text(encoding="utf-8") == "# duration=1.0\n"
         assert list(tmp_path.glob("*.tmp")) == []
