@@ -397,6 +397,17 @@ class TestValidation:
                      "master_seed must be an integer", id="fractional-seed"),
         pytest.param(lambda: TrajectoryConfig(duration=1e3, master_seed="7"),
                      "master_seed must be an integer", id="string-seed"),
+        pytest.param(lambda: TrajectoryConfig(duration="1e3"),
+                     "duration must be positive and finite",
+                     id="string-duration"),
+        pytest.param(lambda: TrajectoryConfig(duration=None),
+                     "duration must be positive and finite",
+                     id="no-duration"),
+        pytest.param(lambda: PhotonStream(times=[1.0], tags=[0], duration="1"),
+                     "duration must be positive and finite",
+                     id="stream-string-duration"),
+        pytest.param(lambda: PhotonStream(times=["a"], tags=[0], duration=1.0),
+                     "times must be real numbers", id="stream-string-times"),
     ])
     def test_value_types_take_array_likes_and_refuse_wrong_types(self, make,
                                                                   expected):
@@ -571,6 +582,49 @@ class TestHistogram:
         stream = half_integer_stream()
         edges = 0.5 * np.sort(edges)
         lags = reference_pair_lags(stream.times, edges[-1])
+        assert np.array_equal(histogram_counts(stream, edges),
+                              np.histogram(lags, edges)[0])
+
+    # Photons on a grid of 1/8 with mean gap 1 and a last edge of 3 to 10:
+    # over half of them have a partner at offset 1 and few at the largest,
+    # so the sweep runs both its slice and its index phase.  Lags can sit
+    # exactly on edges.
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), last=st.integers(24, 80),
+           inner=st.sets(st.integers(0, 79), min_size=1, max_size=10))
+    def test_counts_match_every_pair_across_phases(self, seed, last, inner):
+        times = 0.125 * np.cumsum(
+            np.random.default_rng(seed).geometric(0.125, 10000))
+        stream = PhotonStream(times=times,
+                              tags=np.zeros(times.size, dtype=np.int8),
+                              duration=float(times[-1]) + 1.0)
+        edges = 0.125 * np.array(sorted({v % last for v in inner} | {last}))
+        room = (np.searchsorted(times, times + edges[-1], "right")
+                - np.arange(1, times.size + 1))
+        share = [np.count_nonzero(room >= k) / (times.size - k)
+                 for k in range(1, room.max() + 1)]
+        assert share[0] > 0.5 > share[-1]
+        lags = reference_pair_lags(times, edges[-1])
+        assert np.array_equal(histogram_counts(stream, edges),
+                              np.histogram(lags, edges)[0])
+
+    # Past 2**30 times are multiples of 2**-22, so t + 0.1*k rounds: up for
+    # k = 2, 7, 9, where the photon placed at fl(t + e_last) is a partner by
+    # the search but its lag lies past the last edge, and down for k = 3.
+    @pytest.mark.parametrize("k", [2, 3, 7, 9])
+    def test_counts_match_every_pair_where_last_edge_rounds(self, k):
+        rng = np.random.default_rng(59 + k)
+        last = 0.1 * k
+        base = 2.0 ** 30 + np.cumsum(rng.uniform(0.0, 0.4 * last, 10000))
+        placed = base[::10] + last
+        assert np.all((placed - base[::10] > last) == (k != 3))
+        assert np.all(placed - base[::10] != last)
+        times = np.union1d(base, placed)
+        stream = PhotonStream(times=times,
+                              tags=np.zeros(times.size, dtype=np.int8),
+                              duration=float(times[-1]) + 1.0)
+        edges = np.linspace(0.0, last, 5)
+        lags = reference_pair_lags(times, last)
         assert np.array_equal(histogram_counts(stream, edges),
                               np.histogram(lags, edges)[0])
 
