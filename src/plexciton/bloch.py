@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ParameterError
 # STEP_SAFETY stays importable from here; the step rule is in integrate.
 from .integrate import STEP_SAFETY, evolve_linear
+from .model import _check_branch_rates
 
 _POSITIVITY_SLACK = 1e-9
 
@@ -52,10 +53,7 @@ def bloch_steady_state(omega_l_rabi: float, gpar_b: float,
     stationary population is ``s / (1 + 2 s)``: it reduces to ``s`` for weak
     driving and saturates monotonically at one half.
     """
-    if not (gpar_b > 0.0 and gperp_b > 0.0):
-        raise ParameterError(
-            f"branch rates must be positive, got gpar={gpar_b}, gperp={gperp_b}"
-        )
+    _check_branch_rates(gpar_b, gperp_b)
     if omega_l_rabi == 0.0:
         return BlochState(0.0, 0.0, 0.0)
     # coh_re decays to zero.  This operation order, and -0.0 for coh_re,

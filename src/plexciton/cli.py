@@ -42,6 +42,7 @@ from .model import (
     Branch,
     Scenario,
     SystemParams,
+    _check_branch_rates,
     branch_drive_rabi,
     branch_rates,
     dressed_basis,
@@ -118,8 +119,8 @@ def cmd_spectrum(config: RunConfig) -> Outputs:
             span = 2.0 * basis.omega_rabi + 12.0 * params.gamma_perp
             lo, hi = basis.omega_center - span, basis.omega_center + span
         omega = np.linspace(lo, hi, config.omega_steps)
-        s_minus = spectrum_analytic(Branch.MINUS, rates, steady, basis, omega)
-        s_plus = spectrum_analytic(Branch.PLUS, rates, steady, basis, omega)
+        weighted = [basis.weight(branch) * spectrum_analytic(
+            branch, rates, steady, basis, omega).values for branch in Branch]
         combined = detected_spectrum(rates, steady, basis, omega)
         abscissa = (omega - basis.omega_center) / params.gamma_perp
         text = _csv_text(
@@ -128,10 +129,7 @@ def cmd_spectrum(config: RunConfig) -> Outputs:
                 "branch columns carry the squared branch dipole weight",
             ],
             ["omega", "S_minus", "S_plus", "S_detected"],
-            [abscissa,
-             basis.w_minus * s_minus.values,
-             basis.w_plus * s_plus.values,
-             combined.values],
+            [abscissa, *weighted, combined.values],
         )
         outputs.append((name, text))
     return outputs
@@ -152,17 +150,13 @@ def cmd_g2(config: RunConfig) -> Outputs:
         raise ConfigError("tau_max must be given when pump_r + gamma_u is zero")
     tau = np.linspace(0.0, tau_max, config.tau_steps)
 
-    curves = {}
-    notes: list[str] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RegimeWarning)
-        for branch in Branch:
-            curves[f"NR_{branch.value}"] = g2_nonresonant_analytic(
-                branch, rates, params.pump_r, params.gamma_u, tau
-            ).values
-            curves[f"R_{branch.value}"] = g2_resonant_analytic(
-                branch, rates, tau
-            ).values
+        curves = [g2_nonresonant_analytic(branch, rates, params.pump_r,
+                                          params.gamma_u, tau).values
+                  for branch in Branch]
+        curves += [g2_resonant_analytic(branch, rates, tau).values
+                   for branch in Branch]
         notes = [f"warning: {w.message}" for w in caught
                  if issubclass(w.category, RegimeWarning)]
 
@@ -172,8 +166,7 @@ def cmd_g2(config: RunConfig) -> Outputs:
             "curves are normalized coincidences (divided by [g1(0)]^2)",
         ],
         ["tau", "NR_minus", "NR_plus", "R_minus", "R_plus"],
-        [tau * gamma_par, curves["NR_minus"], curves["NR_plus"],
-         curves["R_minus"], curves["R_plus"]],
+        [tau * gamma_par, *curves],
     )
     return [("g2.csv", text)]
 
@@ -198,9 +191,7 @@ def cmd_trajectory(config: RunConfig) -> Outputs:
         f"duration={_fmt(stream.duration)}",
         f"n_photons={stream.n_photons}",
     ]
-    for branch in (Branch.MINUS, Branch.PLUS):
-        if config.branch_filter not in (None, branch):
-            continue
+    for branch in [config.branch_filter] if config.branch_filter else Branch:
         try:
             est = emission_rate(stream, branch)
             comments.append(
@@ -268,6 +259,7 @@ def cmd_rates(config: RunConfig) -> Outputs:
         for branch in Branch:
             ch = rates.branch(branch)
             drive = branch_drive_rabi(params, basis, branch)
+            _check_branch_rates(ch.gpar, ch.gperp)
             saturation = drive ** 2 / (ch.gperp * ch.gpar)
             occupation = 2.0 * saturation  # weak-drive stationary population
             photon_rate = occupation * ch.grad

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParameterError, RegimeWarning, ResolutionError
 from .integrate import check_grid
-from .model import Branch, BranchRates, DressedBasis
+from .model import Branch, BranchRates, DressedBasis, _check_branch_rates
 from .rate_dynamics import Populations
 
 
@@ -207,7 +207,9 @@ def g2_nonresonant_analytic(branch: Branch, rates: BranchRates, pump_r: float,
     warning fires when ``s`` reaches the slower of the two.
     """
     tau = check_grid(tau_grid, "tau_grid")
-    gpar_b = rates.branch(branch).gpar
+    ch = rates.branch(branch)
+    _check_branch_rates(ch.gpar, ch.gperp)
+    gpar_b = ch.gpar
     slow = pump_r + gamma_total
     slowest = min(rates.gpar_minus, rates.gpar_plus)
     if slow >= slowest:
@@ -236,10 +238,7 @@ def g2_resonant_analytic(branch: Branch, rates: BranchRates,
     tau = check_grid(tau_grid, "tau_grid")
     ch = rates.branch(branch)
     gpar_b, gperp_b = ch.gpar, ch.gperp
-    if not (gpar_b > 0.0 and gperp_b > 0.0):
-        raise ParameterError(
-            f"branch rates must be positive, got gpar={gpar_b}, gperp={gperp_b}"
-        )
+    _check_branch_rates(gpar_b, gperp_b)
     if abs(gperp_b - gpar_b) < 1e-2 * gpar_b:
         lo, hi = sorted((gpar_b, gperp_b))
         x = (lo - hi) * tau

@@ -15,6 +15,7 @@ frequency and every rate shares that unit.  The detuning convention is
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -38,6 +39,56 @@ class Scenario(str, Enum):
 
     NONRESONANT = "nonresonant"
     RESONANT = "resonant"
+
+
+def _rule(table: dict, name: str):
+    """``table[value]``, or ParameterError naming any other ``value``."""
+    def lookup(value):
+        try:
+            return table[value]
+        except (KeyError, TypeError):  # TypeError: an unhashable value
+            keys = ", ".join(repr(key.value) for key in table)
+            raise ParameterError(
+                f"{name} must be one of {keys}, got {value!r}") from None
+    return lookup
+
+
+# The one branch rule: a branch's slot in every (minus, plus) pair.  A str
+# enum member hashes and compares as its value, so "minus" finds slot 0 too.
+_SLOT = {Branch.MINUS: 0, Branch.PLUS: 1}
+_BRANCHES = tuple(_SLOT)  # the branch in each slot
+_slot = _rule(_SLOT, "branch")
+_scenario = _rule({member: member for member in Scenario}, "scenario")
+
+# The _real rule of each numeric SystemParams field, in field order.
+_PARAM_RULES = {"omega0": "finite", "omega1": "finite",
+                "v0": "positive and finite", **dict.fromkeys((
+                    "gamma_r", "gamma_nr", "gamma_perp", "gamma_u", "pump_r",
+                    "omega_l_rabi"), "finite and >= 0")}
+
+# What each rule of _real asks of a finite real number.
+_REAL_RULES = {"finite": lambda x: True,
+               "finite and >= 0": lambda x: x >= 0.0,
+               "positive and finite": lambda x: x > 0.0}
+
+
+def _real(name: str, value, rule: str) -> None:
+    """Refuse ``value`` unless it is a finite real number that meets
+    ``rule``, a key of ``_REAL_RULES``; the message names ``name``."""
+    # float first: it is checked far faster than the numbers.Real ABC.
+    if not (isinstance(value, (float, numbers.Real))
+            and -math.inf < value < math.inf and _REAL_RULES[rule](value)):
+        raise ParameterError(f"{name} must be {rule}, got {value!r}")
+
+
+def _check_branch_rates(gpar: float, gperp: float) -> None:
+    """Refuse a branch's decay rates unless both are positive, and so is
+    ``gperp**2 * gpar``, the smallest product a closed form or report
+    divides by (rates that small underflow it to zero)."""
+    if not (gpar > 0.0 and gperp > 0.0 and gperp ** 2 * gpar > 0.0):
+        raise ParameterError(
+            "branch rates must be positive, with gperp**2 * gpar above zero, "
+            f"got gpar={gpar}, gperp={gperp}")
 
 
 @dataclass(frozen=True)
@@ -84,17 +135,9 @@ class SystemParams:
     scenario: Scenario = Scenario.NONRESONANT
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.v0 < math.inf):
-            raise ParameterError(f"v0 must be positive and finite, got {self.v0}")
-        for name in ("omega0", "omega1"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(
-                    f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("gamma_r", "gamma_nr", "gamma_perp", "gamma_u",
-                     "pump_r", "omega_l_rabi"):
-            value = getattr(self, name)
-            if not (value >= 0.0 and math.isfinite(value)):
-                raise ParameterError(f"{name} must be finite and >= 0, got {value}")
+        for name, rule in _PARAM_RULES.items():
+            _real(name, getattr(self, name), rule)
+        object.__setattr__(self, "scenario", _scenario(self.scenario))
         if self.gamma_perp < (self.gamma_r + self.gamma_nr) / 2.0:
             raise ParameterError(
                 "gamma_perp must be at least (gamma_r + gamma_nr)/2, got "
@@ -145,7 +188,6 @@ class DressedBasis:
     one and control every per-branch rate.
     """
 
-    delta: float
     theta: float
     omega_rabi: float
     omega_minus: float
@@ -159,10 +201,10 @@ class DressedBasis:
         return 0.5 * (self.omega_minus + self.omega_plus)
 
     def omega(self, branch: Branch) -> float:
-        return self.omega_minus if branch is Branch.MINUS else self.omega_plus
+        return (self.omega_minus, self.omega_plus)[_slot(branch)]
 
     def weight(self, branch: Branch) -> float:
-        return self.w_minus if branch is Branch.MINUS else self.w_plus
+        return (self.w_minus, self.w_plus)[_slot(branch)]
 
 
 def dressed_basis(params: SystemParams) -> DressedBasis:
@@ -187,7 +229,6 @@ def dressed_basis(params: SystemParams) -> DressedBasis:
             f"{min(w_minus, w_plus):.3e} < {MIN_BRANCH_WEIGHT:.0e}"
         )
     return DressedBasis(
-        delta=delta,
         theta=theta,
         omega_rabi=omega,
         omega_minus=center - omega,
@@ -203,7 +244,6 @@ class BranchChannel(NamedTuple):
     gpar: float
     gperp: float
     grad: float
-    gnr: float
     gfeed: float
     dipole_w: float
 
@@ -225,21 +265,20 @@ class BranchRates:
     gperp_plus: float
     grad_minus: float
     grad_plus: float
-    gnr_minus: float
-    gnr_plus: float
     gfeed_minus: float
     gfeed_plus: float
     dipole_w_minus: float
     dipole_w_plus: float
 
+    def __post_init__(self) -> None:  # the channels in slot order
+        object.__setattr__(self, "_channels", (
+            BranchChannel(self.gpar_minus, self.gperp_minus, self.grad_minus,
+                          self.gfeed_minus, self.dipole_w_minus),
+            BranchChannel(self.gpar_plus, self.gperp_plus, self.grad_plus,
+                          self.gfeed_plus, self.dipole_w_plus)))
+
     def branch(self, branch: Branch) -> BranchChannel:
-        if branch is Branch.MINUS:
-            return BranchChannel(self.gpar_minus, self.gperp_minus,
-                                 self.grad_minus, self.gnr_minus,
-                                 self.gfeed_minus, self.dipole_w_minus)
-        return BranchChannel(self.gpar_plus, self.gperp_plus,
-                             self.grad_plus, self.gnr_plus,
-                             self.gfeed_plus, self.dipole_w_plus)
+        return self._channels[_slot(branch)]
 
     @property
     def gfeed_total(self) -> float:
@@ -251,17 +290,13 @@ def branch_rates(params: SystemParams, basis: DressedBasis) -> BranchRates:
     wm, wp = basis.w_minus, basis.w_plus
     grad_m = params.gamma_r * wm
     grad_p = params.gamma_r * wp
-    gnr_m = params.gamma_nr * wm
-    gnr_p = params.gamma_nr * wp
     return BranchRates(
-        gpar_minus=grad_m + gnr_m,
-        gpar_plus=grad_p + gnr_p,
+        gpar_minus=grad_m + params.gamma_nr * wm,
+        gpar_plus=grad_p + params.gamma_nr * wp,
         gperp_minus=params.gamma_perp * wm,
         gperp_plus=params.gamma_perp * wp,
         grad_minus=grad_m,
         grad_plus=grad_p,
-        gnr_minus=gnr_m,
-        gnr_plus=gnr_p,
         gfeed_minus=params.gamma_u * wp,
         gfeed_plus=params.gamma_u * wm,
         dipole_w_minus=wm,

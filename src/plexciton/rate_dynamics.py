@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DegenerateSteadyStateError, IntegrationError, ParameterError
 # STEP_SAFETY stays importable from here; the step rule is in integrate.
 from .integrate import STEP_SAFETY, check_grid, evolve_linear
-from .model import Branch, BranchRates
+from .model import Branch, BranchRates, _slot
 
 _NORM_TOL = 1e-9
 
@@ -42,7 +42,7 @@ class Populations:
         return self.p_gg + self.p_uu + self.p_mm + self.p_pp
 
     def branch(self, branch: Branch) -> float:
-        return self.p_mm if branch is Branch.MINUS else self.p_pp
+        return (self.p_mm, self.p_pp)[_slot(branch)]
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p_gg, self.p_uu, self.p_mm, self.p_pp])
@@ -153,5 +153,4 @@ def regression_g2_nonresonant_numeric(rates: BranchRates, pump_r: float,
     a = rate_matrix(rates, pump_r)
     x0 = np.array([1.0, 0.0, 0.0, 0.0])
     states = evolve_linear(a, x0, tau_grid)
-    idx = 2 if branch is Branch.MINUS else 3
-    return states[:, idx] / stationary
+    return states[:, 2 + _slot(branch)] / stationary

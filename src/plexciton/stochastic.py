@@ -20,7 +20,6 @@ bytes as when every block was computed whole.
 
 from __future__ import annotations
 
-import numbers
 import operator
 import os
 from dataclasses import dataclass
@@ -30,7 +29,8 @@ import numpy as np
 from .errors import ConfigError, InsufficientDataError, ParameterError
 from .correlations import CorrelationSeries
 from .integrate import check_grid
-from .model import Branch, BranchRates, SystemParams
+from .model import (Branch, BranchRates, SystemParams, _BRANCHES, _real,
+                    _slot)
 
 _GOLDEN64 = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -58,7 +58,6 @@ MAX_WINDOWS = 1 << 25
 # stream with 1.1e8 pairs).
 MAX_PAIRS = 1 << 32
 
-_TAG = {Branch.MINUS: 0, Branch.PLUS: 1}
 _CHAR_TAG = {"-": 0, "+": 1}
 # What a stream row ends in after its timestamp, by tag.
 _ROW_END = ("\t-\n", "\t+\n")
@@ -83,13 +82,6 @@ def derive_trajectory_seed(master_seed: int, index: int) -> int:
     return _splitmix64((master_seed + index * _GOLDEN64) & _MASK64)
 
 
-def _check_duration(duration) -> None:
-    """Refuse a duration that is not a positive, finite real number."""
-    if not (isinstance(duration, numbers.Real) and 0.0 < duration < np.inf):
-        raise ParameterError(
-            f"duration must be positive and finite, got {duration!r}")
-
-
 @dataclass(frozen=True)
 class TrajectoryConfig:
     """How long, how many, and how to seed a stochastic run."""
@@ -100,7 +92,7 @@ class TrajectoryConfig:
     branch_filter: Branch | None = None
 
     def __post_init__(self) -> None:
-        _check_duration(self.duration)
+        _real("duration", self.duration, "positive and finite")
         for name in ("n_trajectories", "master_seed"):
             value = getattr(self, name)
             try:
@@ -111,6 +103,9 @@ class TrajectoryConfig:
         if self.n_trajectories < 1:
             raise ParameterError(
                 f"n_trajectories must be >= 1, got {self.n_trajectories}")
+        if self.branch_filter is not None:
+            object.__setattr__(self, "branch_filter",
+                               _BRANCHES[_slot(self.branch_filter)])
 
 
 @dataclass(frozen=True)
@@ -134,7 +129,7 @@ class PhotonStream:
                 f"times must be real numbers, got dtype {self.times.dtype}")
         if np.any((self.tags != 0) & (self.tags != 1)):
             raise ParameterError("tags must be 0 (minus) or 1 (plus)")
-        _check_duration(self.duration)
+        _real("duration", self.duration, "positive and finite")
         bad = _first_bad_time(self.times, self.duration)
         if bad >= 0:
             t = float(self.times[bad])
@@ -150,7 +145,7 @@ class PhotonStream:
     def times_for(self, branch: Branch | None) -> np.ndarray:
         if branch is None:
             return self.times
-        return self.times[self.tags == _TAG[branch]]
+        return self.times[self.tags == _slot(branch)]
 
 
 def _first_bad_time(times: np.ndarray, duration: float) -> int:
@@ -307,7 +302,7 @@ def _simulate_one(params: SystemParams, rates: BranchRates,
                             duration=duration)
     rng = np.random.Generator(np.random.PCG64(
         derive_trajectory_seed(config.master_seed, index)))
-    want = None if config.branch_filter is None else _TAG[config.branch_filter]
+    want = None if config.branch_filter is None else _slot(config.branch_filter)
 
     times_parts: list[np.ndarray] = []
     tags_parts: list[np.ndarray] = []
@@ -595,7 +590,7 @@ def read_photon_stream(path) -> PhotonStream:
         raise ParameterError(f"{path}: missing '# duration=' header")
     duration, line = header
     try:
-        _check_duration(duration)
+        _real("duration", duration, "positive and finite")
     except ParameterError as exc:
         raise ParameterError(f"{path}:{line}: {exc}") from None
     times = np.concatenate(time_chunks)

@@ -344,6 +344,29 @@ class TestSpectrumCommand:
         total = cols["S_minus"] + cols["S_plus"]
         assert np.max(np.abs(total - cols["S_detected"])) < 1e-15
 
+    def test_one_file_without_sweep(self, tmp_path, capsys):
+        # BASE_CFG: omega_rabi = sqrt(2), gamma_perp = 0.5.
+        cfg = write_cfg(tmp_path, BASE_CFG + "omega_steps = 101\n")
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert sorted(os.listdir(tmp_path / "o")) == ["spectrum.csv"]
+        assert capsys.readouterr().out == f"{tmp_path / 'o' / 'spectrum.csv'}\n"
+        _, header, cols = read_csv(tmp_path / "o" / "spectrum.csv")
+        assert header == ["omega", "S_minus", "S_plus", "S_detected"]
+        edge = (2.0 * math.sqrt(2.0) + 12.0 * 0.5) / 0.5
+        assert cols["omega"][0] == pytest.approx(-edge, rel=1e-14)
+        assert cols["omega"][-1] == pytest.approx(edge, rel=1e-14)
+        assert cols["omega"].size == 101
+        assert np.array_equal(cols["S_minus"] + cols["S_plus"],
+                              cols["S_detected"])
+
+    def test_explicit_window(self, tmp_path, capsys):
+        # The doublet center is (omega0 + omega1)/2 = 0.
+        cfg = write_cfg(tmp_path, BASE_CFG + "omega_min = -3\nomega_max = 1\n"
+                        "omega_steps = 5\n")
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 0
+        _, _, cols = read_csv(tmp_path / "spectrum.csv")
+        assert cols["omega"].tolist() == [-6.0, -4.0, -2.0, 0.0, 2.0]
+
 
 class TestTrajectoryCommand:
     def test_deterministic_outputs(self, tmp_path):
@@ -381,6 +404,30 @@ class TestTrajectoryCommand:
         value, stderr = float(fields["rate_minus"]), float(fields["stderr"])
         target = steady.p_mm * rates.grad_minus
         assert abs(value - target) <= 4.0 * stderr
+
+    def test_branch_filter_reports_only_its_rate(self, tmp_path):
+        cfg = write_cfg(tmp_path, _preset_text("trajectory.cfg", "branch = both",
+                                               "branch = minus"))
+        assert main(["trajectory", "--config", cfg, "--out", str(tmp_path)]) == 0
+        comments, _, _ = read_csv(tmp_path / "summary.csv")
+        assert [c.split("=")[0] for c in comments if c.startswith("# rate_")] == [
+            "# rate_minus"]
+        assert "# histogram_branch=minus" in comments
+
+    def test_unavailable_rate_and_fano_lines(self, tmp_path, monkeypatch):
+        # A stream of minus photons only, counted in 50 windows (under 100).
+        times = np.sort(np.random.default_rng(3).uniform(0.0, 6.0e7, 20000))
+        stream = stochastic.PhotonStream(times, np.zeros(times.size, np.int8),
+                                         6.0e7)
+        monkeypatch.setattr(cli_module, "simulate_stream",
+                            lambda *args: [stream])
+        cfg = write_cfg(tmp_path, _preset_text(
+            "trajectory.cfg", "bins = 30", "bins = 30\nfano_window = 1.2e6"))
+        assert main(["trajectory", "--config", cfg, "--out", str(tmp_path)]) == 0
+        comments, _, _ = read_csv(tmp_path / "summary.csv")
+        assert "# rate_plus=unavailable (no photons)" in comments
+        assert ("# fano=unavailable (duration covers only 50 windows, need at "
+                "least 100)") in comments
 
     def test_default_fano_window_widens_to_window_cap(self, tmp_path,
                                                        monkeypatch):
@@ -556,6 +603,9 @@ _LONG_DIM_RUN_LAG_OVER_HALF = _LONG_RUN_TOO_MANY_PAIRS.replace(
     "gamma_perp = 0.5", "gamma_perp = 50.0")
 _ZERO_YIELD = BASE_CFG.replace("gamma_r = 1.0", "gamma_r = 0.0").replace(
     "gamma_nr = 0.0", "gamma_nr = 1.0")
+# gamma_r = gamma_nr = gamma_perp = 0: every branch rate is zero.
+_ZERO_DECAY = BASE_CFG.replace("gamma_r = 1.0", "gamma_r = 0.0").replace(
+    "gamma_perp = 0.5", "gamma_perp = 0.0")
 
 # command, config file bytes (None: the config path is a directory), whether
 # --out is an existing regular file, and the exit code.
@@ -583,6 +633,26 @@ BAD_RUNS = [
     pytest.param("trajectory", (BASE_CFG + "duration = 1\n"
                                 "n_trajectories = 1000000\n").encode(),
                  False, 2, id="million-trajectories"),
+    pytest.param("g2", _ZERO_DECAY.encode(), False, 2,
+                 id="g2-zero-decay"),
+    pytest.param("rates", _ZERO_DECAY.replace(
+        "nonresonant", "resonant\ndrive_rabi = 0.1").encode(), False, 2,
+                 id="resonant-rates-zero-decay"),
+    pytest.param("spectrum", BASE_CFG.replace("omega0 = 1.0", "omega0 = -1.0")
+                 .encode() + b"v0_over_delta_sweep = 1\n", False, 2,
+                 id="sweep-at-zero-detuning"),
+    pytest.param("g2", BASE_CFG.replace("0.005", "0.0").encode(), False, 2,
+                 id="g2-no-slow-rate-no-tau-max"),
+    pytest.param("trajectory", BASE_CFG.encode(), False, 2,
+                 id="trajectory-without-duration"),
+    pytest.param("g2", BASE_CFG.encode() + b"tau_max 5\n", False, 2,
+                 id="line-without-equals"),
+    pytest.param("g2", BASE_CFG.encode() + b"tau_max =\n", False, 2,
+                 id="empty-value"),
+    pytest.param("spectrum", BASE_CFG.encode() + b"omega_min = -1\n", False, 2,
+                 id="omega-min-alone"),
+    pytest.param("spectrum", BASE_CFG.encode() + b"omega_min = 1\n"
+                 b"omega_max = 1\n", False, 2, id="omega-min-not-below-max"),
 ]
 
 

@@ -1,4 +1,6 @@
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -7,12 +9,23 @@ from hypothesis import given, strategies as st
 from plexciton import (
     Branch,
     ParameterError,
+    PhotonStream,
+    Scenario,
     SystemParams,
+    TrajectoryConfig,
     branch_drive_rabi,
     branch_rates,
     dressed_basis,
+    emission_rate,
+    g1_analytic,
+    g2_histogram,
+    g2_nonresonant_analytic,
+    g2_resonant_analytic,
     mixing_angle,
     rabi_splitting,
+    regression_g2_nonresonant_numeric,
+    spectrum_analytic,
+    steady_state_analytic,
 )
 
 from conftest import random_params
@@ -81,12 +94,12 @@ class TestDressedBasis:
         # Independent oracle: eigenvalues of the 2x2 one-excitation block.
         params = make_params(omega0=11.0, omega1=9.0, v0=1.0)
         basis = dressed_basis(params)
-        assert basis.delta == 1.0
+        assert params.delta == 1.0
         assert basis.theta == pytest.approx(math.pi / 8, abs=1e-15)
         assert basis.omega_rabi == pytest.approx(math.sqrt(2), rel=1e-15)
         assert basis.omega_minus == pytest.approx(10 - math.sqrt(2), rel=1e-14)
         assert basis.omega_plus == pytest.approx(10 + math.sqrt(2), rel=1e-14)
-        block = np.array([[basis.delta, params.v0], [params.v0, -basis.delta]])
+        block = np.array([[params.delta, params.v0], [params.v0, -params.delta]])
         lo, hi = np.linalg.eigvalsh(block)
         center = (params.omega0 + params.omega1) / 2
         assert basis.omega_minus - center == pytest.approx(lo, rel=1e-12)
@@ -97,8 +110,8 @@ class TestDressedBasis:
         for _ in range(200):
             params = random_params(rng)
             basis = dressed_basis(params)
-            block = np.array([[basis.delta, params.v0],
-                              [params.v0, -basis.delta]])
+            block = np.array([[params.delta, params.v0],
+                              [params.v0, -params.delta]])
             lo, hi = np.linalg.eigvalsh(block)
             assert basis.omega_rabi == pytest.approx(hi, rel=1e-12)
             assert -basis.omega_rabi == pytest.approx(lo, rel=1e-12)
@@ -154,7 +167,7 @@ class TestBranchRates:
             rates = branch_rates(params, basis)
             for branch in Branch:
                 ch = rates.branch(branch)
-                assert ch.gpar == ch.grad + ch.gnr
+                assert ch.gpar == ch.grad + params.gamma_nr * basis.weight(branch)
                 assert ch.dipole_w == basis.weight(branch)
 
 
@@ -180,6 +193,39 @@ class TestSystemParams:
     def test_dephasing_bound_is_inclusive(self):
         make_params(gamma_r=1.0, gamma_nr=0.0, gamma_perp=0.5)
 
+    # Wrong types and unknown scenarios: the field, its value and the whole
+    # message.
+    @pytest.mark.parametrize("name, value, message", [
+        ("v0", "1", "v0 must be positive and finite, got '1'"),
+        ("omega0", "1", "omega0 must be finite, got '1'"),
+        ("gamma_r", "1", "gamma_r must be finite and >= 0, got '1'"),
+        ("pump_r", None, "pump_r must be finite and >= 0, got None"),
+        ("gamma_perp", 1j, "gamma_perp must be finite and >= 0, got 1j"),
+        ("omega_l_rabi", "0.1",
+         "omega_l_rabi must be finite and >= 0, got '0.1'"),
+        ("scenario", "bogus",
+         "scenario must be one of 'nonresonant', 'resonant', got 'bogus'"),
+        ("scenario", "RESONANT",
+         "scenario must be one of 'nonresonant', 'resonant', got 'RESONANT'"),
+        ("scenario", Branch.MINUS, "scenario must be one of 'nonresonant', "
+         "'resonant', got <Branch.MINUS: 'minus'>"),
+    ], ids=["v0-str", "omega0-str", "gamma_r-str", "pump_r-none",
+            "gamma_perp-complex", "omega_l_rabi-str", "scenario-unknown",
+            "scenario-upper-case", "scenario-branch"])
+    def test_refuses_wrong_types_and_unknown_scenario(self, name, value,
+                                                       message):
+        with pytest.raises(ParameterError) as info:
+            make_params(**{name: value})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("scenario", list(Scenario) + ["resonant"])
+    def test_scenario_is_stored_as_member(self, scenario):
+        params = make_params(scenario=scenario)
+        assert params.scenario is Scenario(scenario)
+
+    def test_numpy_scalars_are_real_numbers(self):
+        assert make_params(v0=np.float32(1.0), gamma_u=np.int64(0)).v0 == 1.0
+
     def test_quantum_yield(self):
         assert make_params(gamma_r=1.0, gamma_nr=3.0,
                            gamma_perp=2.0).quantum_yield == 0.25
@@ -195,3 +241,79 @@ class TestBranchDrive:
         assert minus == pytest.approx(0.3 * math.cos(math.pi / 8), rel=1e-14)
         assert plus == pytest.approx(0.3 * math.sin(math.pi / 8), rel=1e-14)
         assert minus ** 2 + plus ** 2 == pytest.approx(0.09, rel=1e-14)
+
+
+
+def _branch_calls():
+    """Name -> (call taking a branch, check of ``call(None)`` or None when
+    None is refused)."""
+    params = make_params()
+    basis = dressed_basis(params)
+    rates = branch_rates(params, basis)
+    steady = steady_state_analytic(rates, params.pump_r)
+    tau = np.linspace(0.0, 50.0, 11)
+    omega = np.linspace(-3.0, 3.0, 11)
+    rng = np.random.default_rng(5)
+    times = np.sort(rng.uniform(0.0, 1e5, 30000))
+    stream = PhotonStream(times, (np.arange(times.size) % 5 < 2).astype(
+        np.int8), 1e5)  # 18000 minus and 12000 plus photons
+    edges = np.linspace(0.0, 20.0, 5)
+    return {
+        "omega": (basis.omega, None),
+        "weight": (basis.weight, None),
+        "rates": (rates.branch, None),
+        "populations": (steady.branch, None),
+        "g1": (lambda b: g1_analytic(b, rates, steady, basis, tau), None),
+        "spectrum": (lambda b: spectrum_analytic(b, rates, steady, basis,
+                                                 omega), None),
+        "g2-nonresonant": (lambda b: g2_nonresonant_analytic(
+            b, rates, params.pump_r, params.gamma_u, tau), None),
+        "g2-resonant": (lambda b: g2_resonant_analytic(b, rates, tau), None),
+        "regression": (lambda b: regression_g2_nonresonant_numeric(
+            rates, params.pump_r, b, tau), None),
+        # None: the photons of both branches.
+        "emission-rate": (lambda b: emission_rate(stream, b),
+                          lambda est: est.n_photons == 30000),
+        "histogram": (lambda b: g2_histogram(stream, b, edges),
+                      lambda hist: np.isfinite(hist.values).all()),
+        # None: no filter.
+        "branch-filter": (lambda b: TrajectoryConfig(
+            duration=1.0, branch_filter=b).branch_filter,
+                          lambda value: value is None),
+    }
+
+
+BRANCH_CALLS = _branch_calls()
+
+
+class TestBranchRule:
+    """Every per-branch lookup takes a Branch or its value and nothing else."""
+
+    @pytest.mark.parametrize("name", BRANCH_CALLS)
+    def test_member_and_value_give_the_same_bits(self, name):
+        call, _ = BRANCH_CALLS[name]
+        by_member = [pickle.dumps(call(branch)) for branch in Branch]
+        by_value = [pickle.dumps(call(branch.value)) for branch in Branch]
+        assert by_value == by_member
+        assert by_member[0] != by_member[1]
+
+    @pytest.mark.parametrize("bad", ["both", "MINUS", 0, 1.5])
+    @pytest.mark.parametrize("name", BRANCH_CALLS)
+    def test_anything_else_is_refused_naming_the_value(self, name, bad):
+        call, _ = BRANCH_CALLS[name]
+        with pytest.raises(ParameterError, match=re.escape(
+                f"branch must be one of 'minus', 'plus', got {bad!r}")):
+            call(bad)
+
+    @pytest.mark.parametrize("name", BRANCH_CALLS)
+    def test_none_keeps_its_documented_meaning(self, name):
+        call, check = BRANCH_CALLS[name]
+        if check is None:
+            with pytest.raises(ParameterError, match="got None"):
+                call(None)
+        else:
+            assert check(call(None))
+
+    def test_filter_is_stored_as_member(self):
+        assert TrajectoryConfig(duration=1.0,
+                                branch_filter="plus").branch_filter is Branch.PLUS
