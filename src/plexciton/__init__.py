@@ -8,12 +8,7 @@ and an exact stochastic jump simulator producing photon streams.
 
 __version__ = "0.1.0"
 
-from .bloch import (
-    BlochState,
-    bloch_steady_state,
-    evolve_bloch,
-    regression_g2_resonant_numeric,
-)
+from .bloch import bloch_steady_state, regression_g2_resonant_numeric
 from .correlations import (
     CorrelationSeries,
     SpectrumSeries,
@@ -44,12 +39,9 @@ from .model import (
     branch_drive_rabi,
     branch_rates,
     dressed_basis,
-    mixing_angle,
-    rabi_splitting,
 )
 from .rate_dynamics import (
     Populations,
-    PopulationTrajectory,
     evolve_populations,
     regression_g2_nonresonant_numeric,
     steady_state_analytic,
@@ -58,7 +50,6 @@ from .stochastic import (
     EmissionRate,
     PhotonStream,
     TrajectoryConfig,
-    derive_trajectory_seed,
     emission_rate,
     fano_factor,
     g2_histogram,
@@ -72,7 +63,6 @@ __all__ = [
     "__version__",
     "Branch",
     "BranchRates",
-    "BlochState",
     "ConfigError",
     "CorrelationSeries",
     "DegenerateSteadyStateError",
@@ -84,7 +74,6 @@ __all__ = [
     "PhotonStream",
     "PlexcitonError",
     "Populations",
-    "PopulationTrajectory",
     "RegimeWarning",
     "ResolutionError",
     "RunConfig",
@@ -95,21 +84,17 @@ __all__ = [
     "bloch_steady_state",
     "branch_drive_rabi",
     "branch_rates",
-    "derive_trajectory_seed",
     "detected_spectrum",
     "dressed_basis",
     "emission_rate",
-    "evolve_bloch",
     "evolve_populations",
     "fano_factor",
     "g1_analytic",
     "g2_histogram",
     "g2_nonresonant_analytic",
     "g2_resonant_analytic",
-    "mixing_angle",
     "occupation_fractions",
     "parse_config",
-    "rabi_splitting",
     "read_photon_stream",
     "regression_g2_nonresonant_numeric",
     "regression_g2_resonant_numeric",

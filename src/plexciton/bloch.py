@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ParameterError
 # STEP_SAFETY stays importable from here; the step rule is in integrate.
 from .integrate import STEP_SAFETY, evolve_linear
-from .model import _check_branch_rates
+from .model import _check_branch_rates, _real
 
 _POSITIVITY_SLACK = 1e-9
 
@@ -94,8 +94,7 @@ def regression_g2_resonant_numeric(omega_l_rabi: float, gpar_b: float,
     coincidence is the re-excitation transient divided by the stationary
     population: ``g2(tau) = p_ee(tau | ground) / p_ee(inf)``.
     """
-    if not (omega_l_rabi > 0.0):
-        raise ParameterError(f"drive amplitude must be positive, got {omega_l_rabi}")
+    _real("drive amplitude", omega_l_rabi, "positive and finite")
     stationary = bloch_steady_state(omega_l_rabi, gpar_b, gperp_b).p_ee
     states = evolve_bloch(BlochState(0.0, 0.0, 0.0), omega_l_rabi,
                           gpar_b, gperp_b, tau_grid)

@@ -260,8 +260,12 @@ def cmd_rates(config: RunConfig) -> Outputs:
             ch = rates.branch(branch)
             drive = branch_drive_rabi(params, basis, branch)
             _check_branch_rates(ch.gpar, ch.gperp)
+            # saturation is half the s = 2 drive**2 / (gpar gperp) of
+            # bloch_steady_state, and occupation = s is the weak-drive,
+            # first-order population, not the exact s / (1 + 2 s) that
+            # steady-state prints (0.1 against 0.0833 on resonant_rates.cfg).
             saturation = drive ** 2 / (ch.gperp * ch.gpar)
-            occupation = 2.0 * saturation  # weak-drive stationary population
+            occupation = 2.0 * saturation
             photon_rate = occupation * ch.grad
             tag = branch.value
             lines += [

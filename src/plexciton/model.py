@@ -73,11 +73,16 @@ _REAL_RULES = {"finite": lambda x: True,
 
 
 def _real(name: str, value, rule: str) -> None:
-    """Refuse ``value`` unless it is a finite real number that meets
-    ``rule``, a key of ``_REAL_RULES``; the message names ``name``."""
+    """Refuse ``value`` unless it is a real number whose ``float`` is finite
+    and that meets ``rule``, a key of ``_REAL_RULES``; the message names
+    ``name``."""
     # float first: it is checked far faster than the numbers.Real ABC.
-    if not (isinstance(value, (float, numbers.Real))
-            and -math.inf < value < math.inf and _REAL_RULES[rule](value)):
+    try:
+        ok = (isinstance(value, (float, numbers.Real))
+              and math.isfinite(value) and _REAL_RULES[rule](value))
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
         raise ParameterError(f"{name} must be {rule}, got {value!r}")
 
 
@@ -162,30 +167,17 @@ class SystemParams:
         return self.gamma_r / self.gamma_par
 
 
-def mixing_angle(v0: float, delta: float) -> float:
-    """Mixing angle of the dressed doublet, in (0, pi/2).
-
-    Defined through ``tan(2 theta) = v0 / delta`` with the two-argument
-    arctangent, so the angle passes continuously through pi/4 at zero
-    detuning and never leaves the open interval for any v0 > 0.
-    """
-    if not (v0 > 0.0):
-        raise ParameterError(f"v0 must be positive, got {v0}")
-    return 0.5 * math.atan2(v0, delta)
-
-
-def rabi_splitting(v0: float, delta: float) -> float:
-    """Rabi frequency ``sqrt(delta**2 + v0**2)``; the doublet spans twice this."""
-    return math.hypot(v0, delta)
-
-
 @dataclass(frozen=True)
 class DressedBasis:
     """Mixing angle, Rabi splitting, and transition structure of the doublet.
 
-    ``w_minus`` and ``w_plus`` are the squared plasmon amplitudes of the two
-    dressed states (``cos**2 theta`` and ``sin**2 theta``); they always sum to
-    one and control every per-branch rate.
+    ``theta`` solves ``tan(2 theta) = v0 / delta`` through the two-argument
+    arctangent, so it lies in (0, pi/2) for every v0 > 0 and passes
+    continuously through pi/4 at zero detuning.  ``omega_rabi`` is
+    ``hypot(v0, delta)``, and the doublet spans twice it.  ``w_minus`` and
+    ``w_plus`` are the squared plasmon amplitudes of the two dressed states
+    (``cos**2 theta`` and ``sin**2 theta``); they always sum to one and
+    control every per-branch rate.
     """
 
     theta: float
@@ -218,8 +210,8 @@ def dressed_basis(params: SystemParams) -> DressedBasis:
         have vanishing decay and no stationary state.
     """
     delta = params.delta
-    theta = mixing_angle(params.v0, delta)
-    omega = rabi_splitting(params.v0, delta)
+    theta = 0.5 * math.atan2(params.v0, delta)
+    omega = math.hypot(params.v0, delta)
     center = 0.5 * (params.omega0 + params.omega1)
     w_minus = math.cos(theta) ** 2
     w_plus = 1.0 - w_minus  # enforce the sum rule exactly

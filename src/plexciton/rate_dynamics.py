@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DegenerateSteadyStateError, IntegrationError, ParameterError
 # STEP_SAFETY stays importable from here; the step rule is in integrate.
 from .integrate import STEP_SAFETY, check_grid, evolve_linear
-from .model import Branch, BranchRates, _slot
+from .model import Branch, BranchRates, _real, _slot
 
 _NORM_TOL = 1e-9
 
@@ -47,10 +47,6 @@ class Populations:
     def as_array(self) -> np.ndarray:
         return np.array([self.p_gg, self.p_uu, self.p_mm, self.p_pp])
 
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "Populations":
-        return cls(float(arr[0]), float(arr[1]), float(arr[2]), float(arr[3]))
-
 
 @dataclass(frozen=True)
 class PopulationTrajectory:
@@ -68,7 +64,7 @@ class PopulationTrajectory:
 
     @property
     def final(self) -> Populations:
-        return Populations.from_array(self.values[-1])
+        return Populations(*map(float, self.values[-1]))
 
 
 def rate_matrix(rates: BranchRates, pump_r: float) -> np.ndarray:
@@ -99,8 +95,7 @@ def evolve_populations(initial: Populations, rates: BranchRates, pump_r: float,
     """
     if abs(initial.total - 1.0) > _NORM_TOL:
         raise ParameterError(f"initial populations sum to {initial.total}, not 1")
-    if not (0.0 < t_end < np.inf):
-        raise ParameterError(f"t_end must be positive and finite, got {t_end}")
+    _real("t_end", t_end, "positive and finite")
     if not (dt_max > 0.0):
         raise ParameterError(f"dt_max must be positive, got {dt_max}")
     if n_samples < 1:

@@ -70,16 +70,14 @@ _WRITE_ROWS = 1 << 14
 _READ_CHARS = 1 << 18
 
 
-def _splitmix64(x: int) -> int:
-    z = (x + _GOLDEN64) & _MASK64
+def _trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
+    """The generator of trajectory ``index``: PCG64 seeded with splitmix64
+    of ``master_seed + index * _GOLDEN64`` (its step adds one more
+    ``_GOLDEN64``, then its finalizer mixes the bits)."""
+    z = (master_seed + (index + 1) * _GOLDEN64) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
-def derive_trajectory_seed(master_seed: int, index: int) -> int:
-    """Deterministic 64-bit seed for one trajectory of an ensemble."""
-    return _splitmix64((master_seed + index * _GOLDEN64) & _MASK64)
+    return np.random.Generator(np.random.PCG64(z ^ (z >> 31)))
 
 
 @dataclass(frozen=True)
@@ -300,8 +298,7 @@ def _simulate_one(params: SystemParams, rates: BranchRates,
     if params.pump_r == 0.0:
         return PhotonStream(times=np.empty(0), tags=np.empty(0, dtype=np.int8),
                             duration=duration)
-    rng = np.random.Generator(np.random.PCG64(
-        derive_trajectory_seed(config.master_seed, index)))
+    rng = _trajectory_rng(config.master_seed, index)
     want = None if config.branch_filter is None else _slot(config.branch_filter)
 
     times_parts: list[np.ndarray] = []
@@ -332,8 +329,7 @@ def occupation_fractions(params: SystemParams, rates: BranchRates,
     _check_run(params, rates, config, stream=False)
     if params.pump_r == 0.0:
         return {"gg": 1.0, "uu": 0.0, "mm": 0.0, "pp": 0.0}
-    rng = np.random.Generator(np.random.PCG64(
-        derive_trajectory_seed(config.master_seed, 0)))
+    rng = _trajectory_rng(config.master_seed, 0)
     sums = {"gg": 0.0, "uu": 0.0, "mm": 0.0, "pp": 0.0}
     for ends, keep, dwell_g, dwell_u, is_minus, dwell_b in _cycle_blocks(
             rng, params, rates, config.duration):
@@ -387,9 +383,7 @@ def plan_run(params: SystemParams, rates: BranchRates,
     if window is not None:
         _fano_windows(config.duration, window)
     _check_run(params, rates, config, stream=True)
-    if not (0.0 < tau_max < np.inf):
-        raise ParameterError(
-            f"largest lag must be positive and finite, got {tau_max}")
+    _real("largest lag", tau_max, "positive and finite")
     _check_lag(tau_max, config.duration)
     if params.pump_r > 0.0:
         n = _expected_kept(params, rates, config.duration, branch)
@@ -463,9 +457,9 @@ def g2_histogram(stream: PhotonStream, branch: Branch | None,
 
 def _fano_windows(duration: float, window: float) -> int:
     """Number of whole counting windows ``fano_factor`` uses; a window that
-    is not positive or gives over ``MAX_WINDOWS`` of them is refused."""
-    if not (window > 0.0):
-        raise ParameterError(f"window must be positive, got {window}")
+    is not positive and finite, or gives over ``MAX_WINDOWS`` of them, is
+    refused."""
+    _real("window", window, "positive and finite")
     if duration / window > MAX_WINDOWS:
         raise ParameterError(f"window {window} splits the duration "
                              f"{duration} into over the cap of "

@@ -3,14 +3,13 @@ import pytest
 from scipy.linalg import expm
 
 from plexciton import (
-    BlochState,
     Branch,
     ParameterError,
     bloch_steady_state,
-    evolve_bloch,
     g2_resonant_analytic,
     regression_g2_resonant_numeric,
 )
+from plexciton.bloch import BlochState, evolve_bloch
 
 REST = BlochState(0.0, 0.0, 0.0)
 

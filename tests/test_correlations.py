@@ -7,7 +7,6 @@ import pytest
 from scipy.linalg import expm
 
 from plexciton import (
-    BlochState,
     Branch,
     ParameterError,
     PhotonStream,
@@ -19,7 +18,6 @@ from plexciton import (
     branch_rates,
     detected_spectrum,
     dressed_basis,
-    evolve_bloch,
     evolve_populations,
     g1_analytic,
     g2_histogram,
@@ -31,6 +29,7 @@ from plexciton import (
     spectrum_fft_check,
     steady_state_analytic,
 )
+from plexciton.bloch import BlochState, evolve_bloch
 from plexciton.correlations import CorrelationSeries
 
 from conftest import random_params
@@ -419,7 +418,7 @@ class TestCoincidenceProperties:
                 assert np.all(np.diff(values) >= -1e-14)
 
 
-# Every public call that takes a lag, time or frequency grid, as
+# Every library call that takes a lag, time or frequency grid, as
 # f(rates, steady, basis, grid); evolve_populations builds its grid from t_end.
 GRID_CALLS = {
     "regression_g2_nonresonant_numeric": lambda r, s, b, grid:

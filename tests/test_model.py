@@ -21,8 +21,6 @@ from plexciton import (
     g2_histogram,
     g2_nonresonant_analytic,
     g2_resonant_analytic,
-    mixing_angle,
-    rabi_splitting,
     regression_g2_nonresonant_numeric,
     spectrum_analytic,
     steady_state_analytic,
@@ -38,48 +36,54 @@ def make_params(**overrides):
     return SystemParams(**base)
 
 
+def basis_at(v0, delta):
+    """The dressed basis at coupling ``v0`` and detuning ``delta``."""
+    return dressed_basis(make_params(omega0=delta, omega1=-delta, v0=v0))
+
+
+# The ratio delta / v0 within which dressed_basis accepts the mixing: at
+# 400 the smaller branch weight is about 1.6e-6, above MIN_BRANCH_WEIGHT.
+ACCEPTED_RATIO = st.floats(-400.0, 400.0)
+
+
 class TestMixingAngle:
     def test_equal_coupling_and_detuning(self):
-        assert mixing_angle(1.0, 1.0) == pytest.approx(math.pi / 8, abs=1e-15)
+        assert basis_at(1.0, 1.0).theta == pytest.approx(math.pi / 8,
+                                                         abs=1e-15)
 
     def test_zero_detuning_gives_quarter_pi(self):
-        assert mixing_angle(2.0, 0.0) == pytest.approx(math.pi / 4, abs=1e-15)
+        assert basis_at(2.0, 0.0).theta == pytest.approx(math.pi / 4,
+                                                         abs=1e-15)
 
     def test_three_four_five_triangle(self):
-        assert mixing_angle(4.0, 3.0) == pytest.approx(0.46364760900080615,
-                                                       abs=1e-12)
-
-    def test_rejects_nonpositive_coupling(self):
-        with pytest.raises(ParameterError):
-            mixing_angle(0.0, 1.0)
-        with pytest.raises(ParameterError):
-            mixing_angle(-1.0, 1.0)
+        assert basis_at(4.0, 3.0).theta == pytest.approx(0.46364760900080615,
+                                                         abs=1e-12)
 
     def test_continuous_through_zero_detuning(self):
         eps = 1e-12
-        assert abs(mixing_angle(1.0, eps) - mixing_angle(1.0, -eps)) < 1e-11
+        assert abs(basis_at(1.0, eps).theta - basis_at(1.0, -eps).theta) < 1e-11
 
-    @given(v0=st.floats(1e-6, 1e6), delta=st.floats(-1e6, 1e6,
-                                                    allow_nan=False))
-    def test_branch_swap_symmetry(self, v0, delta):
-        total = mixing_angle(v0, delta) + mixing_angle(v0, -delta)
+    @given(v0=st.floats(1e-6, 1e6), ratio=ACCEPTED_RATIO)
+    def test_branch_swap_symmetry(self, v0, ratio):
+        delta = v0 * ratio
+        total = basis_at(v0, delta).theta + basis_at(v0, -delta).theta
         assert total == pytest.approx(math.pi / 2, abs=1e-12)
 
-    @given(v0=st.floats(1e-6, 1e6), delta=st.floats(-1e6, 1e6))
-    def test_range_is_open_interval(self, v0, delta):
-        theta = mixing_angle(v0, delta)
-        assert 0.0 < theta < math.pi / 2
+    @given(v0=st.floats(1e-6, 1e6), ratio=ACCEPTED_RATIO)
+    def test_range_is_open_interval(self, v0, ratio):
+        assert 0.0 < basis_at(v0, v0 * ratio).theta < math.pi / 2
 
 
 class TestRabiSplitting:
     def test_pythagorean(self):
-        assert rabi_splitting(4.0, 3.0) == 5.0
+        assert basis_at(4.0, 3.0).omega_rabi == 5.0
 
     def test_zero_detuning(self):
-        assert rabi_splitting(7.5, 0.0) == 7.5
+        assert basis_at(7.5, 0.0).omega_rabi == 7.5
 
     def test_equal_inputs(self):
-        assert rabi_splitting(1.0, 1.0) == pytest.approx(math.sqrt(2), rel=1e-15)
+        assert basis_at(1.0, 1.0).omega_rabi == pytest.approx(math.sqrt(2),
+                                                              rel=1e-15)
 
 
 class TestDressedBasis:
@@ -179,6 +183,8 @@ class TestSystemParams:
     def test_rejects_nonpositive_coupling(self):
         with pytest.raises(ParameterError, match="v0"):
             make_params(v0=0.0)
+        with pytest.raises(ParameterError, match="v0"):
+            make_params(v0=-1.0)
 
     @pytest.mark.parametrize("name", ["omega0", "omega1", "v0"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -209,9 +215,15 @@ class TestSystemParams:
          "scenario must be one of 'nonresonant', 'resonant', got 'RESONANT'"),
         ("scenario", Branch.MINUS, "scenario must be one of 'nonresonant', "
          "'resonant', got <Branch.MINUS: 'minus'>"),
+        # Integers too large for a float.
+        ("v0", 10 ** 400, f"v0 must be positive and finite, got {10 ** 400}"),
+        ("omega0", 10 ** 400, f"omega0 must be finite, got {10 ** 400}"),
+        ("pump_r", 10 ** 400,
+         f"pump_r must be finite and >= 0, got {10 ** 400}"),
     ], ids=["v0-str", "omega0-str", "gamma_r-str", "pump_r-none",
             "gamma_perp-complex", "omega_l_rabi-str", "scenario-unknown",
-            "scenario-upper-case", "scenario-branch"])
+            "scenario-upper-case", "scenario-branch", "v0-huge-int",
+            "omega0-huge-int", "pump_r-huge-int"])
     def test_refuses_wrong_types_and_unknown_scenario(self, name, value,
                                                        message):
         with pytest.raises(ParameterError) as info:

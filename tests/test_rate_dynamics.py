@@ -55,7 +55,7 @@ class TestDerivative:
         rng = np.random.default_rng(21)
         for _ in range(50):
             raw = rng.random(4)
-            pop = Populations.from_array(raw / raw.sum())
+            pop = Populations(*(raw / raw.sum()))
             deriv = populations_rhs(pop, benchmark_rates, 0.37)
             assert abs(deriv.sum()) < 1e-15
 

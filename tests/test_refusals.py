@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 
 from plexciton import (
-    BlochState,
     Branch,
     CorrelationSeries,
     InsufficientDataError,
     ParameterError,
     PhotonStream,
-    PopulationTrajectory,
     Populations,
     ResolutionError,
     SpectrumSeries,
@@ -31,7 +29,10 @@ from plexciton import (
     regression_g2_resonant_numeric,
     spectrum_fft_check,
 )
+from plexciton.bloch import BlochState
 from plexciton.integrate import check_grid
+from plexciton.rate_dynamics import PopulationTrajectory
+from plexciton.stochastic import plan_run
 
 PARAMS = SystemParams(omega0=1.0, omega1=-1.0, v0=1.0, gamma_r=1.0,
                       gamma_nr=0.0, gamma_perp=0.5, gamma_u=0.005,
@@ -45,6 +46,7 @@ ZERO_RATES = branch_rates(ZERO_DECAY, dressed_basis(ZERO_DECAY))
 EMPTY = PhotonStream(np.empty(0), np.empty(0, dtype=np.int8), 1000.0)
 TAU = np.linspace(0.0, 10.0, 11)
 GROUND = Populations(1.0, 0.0, 0.0, 0.0)
+RUN = TrajectoryConfig(duration=1e4)
 
 
 REFUSALS = [
@@ -55,14 +57,39 @@ REFUSALS = [
                  ParameterError, "tau_bins must contain at least two edges",
                  id="histogram-one-edge"),
     pytest.param(lambda: fano_factor(EMPTY, 0.0), ParameterError,
-                 "window must be positive, got 0.0", id="fano-zero-window"),
+                 "window must be positive and finite, got 0.0", id="fano-zero-window"),
     pytest.param(lambda: fano_factor(EMPTY, math.nan), ParameterError,
-                 "window must be positive, got nan", id="fano-nan-window"),
+                 "window must be positive and finite, got nan", id="fano-nan-window"),
     pytest.param(lambda: fano_factor(EMPTY, 1.0), InsufficientDataError,
                  "no photons in any counting window", id="fano-no-photons"),
     pytest.param(lambda: regression_g2_resonant_numeric(0.0, 1.0, 0.5, TAU),
-                 ParameterError, "drive amplitude must be positive, got 0.0",
+                 ParameterError,
+                 "drive amplitude must be positive and finite, got 0.0",
                  id="resonant-regression-no-drive"),
+    # A string or None is refused with the message, not a bare TypeError.
+    pytest.param(lambda: regression_g2_resonant_numeric("0.1", 1.0, 0.5, TAU),
+                 ParameterError,
+                 "drive amplitude must be positive and finite, got '0.1'",
+                 id="resonant-regression-string-drive"),
+    pytest.param(lambda: regression_g2_resonant_numeric(math.inf, 1.0, 0.5,
+                                                        TAU),
+                 ParameterError,
+                 "drive amplitude must be positive and finite, got inf",
+                 id="resonant-regression-infinite-drive"),
+    pytest.param(lambda: evolve_populations(GROUND, RATES, 0.005, None, 0.1),
+                 ParameterError, "t_end must be positive and finite, got None",
+                 id="evolve-no-end"),
+    pytest.param(lambda: plan_run(PARAMS, RATES, RUN, "3", None),
+                 ParameterError, "window must be positive and finite, got '3'",
+                 id="plan-string-window"),
+    # Refused before sampling; a run would find no whole window to count.
+    pytest.param(lambda: plan_run(PARAMS, RATES, RUN, math.inf, None),
+                 ParameterError, "window must be positive and finite, got inf",
+                 id="plan-infinite-window"),
+    pytest.param(lambda: plan_run(PARAMS, RATES, RUN, None, "3"),
+                 ParameterError,
+                 "largest lag must be positive and finite, got '3'",
+                 id="plan-string-lag"),
     pytest.param(lambda: BlochState(1.5, 0.0, 0.0), ParameterError,
                  "p_ee = 1.5 outside [0, 1]", id="bloch-out-of-range"),
     pytest.param(lambda: BlochState(0.5, 0.5, 0.5), ParameterError,

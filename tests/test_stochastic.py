@@ -22,7 +22,6 @@ from plexciton import (
     SystemParams,
     TrajectoryConfig,
     branch_rates,
-    derive_trajectory_seed,
     dressed_basis,
     emission_rate,
     fano_factor,
@@ -95,9 +94,11 @@ class TestSimulate:
     def test_seed_derivation_is_stable(self):
         # Frozen values pin the documented seed-mixing function
         # (splitmix64 finalizer of master_seed + index * golden-ratio step).
-        assert derive_trajectory_seed(0, 0) == 16294208416658607535
-        assert derive_trajectory_seed(0, 1) == 7960286522194355700
-        assert derive_trajectory_seed(1, 0) == 10451216379200822465
+        for master_seed, index, seed in [(0, 0, 16294208416658607535),
+                                         (0, 1, 7960286522194355700),
+                                         (1, 0, 10451216379200822465)]:
+            rng = stochastic._trajectory_rng(master_seed, index)
+            assert rng.bit_generator.state == np.random.PCG64(seed).state
 
     def test_pump_off_gives_empty_stream(self):
         params, rates = make_setup(pump=0.0)
@@ -184,8 +185,7 @@ def reference_blocks(rng, params, rates, duration, yield_):
 
 
 def reference_rng(config):
-    return np.random.Generator(np.random.PCG64(
-        derive_trajectory_seed(config.master_seed, 0)))
+    return stochastic._trajectory_rng(config.master_seed, 0)
 
 
 def reference_stream(params, rates, config):
@@ -406,6 +406,13 @@ class TestValidation:
         pytest.param(lambda: PhotonStream(times=[1.0], tags=[0], duration="1"),
                      "duration must be positive and finite",
                      id="stream-string-duration"),
+        pytest.param(lambda: TrajectoryConfig(duration=10 ** 400),
+                     "duration must be positive and finite",
+                     id="huge-int-duration"),
+        pytest.param(lambda: PhotonStream(times=[1.0], tags=[0],
+                                          duration=10 ** 400),
+                     "duration must be positive and finite",
+                     id="stream-huge-int-duration"),
         pytest.param(lambda: PhotonStream(times=["a"], tags=[0], duration=1.0),
                      "times must be real numbers", id="stream-string-times"),
     ])
@@ -425,7 +432,7 @@ class TestValidation:
                                   master_seed=np.uint64(2 ** 63))
         assert type(config.n_trajectories) is int and config.n_trajectories == 2
         assert type(config.master_seed) is int and config.master_seed == 2 ** 63
-        derive_trajectory_seed(config.master_seed, 1)
+        stochastic._trajectory_rng(config.master_seed, 1)
 
 
 class TestPlanRun:
