@@ -59,6 +59,12 @@ class TestMixingAngle:
         assert basis_at(4.0, 3.0).theta == pytest.approx(0.46364760900080615,
                                                          abs=1e-12)
 
+    def test_rejects_nonpositive_coupling(self):
+        with pytest.raises(ParameterError, match="v0"):
+            basis_at(0.0, 1.0)
+        with pytest.raises(ParameterError, match="v0"):
+            basis_at(-1.0, 1.0)
+
     def test_continuous_through_zero_detuning(self):
         eps = 1e-12
         assert abs(basis_at(1.0, eps).theta - basis_at(1.0, -eps).theta) < 1e-11
