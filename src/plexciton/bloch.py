@@ -36,8 +36,9 @@ class BlochState:
     coh_im: float
 
     def __post_init__(self) -> None:
-        if not (-_POSITIVITY_SLACK <= self.p_ee <= 1.0 + _POSITIVITY_SLACK):
-            raise ParameterError(f"p_ee = {self.p_ee} outside [0, 1]")
+        for name, rule in (("p_ee", "in [0, 1]"), ("coh_re", "finite"),
+                           ("coh_im", "finite")):
+            _real(name, getattr(self, name), rule)
         coh2 = self.coh_re ** 2 + self.coh_im ** 2
         if coh2 > self.p_ee * (1.0 - self.p_ee) + _POSITIVITY_SLACK:
             raise ParameterError(
@@ -53,7 +54,10 @@ def bloch_steady_state(omega_l_rabi: float, gpar_b: float,
     stationary population is ``s / (1 + 2 s)``: it reduces to ``s`` for weak
     driving and saturates monotonically at one half.
     """
+    _real("omega_l_rabi", omega_l_rabi, "finite")
     _check_branch_rates(gpar_b, gperp_b)
+    omega_l_rabi, gpar_b, gperp_b = map(float, (omega_l_rabi, gpar_b, gperp_b))
+    _real("omega_l_rabi**2", omega_l_rabi * omega_l_rabi, "finite")
     if omega_l_rabi == 0.0:
         return BlochState(0.0, 0.0, 0.0)
     # coh_re decays to zero.  This operation order, and -0.0 for coh_re,
@@ -96,6 +100,7 @@ def regression_g2_resonant_numeric(omega_l_rabi: float, gpar_b: float,
     """
     _real("drive amplitude", omega_l_rabi, "positive and finite")
     stationary = bloch_steady_state(omega_l_rabi, gpar_b, gperp_b).p_ee
+    _real("stationary p_ee", stationary, "positive")  # it may underflow
     states = evolve_bloch(BlochState(0.0, 0.0, 0.0), omega_l_rabi,
                           gpar_b, gperp_b, tau_grid)
     return states[:, 0] / stationary

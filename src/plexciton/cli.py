@@ -42,7 +42,6 @@ from .model import (
     Branch,
     Scenario,
     SystemParams,
-    _check_branch_rates,
     branch_drive_rabi,
     branch_rates,
     dressed_basis,
@@ -259,7 +258,6 @@ def cmd_rates(config: RunConfig) -> Outputs:
         for branch in Branch:
             ch = rates.branch(branch)
             drive = branch_drive_rabi(params, basis, branch)
-            _check_branch_rates(ch.gpar, ch.gperp)
             # saturation is half the s = 2 drive**2 / (gpar gperp) of
             # bloch_steady_state, and occupation = s is the weak-drive,
             # first-order population, not the exact s / (1 + 2 s) that

@@ -13,11 +13,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .model import Branch, Scenario, SystemParams
-
-# Largest grid step or bin count.  A 10**6-point grid takes tens of MB; a
-# mistyped 10**10 would ask for tens of GB.
-MAX_STEPS = 10 ** 6
+from .model import MAX_STEPS, Branch, Scenario, SystemParams
 
 
 @dataclass(frozen=True)

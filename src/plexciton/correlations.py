@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParameterError, RegimeWarning, ResolutionError
 from .integrate import check_grid
-from .model import Branch, BranchRates, DressedBasis, _check_branch_rates
+from .model import Branch, BranchRates, DressedBasis, _real
 from .rate_dynamics import Populations
 
 
@@ -61,7 +61,7 @@ class SpectrumSeries:
         object.__setattr__(self, "values", np.asarray(self.values))
         if self.values.shape != omega.shape:
             raise ParameterError("values and omega must have matching shapes")
-        if np.any(self.values < 0.0):
+        if not (self.values >= 0.0).all():  # a NaN is refused too
             raise ParameterError("spectral density must be nonnegative")
 
 
@@ -207,10 +207,10 @@ def g2_nonresonant_analytic(branch: Branch, rates: BranchRates, pump_r: float,
     warning fires when ``s`` reaches the slower of the two.
     """
     tau = check_grid(tau_grid, "tau_grid")
-    ch = rates.branch(branch)
-    _check_branch_rates(ch.gpar, ch.gperp)
-    gpar_b = ch.gpar
-    slow = pump_r + gamma_total
+    _real("pump_r", pump_r, "finite and >= 0")
+    _real("gamma_total", gamma_total, "finite and >= 0")
+    gpar_b = rates.branch(branch).gpar
+    slow = float(pump_r) + float(gamma_total)
     slowest = min(rates.gpar_minus, rates.gpar_plus)
     if slow >= slowest:
         warnings.warn(
@@ -220,7 +220,9 @@ def g2_nonresonant_analytic(branch: Branch, rates: BranchRates, pump_r: float,
             stacklevel=2,
         )
     eps = slow / gpar_b
-    values = -np.expm1(-slow * tau) + eps * np.expm1(-gpar_b * tau)
+    _real("(pump_r + gamma_total) / gpar_b", eps, "finite")
+    with np.errstate(over="ignore"):  # exp(-inf) is exact
+        values = -np.expm1(-slow * tau) + eps * np.expm1(-gpar_b * tau)
     return CorrelationSeries(tau=tau, values=values)
 
 
@@ -238,7 +240,6 @@ def g2_resonant_analytic(branch: Branch, rates: BranchRates,
     tau = check_grid(tau_grid, "tau_grid")
     ch = rates.branch(branch)
     gpar_b, gperp_b = ch.gpar, ch.gperp
-    _check_branch_rates(gpar_b, gperp_b)
     if abs(gperp_b - gpar_b) < 1e-2 * gpar_b:
         lo, hi = sorted((gpar_b, gperp_b))
         x = (lo - hi) * tau

@@ -34,6 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IntegrationError, ParameterError
+from .model import _real
 
 # Bound on every internal RK4 step, as a fraction of the fastest rate.
 STEP_SAFETY = 0.1
@@ -45,10 +46,13 @@ _RUN_RTOL = 1e-14
 
 
 def check_grid(grid, name: str, nonnegative: bool = True) -> np.ndarray:
-    """``grid`` as a float array, or :class:`ParameterError` naming ``name``
-    unless it is a non-empty 1-d array of finite, strictly increasing
-    values, nonnegative when ``nonnegative``."""
-    grid = np.asarray(grid, dtype=float)
+    """``grid`` as a float array (a float array itself), or ParameterError
+    naming ``name`` unless it is a non-empty 1-d array of real, finite,
+    strictly increasing values, nonnegative when ``nonnegative``."""
+    grid = np.asarray(grid)
+    if grid.dtype.kind not in "iuf":
+        raise ParameterError(f"{name} must be real numbers, got dtype {grid.dtype}")
+    grid = grid.astype(float, copy=False)
     if grid.ndim != 1 or grid.size == 0:
         raise ParameterError(f"{name} must be a non-empty 1-d array")
     # A NaN fails every comparison; an increasing grid is infinite only at ends.
@@ -100,11 +104,12 @@ def evolve_linear(a: np.ndarray, x0: np.ndarray, grid: np.ndarray,
         the first such sample.
     """
     grid = check_grid(grid, "grid")
-    if not (dt_cap > 0.0):
-        raise ParameterError(f"dt_cap must be positive, got {dt_cap}")
+    _real("dt_cap", dt_cap, "positive")
     fastest = np.abs(a).max()
+    _real("largest entry of the system matrix", fastest, "finite")
     if fastest > 0.0:
         dt_cap = min(dt_cap, STEP_SAFETY / fastest)
+    _real("grid end / step bound", float(grid[-1]) / float(dt_cap), "finite")
 
     x = np.asarray(x0, dtype=float)
     out = np.empty((grid.size, x.size))

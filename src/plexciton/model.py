@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -66,34 +67,56 @@ _PARAM_RULES = {"omega0": "finite", "omega1": "finite",
                     "gamma_r", "gamma_nr", "gamma_perp", "gamma_u", "pump_r",
                     "omega_l_rabi"), "finite and >= 0")}
 
-# What each rule of _real asks of a finite real number.
-_REAL_RULES = {"finite": lambda x: True,
-               "finite and >= 0": lambda x: x >= 0.0,
-               "positive and finite": lambda x: x > 0.0}
+# Largest grid step, bin or sample count: 10**6 points take tens of MB.
+MAX_STEPS = 10 ** 6
+
+# What each rule of _real asks of a real number's float.
+_REAL_RULES = {"finite": math.isfinite,
+               "finite and >= 0": lambda x: 0.0 <= x < math.inf,
+               "positive and finite": lambda x: 0.0 < x < math.inf,
+               "positive": lambda x: x > 0.0,
+               "in [0, 1]": lambda x: -1e-9 <= x <= 1.0 + 1e-9}  # rounding
+
+
+def _is_real(value, rule: str) -> bool:
+    """Whether ``value`` is a real number whose float meets ``rule``."""
+    try:  # float first: it is checked far faster than the numbers.Real ABC
+        return (isinstance(value, (float, numbers.Real))
+                and _REAL_RULES[rule](float(value)))
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _real(name: str, value, rule: str) -> None:
-    """Refuse ``value`` unless it is a real number whose ``float`` is finite
-    and that meets ``rule``, a key of ``_REAL_RULES``; the message names
-    ``name``."""
-    # float first: it is checked far faster than the numbers.Real ABC.
-    try:
-        ok = (isinstance(value, (float, numbers.Real))
-              and math.isfinite(value) and _REAL_RULES[rule](value))
-    except OverflowError:  # an int too large for a float
-        ok = False
-    if not ok:
+    """Refuse ``value`` unless ``_is_real(value, rule)``, naming ``name``."""
+    if not _is_real(value, rule):
         raise ParameterError(f"{name} must be {rule}, got {value!r}")
 
 
-def _check_branch_rates(gpar: float, gperp: float) -> None:
-    """Refuse a branch's decay rates unless both are positive, and so is
-    ``gperp**2 * gpar``, the smallest product a closed form or report
-    divides by (rates that small underflow it to zero)."""
-    if not (gpar > 0.0 and gperp > 0.0 and gperp ** 2 * gpar > 0.0):
+def _integer(name: str, value, low=None, high=None) -> int:
+    """``value`` as an int, or ParameterError naming ``name`` unless it is an
+    integer no less than ``low`` and no more than ``high``, when given."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ParameterError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ParameterError(f"{name} must be <= {high}, got {value}")
+    return value
+
+
+def _check_branch_rates(gpar, gperp) -> None:
+    """Refuse a branch's decay rates unless both are positive and finite
+    numbers, and so is ``gperp**2 * gpar``, the smallest product a closed
+    form or report divides by (tiny or huge rates under- or overflow it)."""
+    if not (_is_real(gpar, "positive and finite")
+            and _is_real(gperp, "positive and finite") and _is_real(
+                float(gperp) * float(gperp) * float(gpar), "positive and finite")):
         raise ParameterError(
-            "branch rates must be positive, with gperp**2 * gpar above zero, "
-            f"got gpar={gpar}, gperp={gperp}")
+            "branch rates must be positive and finite, and so must "
+            f"gperp**2 * gpar, got gpar={gpar!r}, gperp={gperp!r}")
 
 
 @dataclass(frozen=True)
@@ -268,6 +291,8 @@ class BranchRates:
                           self.gfeed_minus, self.dipole_w_minus),
             BranchChannel(self.gpar_plus, self.gperp_plus, self.grad_plus,
                           self.gfeed_plus, self.dipole_w_plus)))
+        for channel in self._channels:  # one that never decays has no line
+            _check_branch_rates(channel.gpar, channel.gperp)
 
     def branch(self, branch: Branch) -> BranchChannel:
         return self._channels[_slot(branch)]

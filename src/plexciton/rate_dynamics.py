@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DegenerateSteadyStateError, IntegrationError, ParameterError
 # STEP_SAFETY stays importable from here; the step rule is in integrate.
 from .integrate import STEP_SAFETY, check_grid, evolve_linear
-from .model import Branch, BranchRates, _real, _slot
+from .model import MAX_STEPS, Branch, BranchRates, _integer, _real, _slot
 
 _NORM_TOL = 1e-9
 
@@ -33,9 +33,7 @@ class Populations:
 
     def __post_init__(self) -> None:
         for name in ("p_gg", "p_uu", "p_mm", "p_pp"):
-            value = getattr(self, name)
-            if not (-_NORM_TOL <= value <= 1.0 + _NORM_TOL):
-                raise ParameterError(f"{name} = {value} outside [0, 1]")
+            _real(name, getattr(self, name), "in [0, 1]")
 
     @property
     def total(self) -> float:
@@ -59,7 +57,7 @@ class PopulationTrajectory:
         times = check_grid(self.times, "trajectory times")
         if self.values.shape != (times.size, 4):
             raise ParameterError("trajectory arrays have inconsistent shapes")
-        if np.any(self.values < -_NORM_TOL) or np.any(self.values > 1.0 + _NORM_TOL):
+        if not (np.abs(self.values - 0.5) <= 0.5 + _NORM_TOL).all():  # or NaN
             raise ParameterError("trajectory contains out-of-range populations")
 
     @property
@@ -89,18 +87,17 @@ def evolve_populations(initial: Populations, rates: BranchRates, pump_r: float,
     """Integrate the balance equations with fixed-step RK4.
 
     The internal step never exceeds ``dt_max`` nor the propagator's own
-    bound, ``STEP_SAFETY`` divided by the fastest rate in the system.  The
-    final state must stay normalized to within 1e-9 or an
-    :class:`IntegrationError` is raised.
+    bound, ``STEP_SAFETY`` divided by the fastest rate in the system, and
+    ``n_samples`` is at most ``MAX_STEPS``.  The final state must stay
+    normalized to within 1e-9 or an :class:`IntegrationError` is raised.
     """
     if abs(initial.total - 1.0) > _NORM_TOL:
         raise ParameterError(f"initial populations sum to {initial.total}, not 1")
+    _real("pump_r", pump_r, "finite and >= 0")
     _real("t_end", t_end, "positive and finite")
-    if not (dt_max > 0.0):
-        raise ParameterError(f"dt_max must be positive, got {dt_max}")
-    if n_samples < 1:
-        raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
-    times = np.linspace(0.0, t_end, n_samples + 1)
+    _real("dt_max", dt_max, "positive")
+    n_samples = _integer("n_samples", n_samples, 1, MAX_STEPS)
+    times = np.linspace(0.0, float(t_end), n_samples + 1)
     states = evolve_linear(rate_matrix(rates, pump_r), initial.as_array(),
                            times, dt_max)
     if abs(float(states[-1].sum()) - 1.0) > _NORM_TOL:
@@ -118,13 +115,13 @@ def steady_state_analytic(rates: BranchRates, pump_r: float) -> Populations:
     stationarity conditions of their own equations.  The result is normalized
     so the four components sum to one.
     """
+    _real("pump_r", pump_r, "finite")
     gm, gp = rates.gfeed_minus, rates.gfeed_plus
     lm, lp = rates.gpar_minus, rates.gpar_plus
-    if min(gm, gp, lm, lp) <= 0.0 or pump_r <= 0.0:
+    if min(gm, gp) <= 0.0 or pump_r <= 0.0:
         raise DegenerateSteadyStateError(
-            "steady state requires pump_r and every branch feeding/decay "
-            f"rate to be positive (got pump_r={pump_r}, gfeed=({gm}, {gp}), "
-            f"gpar=({lm}, {lp}))"
+            "steady state requires pump_r and every branch feeding rate to "
+            f"be positive (got pump_r={pump_r}, gfeed=({gm}, {gp}))"
         )
     gg = (gm + gp) * lm * lp
     uu = pump_r * lm * lp
@@ -145,6 +142,7 @@ def regression_g2_nonresonant_numeric(rates: BranchRates, pump_r: float,
     stationary value: ``g2(tau) = p_b(tau | G) / p_b(inf)``.
     """
     stationary = steady_state_analytic(rates, pump_r).branch(branch)
+    _real("stationary branch population", stationary, "positive")
     a = rate_matrix(rates, pump_r)
     x0 = np.array([1.0, 0.0, 0.0, 0.0])
     states = evolve_linear(a, x0, tau_grid)

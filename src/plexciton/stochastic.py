@@ -20,7 +20,6 @@ bytes as when every block was computed whole.
 
 from __future__ import annotations
 
-import operator
 import os
 from dataclasses import dataclass
 
@@ -29,8 +28,8 @@ import numpy as np
 from .errors import ConfigError, InsufficientDataError, ParameterError
 from .correlations import CorrelationSeries
 from .integrate import check_grid
-from .model import (Branch, BranchRates, SystemParams, _BRANCHES, _real,
-                    _slot)
+from .model import (Branch, BranchRates, SystemParams, _BRANCHES, _integer,
+                    _is_real, _real, _slot)
 
 _GOLDEN64 = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -91,16 +90,8 @@ class TrajectoryConfig:
 
     def __post_init__(self) -> None:
         _real("duration", self.duration, "positive and finite")
-        for name in ("n_trajectories", "master_seed"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ParameterError(
-                    f"{name} must be an integer, got {value!r}") from None
-        if self.n_trajectories < 1:
-            raise ParameterError(
-                f"n_trajectories must be >= 1, got {self.n_trajectories}")
+        for name, low in (("n_trajectories", 1), ("master_seed", None)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
         if self.branch_filter is not None:
             object.__setattr__(self, "branch_filter",
                                _BRANCHES[_slot(self.branch_filter)])
@@ -193,9 +184,6 @@ def _check_run(params: SystemParams, rates: BranchRates,
     if rates.gfeed_total == 0.0:
         raise ConfigError("upper level is reachable (pump_r > 0) but has "
                           "zero exit rate (gamma_u = 0)")
-    if min(rates.gpar_minus, rates.gpar_plus) == 0.0:
-        raise ConfigError("a dressed branch is reachable but has zero decay "
-                          "rate (gamma_r + gamma_nr = 0)")
     cycles = config.duration / _mean_cycle(params, rates)
     n = config.n_trajectories if stream else 1
     if stream:
@@ -460,7 +448,7 @@ def _fano_windows(duration: float, window: float) -> int:
     is not positive and finite, or gives over ``MAX_WINDOWS`` of them, is
     refused."""
     _real("window", window, "positive and finite")
-    if duration / window > MAX_WINDOWS:
+    if float(duration) / float(window) > MAX_WINDOWS:
         raise ParameterError(f"window {window} splits the duration "
                              f"{duration} into over the cap of "
                              f"{MAX_WINDOWS} windows")
@@ -583,21 +571,18 @@ def read_photon_stream(path) -> PhotonStream:
     if header is None:
         raise ParameterError(f"{path}: missing '# duration=' header")
     duration, line = header
-    try:
-        _real("duration", duration, "positive and finite")
-    except ParameterError as exc:
-        raise ParameterError(f"{path}:{line}: {exc}") from None
     times = np.concatenate(time_chunks)
     try:
         return PhotonStream(times=times, tags=np.concatenate(tag_chunks),
                             duration=duration)
     except ParameterError as exc:
-        row = _first_bad_time(times, duration)
-        for lines in row_lines:
-            if row < len(lines):
-                line = lines[row]
-                break
-            row -= len(lines)
+        if _is_real(duration, "positive and finite"):  # else the header's line
+            row = _first_bad_time(times, duration)
+            for lines in row_lines:
+                if row < len(lines):
+                    line = lines[row]
+                    break
+                row -= len(lines)
         raise ParameterError(f"{path}:{line}: {exc}") from None
 
 

@@ -714,6 +714,22 @@ class TestFailureBoundary:
         else:
             assert not out.exists() or not any(out.iterdir())
 
+    # Zero decay gets one message from every command, in either scenario.
+    @pytest.mark.parametrize("scenario", ["nonresonant", "resonant"])
+    @pytest.mark.parametrize("command", ["spectrum", "g2", "trajectory",
+                                         "rates", "steady-state"])
+    def test_zero_decay_refused_by_every_command(self, tmp_path, capsys,
+                                                 command, scenario):
+        cfg = write_cfg(tmp_path, _ZERO_DECAY + "duration = 1e4\n"
+                        "drive_rabi = 0.1\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--scenario", scenario,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: branch rates must be positive")
+        assert not any(out.iterdir())
+
 
 class TestOutputFiles:
     # A run whose later output path is a directory: the files written before

@@ -242,12 +242,12 @@ class TestSteadyState:
     def test_degenerate_rates_rejected(self, benchmark_rates):
         with pytest.raises(DegenerateSteadyStateError):
             steady_state_analytic(benchmark_rates, 0.0)
+        # A branch that does not decay is refused where its rates are built.
         params = SystemParams(omega0=1.0, omega1=-1.0, v0=1.0, gamma_r=0.0,
                               gamma_nr=0.0, gamma_perp=0.5, gamma_u=0.01,
                               pump_r=0.01)
-        rates = branch_rates(params, dressed_basis(params))
-        with pytest.raises(DegenerateSteadyStateError):
-            steady_state_analytic(rates, params.pump_r)
+        with pytest.raises(ParameterError, match="branch rates must be positive"):
+            branch_rates(params, dressed_basis(params))
 
 
 class TestRegression:

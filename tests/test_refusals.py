@@ -8,6 +8,7 @@ import pytest
 
 from plexciton import (
     Branch,
+    BranchRates,
     CorrelationSeries,
     InsufficientDataError,
     ParameterError,
@@ -28,9 +29,10 @@ from plexciton import (
     occupation_fractions,
     regression_g2_resonant_numeric,
     spectrum_fft_check,
+    steady_state_analytic,
 )
 from plexciton.bloch import BlochState
-from plexciton.integrate import check_grid
+from plexciton.integrate import check_grid, evolve_linear
 from plexciton.rate_dynamics import PopulationTrajectory
 from plexciton.stochastic import plan_run
 
@@ -42,7 +44,13 @@ RATES = branch_rates(PARAMS, dressed_basis(PARAMS))
 ZERO_DECAY = SystemParams(omega0=1.0, omega1=-1.0, v0=1.0, gamma_r=0.0,
                           gamma_nr=0.0, gamma_perp=0.0, gamma_u=0.005,
                           pump_r=0.005)
-ZERO_RATES = branch_rates(ZERO_DECAY, dressed_basis(ZERO_DECAY))
+
+
+def zero_rates():
+    """The rates of ZERO_DECAY, which BranchRates refuses to build."""
+    return branch_rates(ZERO_DECAY, dressed_basis(ZERO_DECAY))
+
+
 EMPTY = PhotonStream(np.empty(0), np.empty(0, dtype=np.int8), 1000.0)
 TAU = np.linspace(0.0, 10.0, 11)
 GROUND = Populations(1.0, 0.0, 0.0, 0.0)
@@ -91,12 +99,12 @@ REFUSALS = [
                  "largest lag must be positive and finite, got '3'",
                  id="plan-string-lag"),
     pytest.param(lambda: BlochState(1.5, 0.0, 0.0), ParameterError,
-                 "p_ee = 1.5 outside [0, 1]", id="bloch-out-of-range"),
+                 "p_ee must be in [0, 1], got 1.5", id="bloch-out-of-range"),
     pytest.param(lambda: BlochState(0.5, 0.5, 0.5), ParameterError,
                  "violates density-matrix positivity",
                  id="bloch-not-positive"),
     pytest.param(lambda: Populations(0.5, 0.0, 1.5, 0.0), ParameterError,
-                 "p_mm = 1.5 outside [0, 1]", id="populations-out-of-range"),
+                 "p_mm must be in [0, 1], got 1.5", id="populations-out-of-range"),
     pytest.param(lambda: PopulationTrajectory(TAU, np.zeros((3, 4))),
                  ParameterError, "trajectory arrays have inconsistent shapes",
                  id="trajectory-shape"),
@@ -126,10 +134,11 @@ REFUSALS = [
     pytest.param(lambda: SpectrumSeries(TAU, -TAU), ParameterError,
                  "spectral density must be nonnegative",
                  id="spectrum-negative"),
-    pytest.param(lambda: g2_resonant_analytic(Branch.MINUS, ZERO_RATES, TAU),
+    # No closed form can be reached with zero decay: the rates are refused.
+    pytest.param(lambda: g2_resonant_analytic(Branch.MINUS, zero_rates(), TAU),
                  ParameterError, "branch rates must be positive",
                  id="resonant-closed-form-zero-decay"),
-    pytest.param(lambda: g2_nonresonant_analytic(Branch.PLUS, ZERO_RATES,
+    pytest.param(lambda: g2_nonresonant_analytic(Branch.PLUS, zero_rates(),
                                                  0.005, 0.005, TAU),
                  ParameterError, "branch rates must be positive",
                  id="nonresonant-closed-form-zero-decay"),
@@ -141,6 +150,75 @@ REFUSALS = [
                  "grid must be a non-empty 1-d array", id="grid-2d"),
     pytest.param(lambda: check_grid([], "grid"), ParameterError,
                  "grid must be a non-empty 1-d array", id="grid-empty"),
+    # Zero decay is refused wherever a BranchRates is built.
+    pytest.param(lambda: BranchRates(*[0.0] * 10), ParameterError,
+                 "branch rates must be positive", id="direct-rates-zero-decay"),
+    pytest.param(lambda: replace(RATES, gpar_minus=0.0), ParameterError,
+                 "branch rates must be positive",
+                 id="replaced-rates-zero-decay"),
+    pytest.param(lambda: replace(RATES, gperp_plus=math.inf), ParameterError,
+                 "gperp=inf", id="replaced-rates-infinite-dephasing"),
+    # Raw scalar arguments take SystemParams' rule for the same quantity.
+    pytest.param(lambda: steady_state_analytic(RATES, "0.1"), ParameterError,
+                 "pump_r must be finite, got '0.1'", id="steady-string-pump"),
+    pytest.param(lambda: evolve_populations(GROUND, RATES, math.inf, 1.0, 0.1),
+                 ParameterError, "pump_r must be finite and >= 0, got inf",
+                 id="evolve-infinite-pump"),
+    pytest.param(lambda: evolve_populations(GROUND, RATES, 0.005, 1.0, None),
+                 ParameterError, "dt_max must be positive, got None",
+                 id="evolve-no-step"),
+    pytest.param(lambda: evolve_populations(GROUND, RATES, 0.005, 1.0, 0.1,
+                                            "3"),
+                 ParameterError, "n_samples must be an integer, got '3'",
+                 id="evolve-string-samples"),
+    pytest.param(lambda: evolve_populations(GROUND, RATES, 0.005, 1.0, 0.1,
+                                            2.5),
+                 ParameterError, "n_samples must be an integer, got 2.5",
+                 id="evolve-fractional-samples"),
+    pytest.param(lambda: evolve_populations(GROUND, RATES, 0.005, 1.0, 0.1,
+                                            10 ** 400),
+                 ParameterError, "n_samples must be <= 1000000",
+                 id="evolve-huge-samples"),
+    pytest.param(lambda: evolve_linear(np.eye(2), np.ones(2), TAU, None),
+                 ParameterError, "dt_cap must be positive, got None",
+                 id="propagator-no-step"),
+    # Each step count must be a float: the RK4 step bound needs finite rates.
+    pytest.param(lambda: evolve_linear(np.array([[-math.inf]]), np.ones(1),
+                                       TAU), ParameterError,
+                 "largest entry of the system matrix must be finite",
+                 id="propagator-infinite-rate"),
+    pytest.param(lambda: evolve_populations(GROUND, RATES, 0.005, 1e308, 0.1),
+                 ParameterError, "grid end / step bound must be finite",
+                 id="evolve-step-count-overflow"),
+    pytest.param(lambda: g2_nonresonant_analytic(Branch.MINUS, RATES, -1.0,
+                                                 0.005, TAU),
+                 ParameterError, "pump_r must be finite and >= 0, got -1.0",
+                 id="nonresonant-closed-form-negative-pump"),
+    pytest.param(lambda: g2_nonresonant_analytic(Branch.MINUS, RATES, 0.005,
+                                                 math.nan, TAU),
+                 ParameterError, "gamma_total must be finite and >= 0, got nan",
+                 id="nonresonant-closed-form-nan-feeding"),
+    pytest.param(lambda: bloch_steady_state("0.1", 1.0, 0.5), ParameterError,
+                 "omega_l_rabi must be finite, got '0.1'",
+                 id="bloch-steady-state-string-drive"),
+    pytest.param(lambda: bloch_steady_state(0.1, "1", 0.5), ParameterError,
+                 "branch rates must be positive", id="bloch-steady-state-string-rate"),
+    # Value containers refuse what is not a finite real number.
+    pytest.param(lambda: Populations("1", 0, 0, 0), ParameterError,
+                 "p_gg must be in [0, 1], got '1'", id="populations-string"),
+    pytest.param(lambda: BlochState(0.5, math.nan, 0.0), ParameterError,
+                 "coh_re must be finite, got nan", id="bloch-nan-coherence"),
+    pytest.param(lambda: PopulationTrajectory(TAU, np.full((11, 4), np.nan)),
+                 ParameterError, "trajectory contains out-of-range populations",
+                 id="trajectory-nan"),
+    pytest.param(lambda: SpectrumSeries(TAU, np.full(11, np.nan)),
+                 ParameterError, "spectral density must be nonnegative",
+                 id="spectrum-nan"),
+    pytest.param(lambda: check_grid("abc", "grid"), ParameterError,
+                 "grid must be real numbers, got dtype <U3", id="grid-string"),
+    pytest.param(lambda: check_grid(TAU + 1j, "grid"), ParameterError,
+                 "grid must be real numbers, got dtype complex128",
+                 id="grid-complex"),
 ]
 
 

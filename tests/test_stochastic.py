@@ -115,9 +115,9 @@ class TestSimulate:
         params = SystemParams(omega0=1.0, omega1=-1.0, v0=1.0, gamma_r=0.0,
                               gamma_nr=0.0, gamma_perp=0.0, gamma_u=0.01,
                               pump_r=0.01)
-        rates = branch_rates(params, dressed_basis(params))
-        with pytest.raises(ConfigError, match="branch"):
-            simulate_stream(params, rates, TrajectoryConfig(duration=1e4))
+        # Refused where the rates are built, so no run can be planned.
+        with pytest.raises(ParameterError, match="branch rates must be positive"):
+            branch_rates(params, dressed_basis(params))
 
     def test_unit_yield_emits_every_cycle(self):
         # With no non-radiative channel every branch decay is detected, so
