@@ -253,6 +253,12 @@ def dressed_basis(params: SystemParams) -> DressedBasis:
     )
 
 
+# The _real rule of each BranchChannel field that _check_branch_rates
+# does not check.
+_CHANNEL_RULES = {"grad": "finite and >= 0", "gfeed": "finite and >= 0",
+                  "dipole_w": "in [0, 1]"}
+
+
 class BranchChannel(NamedTuple):
     """All relaxation rates of a single dressed branch."""
 
@@ -293,6 +299,10 @@ class BranchRates:
                           self.gfeed_plus, self.dipole_w_plus)))
         for channel in self._channels:  # one that never decays has no line
             _check_branch_rates(channel.gpar, channel.gperp)
+        for slot in ("minus", "plus"):  # zero feeding is the run's to refuse
+            for field, rule in _CHANNEL_RULES.items():
+                name = f"{field}_{slot}"
+                _real(name, getattr(self, name), rule)
 
     def branch(self, branch: Branch) -> BranchChannel:
         return self._channels[_slot(branch)]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 import re
@@ -179,6 +180,21 @@ class TestBranchRates:
                 ch = rates.branch(branch)
                 assert ch.gpar == ch.grad + params.gamma_nr * basis.weight(branch)
                 assert ch.dipole_w == basis.weight(branch)
+
+    # One hostile value per field _check_branch_rates leaves to the rules.
+    @pytest.mark.parametrize("field, bad, rule", [
+        ("grad_minus", "x", "finite and >= 0"),
+        ("grad_plus", -1.0, "finite and >= 0"),
+        ("gfeed_minus", math.nan, "finite and >= 0"),
+        ("gfeed_plus", math.inf, "finite and >= 0"),
+        ("dipole_w_minus", 1.5, "in [0, 1]"),
+        ("dipole_w_plus", None, "in [0, 1]"),
+    ])
+    def test_refuses_each_hostile_field(self, field, bad, rule):
+        rates = branch_rates(make_params(), dressed_basis(make_params()))
+        with pytest.raises(ParameterError, match=(
+                f"^{field} must be {re.escape(rule)}")):
+            dataclasses.replace(rates, **{field: bad})
 
 
 class TestSystemParams:

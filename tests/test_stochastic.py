@@ -306,6 +306,19 @@ class TestValidation:
         with pytest.raises(ParameterError, match="over the cap"):
             run(params, rates, TrajectoryConfig(duration=1e300))
 
+    @pytest.mark.parametrize("run", [
+        simulate_stream,
+        lambda *args: stochastic.plan_run(*args, None, None)],
+        ids=["simulate_stream", "plan_run"])
+    def test_trajectory_count_past_a_float_rejected(self, run):
+        # Each trajectory draws a block, so the count is refused while it is
+        # still an integer: as a float it would overflow.
+        params, rates = make_setup()
+        with pytest.raises(ParameterError, match=(
+                r"at least 10{400} blocks .* over the cap of 2048")):
+            run(params, rates, TrajectoryConfig(duration=1.0,
+                                                n_trajectories=10 ** 400))
+
     def test_run_size_counts_every_trajectory(self):
         # Each trajectory alone is under the cap, the two together are not.
         params, rates = make_setup()
@@ -768,9 +781,17 @@ class TestFano:
         with pytest.raises(ParameterError, match="over the cap"):
             fano_factor(stream, window=0.999)
 
+    # Window counts across the edges of the variance's blocks, and far past
+    # numpy's 128-element pairwise-sum leaves.
+    @pytest.mark.parametrize("n_windows", [3 * 2 ** 16 + 7, 2 ** 20 + 3])
+    def test_counts_match_numpy_histogram_in_blocks(self, n_windows):
+        rng = np.random.default_rng(n_windows)
+        stream = poisson_stream(rng, rate=1.7, duration=0.5 * n_windows)
+        assert fano_factor(stream, 0.5) == self.histogram_fano(stream, 0.5)
+
     def test_memory_bounded_in_windows(self):
-        # 2**20 windows and about 1000 photons: the counts and the variance's
-        # one window-sized temporary, 16 bytes a window.
+        # 2**20 windows and about 1000 photons: the counts, 8 bytes a window,
+        # and one block of their variance.
         rng = np.random.default_rng(59)
         stream = poisson_stream(rng, rate=1e-3, duration=float(1 << 20))
         tracemalloc.start()
@@ -779,7 +800,7 @@ class TestFano:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20 * (1 << 20) + 64 * stream.n_photons
+        assert peak < 10 * (1 << 20) + 64 * stream.n_photons
 
     def test_requires_100_windows(self):
         rng = np.random.default_rng(56)
