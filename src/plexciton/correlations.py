@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, RegimeWarning, ResolutionError
-from .integrate import check_grid
+from .integrate import _numbers, check_grid
 from .model import Branch, BranchRates, DressedBasis, _real
 from .rate_dynamics import Populations
 
@@ -39,9 +39,10 @@ class CorrelationSeries:
     def __post_init__(self) -> None:
         tau = check_grid(self.tau, "tau")
         object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "values", np.asarray(self.values))
+        object.__setattr__(self, "values",
+                           _numbers(self.values, "values", complex_ok=True))
         if self.stderr is not None:
-            object.__setattr__(self, "stderr", np.asarray(self.stderr))
+            object.__setattr__(self, "stderr", _numbers(self.stderr, "stderr"))
         if self.values.shape != tau.shape:
             raise ParameterError("values and tau must have matching shapes")
         if self.stderr is not None and self.stderr.shape != tau.shape:
@@ -58,7 +59,7 @@ class SpectrumSeries:
     def __post_init__(self) -> None:
         omega = check_grid(self.omega, "omega", nonnegative=False)
         object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "values", np.asarray(self.values))
+        object.__setattr__(self, "values", _numbers(self.values, "values"))
         if self.values.shape != omega.shape:
             raise ParameterError("values and omega must have matching shapes")
         if not (self.values >= 0.0).all():  # a NaN is refused too

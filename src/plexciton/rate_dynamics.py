@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateSteadyStateError, IntegrationError, ParameterError
 # STEP_SAFETY stays importable from here; the step rule is in integrate.
-from .integrate import STEP_SAFETY, check_grid, evolve_linear
+from .integrate import STEP_SAFETY, _numbers, check_grid, evolve_linear
 from .model import MAX_STEPS, Branch, BranchRates, _integer, _real, _slot
 
 _NORM_TOL = 1e-9
@@ -54,8 +54,9 @@ class PopulationTrajectory:
     values: np.ndarray  # shape (n, 4)
 
     def __post_init__(self) -> None:
-        times = check_grid(self.times, "trajectory times")
-        if self.values.shape != (times.size, 4):
+        object.__setattr__(self, "times", check_grid(self.times, "trajectory times"))
+        object.__setattr__(self, "values", _numbers(self.values, "trajectory values"))
+        if self.values.shape != (self.times.size, 4):
             raise ParameterError("trajectory arrays have inconsistent shapes")
         if not (np.abs(self.values - 0.5) <= 0.5 + _NORM_TOL).all():  # or NaN
             raise ParameterError("trajectory contains out-of-range populations")

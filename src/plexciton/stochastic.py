@@ -571,7 +571,7 @@ def read_photon_stream(path) -> PhotonStream:
     """
     time_chunks: list[np.ndarray] = []
     tag_chunks: list[np.ndarray] = []
-    row_lines: list[range | list[int]] = []  # each chunk's row line numbers
+    row_lines: list[range | np.ndarray] = []  # each chunk's row line numbers
     header = None
     lineno = 0
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -601,7 +601,7 @@ def read_photon_stream(path) -> PhotonStream:
             row = _first_bad_time(times, duration)
             for lines in row_lines:
                 if row < len(lines):
-                    line = lines[row]
+                    line = int(lines[row])
                     break
                 row -= len(lines)
         raise ParameterError(f"{path}:{line}: {exc}") from None
@@ -676,4 +676,4 @@ def _parse_lines(chunk: str, path, first: int):
                 "'# duration=<number>' or '<timestamp><TAB><- or +>'"
             ) from None
     return (np.array(times, dtype=float), np.array(tags, dtype=np.int8),
-            lines, header)
+            np.array(lines, dtype=np.int64), header)

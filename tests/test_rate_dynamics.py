@@ -20,7 +20,7 @@ from plexciton import (
 )
 from plexciton import integrate
 from plexciton.integrate import evolve_linear
-from plexciton.rate_dynamics import rate_matrix
+from plexciton.rate_dynamics import PopulationTrajectory, rate_matrix
 
 from conftest import random_params
 
@@ -106,6 +106,10 @@ class TestEvolve:
             sums = traj.values.sum(axis=1)
             assert np.max(np.abs(sums - 1.0)) < 1e-9
             assert traj.values.min() > -1e-12
+
+    def test_trajectory_stores_float_arrays(self):
+        traj = PopulationTrajectory([0, 1], [[1, 0, 0, 0]] * 2)
+        assert traj.times.dtype == traj.values.dtype == np.float64
 
     def test_rejects_unnormalized_initial_state(self, benchmark_rates):
         bad = Populations(0.5, 0.0, 0.0, 0.0)
@@ -197,6 +201,30 @@ class TestPropagator:
         regression_g2_nonresonant_numeric(benchmark_rates, benchmark_params.pump_r,
                                           Branch.MINUS, tau)
         assert len(calls) == 1
+
+    # A late first sample gets a lead-in run of its own, even on the lattice
+    # from 0; a grid that is not uniform goes segment by segment.
+    @pytest.mark.parametrize("grid, matrices", [
+        (np.linspace(0.0, 500.0, 601), 1),
+        (np.linspace(0.7, 500.0, 601), 2),
+        (np.linspace(0.0, 500.0, 601)[1:], 2),
+        (np.array([0.0, 1.0, 3.0, 4.0, 9.0]), 4),
+        (np.array([0.5, 1.0, 3.0, 4.0, 9.0]), 5),
+    ], ids=["linspace", "late-start", "late-start-on-lattice", "non-uniform",
+            "non-uniform-late"])
+    def test_step_matrices_per_grid(self, benchmark_rates, benchmark_params,
+                                    monkeypatch, grid, matrices):
+        calls = []
+
+        def counting(a, h):
+            calls.append(h)
+            return step_matrix(a, h)
+
+        step_matrix = integrate.rk4_step_matrix
+        monkeypatch.setattr(integrate, "rk4_step_matrix", counting)
+        evolve_linear(rate_matrix(benchmark_rates, benchmark_params.pump_r),
+                      GROUND.as_array(), grid)
+        assert len(calls) == matrices
 
     def test_growing_system_names_first_non_finite_sample(self):
         # e^t overflows past t ~ 709.8: the sample at 700 is finite, 750 not.

@@ -214,6 +214,45 @@ REFUSALS = [
     pytest.param(lambda: SpectrumSeries(TAU, np.full(11, np.nan)),
                  ParameterError, "spectral density must be nonnegative",
                  id="spectrum-nan"),
+    # Array fields take check_grid's rule for a real number; g1 may be complex.
+    pytest.param(lambda: CorrelationSeries(TAU, np.full(11, "1")),
+                 ParameterError,
+                 "values must be real or complex numbers, got dtype <U1",
+                 id="correlation-string-values"),
+    pytest.param(lambda: CorrelationSeries(TAU, np.ones(11, dtype=object)),
+                 ParameterError,
+                 "values must be real or complex numbers, got dtype object",
+                 id="correlation-object-values"),
+    pytest.param(lambda: CorrelationSeries(TAU, TAU, np.full(11, "1")),
+                 ParameterError, "stderr must be real numbers, got dtype <U1",
+                 id="correlation-string-stderr"),
+    pytest.param(lambda: CorrelationSeries(TAU, TAU, np.ones(11, dtype=object)),
+                 ParameterError, "stderr must be real numbers, got dtype object",
+                 id="correlation-object-stderr"),
+    pytest.param(lambda: SpectrumSeries(TAU, np.full(11, "1")), ParameterError,
+                 "values must be real numbers, got dtype <U1",
+                 id="spectrum-string-values"),
+    pytest.param(lambda: SpectrumSeries(TAU, TAU + 1j), ParameterError,
+                 "values must be real numbers, got dtype complex128",
+                 id="spectrum-complex-values"),
+    pytest.param(lambda: SpectrumSeries(TAU, np.ones(11, dtype=object)),
+                 ParameterError, "values must be real numbers, got dtype object",
+                 id="spectrum-object-values"),
+    pytest.param(lambda: SpectrumSeries(TAU, np.ones(11, dtype=bool)),
+                 ParameterError, "values must be real numbers, got dtype bool",
+                 id="spectrum-bool-values"),
+    pytest.param(lambda: PopulationTrajectory(TAU, [[None] * 4] * 11),
+                 ParameterError,
+                 "trajectory values must be real numbers, got dtype object",
+                 id="trajectory-list"),
+    pytest.param(lambda: PopulationTrajectory(TAU, np.full((11, 4), "0.25")),
+                 ParameterError,
+                 "trajectory values must be real numbers, got dtype <U4",
+                 id="trajectory-string-values"),
+    pytest.param(lambda: spectrum_fft_check(CorrelationSeries(
+        TAU, np.full(11, "1"))), ParameterError,
+                 "values must be real or complex numbers, got dtype <U1",
+                 id="fft-string-values"),
     pytest.param(lambda: check_grid("abc", "grid"), ParameterError,
                  "grid must be real numbers, got dtype <U3", id="grid-string"),
     pytest.param(lambda: check_grid(TAU + 1j, "grid"), ParameterError,
