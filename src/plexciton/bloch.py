@@ -22,9 +22,7 @@ import numpy as np
 from .errors import ParameterError
 # STEP_SAFETY stays importable from here; the step rule is in integrate.
 from .integrate import STEP_SAFETY, evolve_linear
-from .model import _check_branch_rates, _real
-
-_POSITIVITY_SLACK = 1e-9
+from .model import _SLACK, _check_branch_rates, _check_drive, _real
 
 
 @dataclass(frozen=True)
@@ -40,7 +38,7 @@ class BlochState:
                            ("coh_im", "finite")):
             _real(name, getattr(self, name), rule)
         coh2 = self.coh_re ** 2 + self.coh_im ** 2
-        if coh2 > self.p_ee * (1.0 - self.p_ee) + _POSITIVITY_SLACK:
+        if coh2 > self.p_ee * (1.0 - self.p_ee) + _SLACK:
             raise ParameterError(
                 f"|coherence|^2 = {coh2} violates density-matrix positivity"
             )
@@ -54,10 +52,9 @@ def bloch_steady_state(omega_l_rabi: float, gpar_b: float,
     stationary population is ``s / (1 + 2 s)``: it reduces to ``s`` for weak
     driving and saturates monotonically at one half.
     """
-    _real("omega_l_rabi", omega_l_rabi, "finite")
+    _check_drive(omega_l_rabi)
     _check_branch_rates(gpar_b, gperp_b)
     omega_l_rabi, gpar_b, gperp_b = map(float, (omega_l_rabi, gpar_b, gperp_b))
-    _real("omega_l_rabi**2", omega_l_rabi * omega_l_rabi, "finite")
     if omega_l_rabi == 0.0:
         return BlochState(0.0, 0.0, 0.0)
     # coh_re decays to zero.  This operation order, and -0.0 for coh_re,

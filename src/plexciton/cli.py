@@ -39,14 +39,8 @@ from .errors import (
     PlexcitonError,
     RegimeWarning,
 )
-from .model import (
-    Branch,
-    Scenario,
-    SystemParams,
-    branch_drive_rabi,
-    branch_rates,
-    dressed_basis,
-)
+from .model import (Branch, Scenario, SystemParams, _check_drive, _real,
+                    branch_drive_rabi, branch_rates, check_grid, dressed_basis)
 from .rate_dynamics import Populations, steady_state_analytic
 from .stochastic import (
     PhotonStream,
@@ -118,10 +112,13 @@ def cmd_spectrum(config: RunConfig) -> Outputs:
         else:
             span = 2.0 * basis.omega_rabi + 12.0 * params.gamma_perp
             lo, hi = basis.omega_center - span, basis.omega_center + span
-        omega = np.linspace(lo, hi, config.omega_steps)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            omega = np.linspace(lo, hi, config.omega_steps)
+            abscissa = (omega - basis.omega_center) / params.gamma_perp
+        check_grid(abscissa, "spectrum grid (omega - omega_center)/gamma_perp",
+                   nonnegative=False)
         weighted = [basis.weight(branch) * spectrum_analytic(
             branch, rates, steady, basis, omega).values for branch in Branch]
-        abscissa = (omega - basis.omega_center) / params.gamma_perp
         text = _csv_text(
             _provenance(params, config) + [
                 "omega column is (omega - omega_center)/gamma_perp",
@@ -147,6 +144,7 @@ def cmd_g2(config: RunConfig) -> Outputs:
         tau_max = 6.0 / slow
     else:
         raise ConfigError("tau_max must be given when pump_r + gamma_u is zero")
+    _real("tau_max * (gamma_r + gamma_nr)", tau_max * gamma_par, "finite")
     tau = np.linspace(0.0, tau_max, config.tau_steps)
 
     with warnings.catch_warnings(record=True) as caught:
@@ -258,6 +256,7 @@ def cmd_rates(config: RunConfig) -> Outputs:
         for branch in Branch:
             ch = rates.branch(branch)
             drive = branch_drive_rabi(params, basis, branch)
+            _check_drive(drive)
             # saturation is half the s = 2 drive**2 / (gpar gperp) of
             # bloch_steady_state, and occupation = s is the weak-drive,
             # first-order population, not the exact s / (1 + 2 s) that

@@ -8,12 +8,12 @@ so no physics input can be silently defaulted.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
-from .errors import ConfigError
-from .model import MAX_STEPS, Branch, Scenario, SystemParams
+from .errors import ConfigError, ParameterError
+from .model import (MAX_STEPS, _PARAM_RULES, Branch, Scenario, SystemParams,
+                    _integer, _real)
 
 
 @dataclass(frozen=True)
@@ -36,22 +36,23 @@ class RunConfig:
     v0_over_delta_sweep: tuple[float, ...] | None
 
 
-def _number(kind, low=-math.inf, high=math.inf, above=False):
-    """Parser of an int, or a finite float, no less than ``low`` (greater if
-    ``above``) and no more than ``high``."""
-    rule = (f"in {low}..{high}" if high < math.inf
-            else f"{'>' if above else '>='} {low}")
+def _number(rule):
+    """Parser of a float meeting ``rule``, a ``model._REAL_RULES`` name, or
+    of an int within ``rule``, a tuple of ``model._integer``'s bounds."""
+    kind, what = (float, "a number") if isinstance(rule, str) else (int, "an integer")
 
     def parse(key: str, text: str):
+        name = f"key '{key}'"
         try:
             value = kind(text)
         except ValueError:
-            what = "an integer" if kind is int else "a number"
-            raise ConfigError(f"key '{key}': not {what}: {text!r}") from None
-        if kind is float and not math.isfinite(value):
-            raise ConfigError(f"key '{key}': must be finite, got {text!r}")
-        if value < low or value > high or (above and value == low):
-            raise ConfigError(f"key '{key}': must be {rule}, got {value}")
+            raise ConfigError(f"{name}: not {what}: {text!r}") from None
+        try:
+            if kind is int:
+                return _integer(name, value, *rule)
+            _real(name, value, rule)
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from None
         return value
     return parse
 
@@ -68,9 +69,8 @@ def _choice(enum, **extra):
     return parse
 
 
-_nonnegative = _number(float, low=0)
-_positive = _number(float, low=0, above=True)
-_steps = _number(int, low=2, high=MAX_STEPS)
+_positive = _number("positive and finite")
+_steps = _number((2, MAX_STEPS))
 
 
 def _ratios(key: str, text: str) -> tuple[float, ...]:
@@ -79,31 +79,26 @@ def _ratios(key: str, text: str) -> tuple[float, ...]:
 
 _REQUIRED = object()
 
-# key -> (parser, default).  Each parser checks type and range and names the
-# key when it fails; _REQUIRED keys have no default, and None is derived at
-# command time.  The physics keys come first, in SystemParams field order,
-# which the CLI's parameter echo follows.
+# key -> (parser, default).  Each parser checks type and a model rule (a
+# physics key's is its field's) and names the key when it fails; _REQUIRED
+# keys have no default, and None is derived at command time.  The physics
+# keys come first, in SystemParams field order, for the CLI's echo.
 _KEYS = {
-    "omega0": (_number(float), _REQUIRED),
-    "omega1": (_number(float), _REQUIRED),
-    "v0": (_positive, _REQUIRED),
-    "gamma_r": (_nonnegative, _REQUIRED),
-    "gamma_nr": (_nonnegative, _REQUIRED),
-    "gamma_perp": (_nonnegative, _REQUIRED),
-    "gamma_u": (_nonnegative, _REQUIRED),
-    "pump_r": (_nonnegative, _REQUIRED),
-    "drive_rabi": (_nonnegative, 0.0),
+    **{key: (_number(_PARAM_RULES[key]), _REQUIRED) for key in (
+        "omega0", "omega1", "v0", "gamma_r", "gamma_nr", "gamma_perp",
+        "gamma_u", "pump_r")},
+    "drive_rabi": (_number(_PARAM_RULES["omega_l_rabi"]), 0.0),
     "scenario": (_choice(Scenario), _REQUIRED),
-    "unit_scale": (_nonnegative, 1.0),
-    "omega_min": (_number(float), None),
-    "omega_max": (_number(float), None),
+    "unit_scale": (_number("finite and >= 0"), 1.0),
+    "omega_min": (_number("finite"), None),
+    "omega_max": (_number("finite"), None),
     "omega_steps": (_steps, 4001),
     "tau_max": (_positive, None),
     "tau_steps": (_steps, 601),
     "bins": (_steps, 20),
     "duration": (_positive, None),
-    "n_trajectories": (_number(int, low=1), 1),
-    "master_seed": (_number(int), 1),
+    "n_trajectories": (_number((1,)), 1),
+    "master_seed": (_number(()), 1),
     "branch": (_choice(Branch, both=None), None),
     "fano_window": (_positive, None),
     "v0_over_delta_sweep": (_ratios, None),

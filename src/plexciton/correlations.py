@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, RegimeWarning, ResolutionError
-from .integrate import _numbers, check_grid
-from .model import Branch, BranchRates, DressedBasis, _real
+from .model import Branch, BranchRates, DressedBasis, _numbers, _real, check_grid
 from .rate_dynamics import Populations
 
 
@@ -86,7 +85,9 @@ def spectrum_analytic(branch: Branch, rates: BranchRates, steady: Populations,
     omega = check_grid(omega_grid, "omega_grid", nonnegative=False)
     ch = rates.branch(branch)
     pop = steady.branch(branch)
-    values = 2.0 * ch.gperp * pop / ((omega - basis.omega(branch)) ** 2 + ch.gperp ** 2)
+    with np.errstate(over="ignore"):  # 1/inf is exact
+        values = 2.0 * ch.gperp * pop / ((omega - basis.omega(branch)) ** 2
+                                         + ch.gperp ** 2)
     return SpectrumSeries(omega=omega, values=values)
 
 
@@ -138,8 +139,7 @@ def spectrum_fft_check(g1: CorrelationSeries) -> SpectrumSeries:
         than 64 samples per decay time (both judged from the sampled decay
         itself).
     """
-    tau = g1.tau
-    values = np.asarray(g1.values, dtype=complex)
+    tau, values = g1.tau, g1.values
     if tau.size < 3:
         raise ResolutionError("need at least 3 samples")
     dts = np.diff(tau)
@@ -241,12 +241,14 @@ def g2_resonant_analytic(branch: Branch, rates: BranchRates,
     tau = check_grid(tau_grid, "tau_grid")
     ch = rates.branch(branch)
     gpar_b, gperp_b = ch.gpar, ch.gperp
-    if abs(gperp_b - gpar_b) < 1e-2 * gpar_b:
-        lo, hi = sorted((gpar_b, gperp_b))
-        x = (lo - hi) * tau
-        phi1 = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
-        values = 1.0 - np.exp(-lo * tau) * (1.0 + lo * tau * phi1)
-    else:
-        values = (-gperp_b * np.expm1(-gpar_b * tau)
-                  + gpar_b * np.expm1(-gperp_b * tau)) / (gperp_b - gpar_b)
+    with np.errstate(over="ignore"):  # exp(-inf) is exact
+        if abs(gperp_b - gpar_b) < 1e-2 * gpar_b:
+            lo, hi = sorted((gpar_b, gperp_b))
+            t = np.minimum(tau, 1e3 / lo)  # exp(-1e3) is 0; lo t stays finite
+            x = (lo - hi) * t
+            phi1 = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+            values = 1.0 - np.exp(-lo * t) * (1.0 + lo * t * phi1)
+        else:
+            values = (-gperp_b * np.expm1(-gpar_b * tau)
+                      + gpar_b * np.expm1(-gperp_b * tau)) / (gperp_b - gpar_b)
     return CorrelationSeries(tau=tau, values=values)

@@ -1,7 +1,4 @@
-"""Fixed-step fourth-order Runge-Kutta propagation for small linear systems,
-and :func:`check_grid`, the one check of every lag, time and frequency grid
-the package takes: finite, strictly increasing and, for lags and times,
-nonnegative.
+"""Fixed-step fourth-order Runge-Kutta propagation for small linear systems.
 
 Every ODE in this package is linear (or affine, which callers lift to linear
 form with an augmented constant coordinate), so one classic RK4 step equals
@@ -35,8 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import IntegrationError, ParameterError
-from .model import _real
+from .errors import IntegrationError
+from .model import _real, check_grid
 
 # Bound on every internal RK4 step, as a fraction of the fastest rate.
 STEP_SAFETY = 0.1
@@ -45,31 +42,6 @@ STEP_SAFETY = 0.1
 # itself of the run's uniform lattice: about 45 units in the last place, where
 # np.linspace grids stray by at most 2.
 _RUN_RTOL = 1e-14
-
-
-def check_grid(grid, name: str, nonnegative: bool = True) -> np.ndarray:
-    """``grid`` as a float array (a float array itself), or ParameterError
-    naming ``name`` unless it is a non-empty 1-d array of real, finite,
-    strictly increasing values, nonnegative when ``nonnegative``."""
-    grid = _numbers(grid, name)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ParameterError(f"{name} must be a non-empty 1-d array")
-    # A NaN fails every comparison; an increasing grid is infinite only at ends.
-    if not ((grid[:-1] < grid[1:]).all() and -np.inf < grid[0] and grid[-1] < np.inf):
-        raise ParameterError(f"{name} must be finite and strictly increasing")
-    if nonnegative and grid[0] < 0.0:
-        raise ParameterError(f"{name} must be nonnegative")
-    return grid
-
-
-def _numbers(values, name: str, complex_ok: bool = False) -> np.ndarray:
-    """``values`` as a float (or, when ``complex_ok``, complex) array, or
-    ParameterError naming ``name`` unless their dtype holds such numbers."""
-    values = np.asarray(values)
-    kinds, what = ("iufc", "real or complex") if complex_ok else ("iuf", "real")
-    if values.dtype.kind not in kinds:
-        raise ParameterError(f"{name} must be {what} numbers, got dtype {values.dtype}")
-    return values.astype(complex if values.dtype.kind == "c" else float, copy=False)
 
 
 def rk4_step_matrix(a: np.ndarray, h: float) -> np.ndarray:
@@ -93,7 +65,7 @@ def evolve_linear(a: np.ndarray, x0: np.ndarray, grid: np.ndarray,
     x0 : ndarray
         State at t = 0.
     grid : ndarray
-        Sample times, checked by :func:`check_grid`.
+        Sample times, checked by :func:`plexciton.model.check_grid`.
     dt_cap : float, optional
         Extra bound on the internal step.  The step is at most
         ``min(dt_cap, STEP_SAFETY / max|A_ij|)`` (``dt_cap`` alone when ``A``
@@ -107,7 +79,7 @@ def evolve_linear(a: np.ndarray, x0: np.ndarray, grid: np.ndarray,
     Raises
     ------
     ParameterError
-        If the grid fails :func:`check_grid` or ``dt_cap`` is not positive.
+        If the grid fails its check or ``dt_cap`` is not positive.
     IntegrationError
         If a sampled state contains non-finite entries; the message names
         the first such sample.

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import ParameterError
 
 # Below this squared dressed-state amplitude one branch effectively decouples
@@ -70,12 +72,15 @@ _PARAM_RULES = {"omega0": "finite", "omega1": "finite",
 # Largest grid step, bin or sample count: 10**6 points take tens of MB.
 MAX_STEPS = 10 ** 6
 
+# Rounding may take a probability this far outside [0, 1], or a sum off 1.
+_SLACK = 1e-9
+
 # What each rule of _real asks of a real number's float.
 _REAL_RULES = {"finite": math.isfinite,
                "finite and >= 0": lambda x: 0.0 <= x < math.inf,
                "positive and finite": lambda x: 0.0 < x < math.inf,
                "positive": lambda x: x > 0.0,
-               "in [0, 1]": lambda x: -1e-9 <= x <= 1.0 + 1e-9}  # rounding
+               "in [0, 1]": lambda x: -_SLACK <= x <= 1.0 + _SLACK}
 
 
 def _is_real(value, rule: str) -> bool:
@@ -105,6 +110,37 @@ def _integer(name: str, value, low=None, high=None) -> int:
     if high is not None and value > high:
         raise ParameterError(f"{name} must be <= {high}, got {value}")
     return value
+
+
+def _numbers(values, name: str, complex_ok: bool = False) -> np.ndarray:
+    """``values`` as a float (or, when ``complex_ok``, complex) array, or
+    ParameterError naming ``name`` unless their dtype holds such numbers."""
+    values = np.asarray(values)
+    kinds, what = ("iufc", "real or complex") if complex_ok else ("iuf", "real")
+    if values.dtype.kind not in kinds:
+        raise ParameterError(f"{name} must be {what} numbers, got dtype {values.dtype}")
+    return values.astype(complex if values.dtype.kind == "c" else float, copy=False)
+
+
+def check_grid(grid, name: str, nonnegative: bool = True) -> np.ndarray:
+    """The rule of every lag, time and frequency grid: ``grid`` as a float
+    array, or ParameterError naming ``name`` unless it is a non-empty 1-d array
+    of real, finite, strictly increasing values, nonnegative if ``nonnegative``."""
+    grid = _numbers(grid, name)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ParameterError(f"{name} must be a non-empty 1-d array")
+    # A NaN fails every comparison; an increasing grid is infinite only at ends.
+    if not ((grid[:-1] < grid[1:]).all() and -np.inf < grid[0] and grid[-1] < np.inf):
+        raise ParameterError(f"{name} must be finite and strictly increasing")
+    if nonnegative and grid[0] < 0.0:
+        raise ParameterError(f"{name} must be nonnegative")
+    return grid
+
+
+def _check_drive(omega_l_rabi) -> None:
+    """Refuse a drive amplitude unless it and its square are finite."""
+    _real("omega_l_rabi", omega_l_rabi, "finite")
+    _real("omega_l_rabi**2", float(omega_l_rabi) * float(omega_l_rabi), "finite")
 
 
 def _check_branch_rates(gpar, gperp) -> None:

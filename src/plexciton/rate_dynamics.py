@@ -16,10 +16,9 @@ import numpy as np
 
 from .errors import DegenerateSteadyStateError, IntegrationError, ParameterError
 # STEP_SAFETY stays importable from here; the step rule is in integrate.
-from .integrate import STEP_SAFETY, _numbers, check_grid, evolve_linear
-from .model import MAX_STEPS, Branch, BranchRates, _integer, _real, _slot
-
-_NORM_TOL = 1e-9
+from .integrate import STEP_SAFETY, evolve_linear
+from .model import (MAX_STEPS, Branch, BranchRates, _SLACK, _integer, _numbers,
+                    _real, _slot, check_grid)
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,7 @@ class PopulationTrajectory:
         object.__setattr__(self, "values", _numbers(self.values, "trajectory values"))
         if self.values.shape != (self.times.size, 4):
             raise ParameterError("trajectory arrays have inconsistent shapes")
-        if not (np.abs(self.values - 0.5) <= 0.5 + _NORM_TOL).all():  # or NaN
+        if not (np.abs(self.values - 0.5) <= 0.5 + _SLACK).all():  # or NaN
             raise ParameterError("trajectory contains out-of-range populations")
 
     @property
@@ -92,7 +91,7 @@ def evolve_populations(initial: Populations, rates: BranchRates, pump_r: float,
     ``n_samples`` is at most ``MAX_STEPS``.  The final state must stay
     normalized to within 1e-9 or an :class:`IntegrationError` is raised.
     """
-    if abs(initial.total - 1.0) > _NORM_TOL:
+    if abs(initial.total - 1.0) > _SLACK:
         raise ParameterError(f"initial populations sum to {initial.total}, not 1")
     _real("pump_r", pump_r, "finite and >= 0")
     _real("t_end", t_end, "positive and finite")
@@ -101,7 +100,7 @@ def evolve_populations(initial: Populations, rates: BranchRates, pump_r: float,
     times = np.linspace(0.0, float(t_end), n_samples + 1)
     states = evolve_linear(rate_matrix(rates, pump_r), initial.as_array(),
                            times, dt_max)
-    if abs(float(states[-1].sum()) - 1.0) > _NORM_TOL:
+    if abs(float(states[-1].sum()) - 1.0) > _SLACK:
         raise IntegrationError(
             f"final populations sum to {states[-1].sum()}, drifted off 1"
         )
@@ -129,6 +128,7 @@ def steady_state_analytic(rates: BranchRates, pump_r: float) -> Populations:
     mm = pump_r * gm * lp
     pp = pump_r * gp * lm
     total = gg + uu + mm + pp
+    _real("sum of the unnormalized populations", total, "positive and finite")
     return Populations(gg / total, uu / total, mm / total, pp / total)
 
 

@@ -27,9 +27,8 @@ import numpy as np
 
 from .errors import ConfigError, InsufficientDataError, ParameterError
 from .correlations import CorrelationSeries
-from .integrate import check_grid
 from .model import (Branch, BranchRates, SystemParams, _BRANCHES, _integer,
-                    _is_real, _real, _slot)
+                    _is_real, _numbers, _real, _slot, check_grid)
 
 _GOLDEN64 = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -112,15 +111,13 @@ class PhotonStream:
     duration: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "times", np.asarray(self.times))
-        object.__setattr__(self, "tags", np.asarray(self.tags))
-        if self.times.shape != self.tags.shape or self.times.ndim != 1:
+        object.__setattr__(self, "times", _numbers(self.times, "times"))
+        tags = np.asarray(self.tags)
+        if self.times.shape != tags.shape or tags.ndim != 1:
             raise ParameterError("times and tags must be matching 1-d arrays")
-        if self.times.dtype.kind not in "iuf":
-            raise ParameterError(
-                f"times must be real numbers, got dtype {self.times.dtype}")
-        if np.any((self.tags != 0) & (self.tags != 1)):
+        if np.any((tags != 0) & (tags != 1)):
             raise ParameterError("tags must be 0 (minus) or 1 (plus)")
+        object.__setattr__(self, "tags", tags.astype(np.int8, copy=False))
         _real("duration", self.duration, "positive and finite")
         bad = _first_bad_time(self.times, self.duration)
         if bad >= 0:
@@ -150,7 +147,9 @@ def _first_bad_time(times: np.ndarray, duration: float) -> int:
 
 @dataclass(frozen=True)
 class EmissionRate:
-    """Photon rate estimate with a Poisson-style standard error."""
+    """Photon rate with its Poisson standard error ``sqrt(n)/T``, which
+    overstates the error of a sub-Poissonian stream of long-window Fano
+    factor ``F`` by ``1/sqrt(F)``: 1.42 for the pumped one at F = 0.49."""
 
     value: float
     stderr: float
@@ -546,15 +545,13 @@ def write_photon_stream(stream: PhotonStream, path) -> None:
     Written through :func:`atomic_write`, so readers never observe a
     partial stream.
     """
-    times = np.asarray(stream.times, dtype=float)
-    tags = np.asarray(stream.tags, dtype=np.int8)
-
     def chunks():
         yield f"# duration={float(stream.duration)!r}\n"
-        for start in range(0, times.size, _WRITE_ROWS):
+        for start in range(0, stream.n_photons, _WRITE_ROWS):
             stop = start + _WRITE_ROWS
             yield "".join([repr(t) + _ROW_END[g] for t, g in zip(
-                times[start:stop].tolist(), tags[start:stop].tolist())])
+                stream.times[start:stop].tolist(),
+                stream.tags[start:stop].tolist())])
 
     atomic_write(path, chunks())
 

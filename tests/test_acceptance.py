@@ -20,6 +20,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from plexciton import (
     Branch,
@@ -43,7 +44,7 @@ from plexciton import (
     steady_state_analytic,
 )
 from plexciton.cli import main
-from plexciton.rate_dynamics import Populations
+from plexciton.rate_dynamics import Populations, rate_matrix
 
 from conftest import random_params
 from test_config_cli import PRESETS, read_csv
@@ -54,6 +55,27 @@ _MODULE_T0 = time.monotonic()
 
 def report(criterion: str, passed: bool, detail: str) -> None:
     print(f"[{'PASS' if passed else 'FAIL'}] criterion {criterion}: {detail}")
+
+
+def exact_fano(rates, pump_r: float, window: float) -> float:
+    """Exact Fano factor of the pumped stream's counts in ``window`` (inf:
+    the long-window limit).  Every cycle ends in G, so the stream is a
+    renewal process and, with the rate matrix Q, its group inverse
+    Q# = (Q - Pi)^-1 + Pi, Pi = pi 1^T, and c = (0, 0, grad_-, grad_+),
+
+        F(T) = 1 + (2/T) c.[Q#^2 (e^{QT} - I) - T Q#] e_G,
+
+    which tends to F_inf = 1 - 2 c.Q# e_G.  Both are computed as F_inf plus
+    the decaying term, which does not cancel at long windows."""
+    q = rate_matrix(rates, pump_r)
+    pi = np.outer(steady_state_analytic(rates, pump_r).as_array(), np.ones(4))
+    group = np.linalg.inv(q - pi) + pi
+    c = np.array([0.0, 0.0, rates.grad_minus, rates.grad_plus])
+    limit = 1.0 - 2.0 * c @ group[:, 0]
+    if window == math.inf:
+        return limit
+    return limit + 2.0 / window * c @ group @ group @ (expm(q * window)
+                                                        - np.eye(4))[:, 0]
 
 
 @pytest.fixture(scope="module")
@@ -490,6 +512,47 @@ class TestCriterion7StochasticOracle:
                f"Fano factor {mean:.3f} below 1 at {significance:.1f} sigma "
                f"(window = 1/(R+gamma))")
         assert significance >= 5.0
+
+    def test_criterion_7_fano_matches_exact_value(self):
+        # Companion of the 5-sigma test: its 20 streams against the exact
+        # Fano factor at its window.
+        params = SystemParams(omega0=1.0, omega1=-1.0, v0=1.0, gamma_r=1.0,
+                              gamma_nr=0.0, gamma_perp=0.5, gamma_u=0.0025,
+                              pump_r=0.0025)
+        rates = branch_rates(params, dressed_basis(params))
+        window = 1.0 / (params.pump_r + params.gamma_u)
+        exact = exact_fano(rates, params.pump_r, window)
+        assert exact == pytest.approx(0.8126277, abs=1e-7)
+        blocks = np.array([fano_factor(simulate_stream(
+            params, rates, TrajectoryConfig(duration=400.0 * window,
+                                            master_seed=500 + index))[0],
+                                       window) for index in range(20)])
+        mean = blocks.mean()
+        se = blocks.std(ddof=1) / math.sqrt(blocks.size)
+        z = (mean - exact) / se
+        report("7", abs(z) < 3.0,
+               f"Fano factor {mean:.4f} +- {se:.4f} against the exact "
+               f"{exact:.4f} (z = {z:+.2f})")
+        assert abs(z) < 3.0
+
+    def test_criterion_7_exact_fano_long_window_limit(self):
+        # With unit yield every cycle emits one photon, so the long-window
+        # Fano factor is the squared coefficient of variation of a cycle:
+        # exponential dwells in G and U, then a mixture of the branch decays.
+        params = SystemParams(omega0=1.0, omega1=-1.0, v0=1.0, gamma_r=1.0,
+                              gamma_nr=0.0, gamma_perp=0.5, gamma_u=0.0025,
+                              pump_r=0.0025)
+        rates = branch_rates(params, dressed_basis(params))
+        feed = rates.gfeed_total
+        share = np.array([rates.gfeed_minus, rates.gfeed_plus]) / feed
+        decay = 1.0 / np.array([rates.gpar_minus, rates.gpar_plus])
+        mean = 1.0 / params.pump_r + 1.0 / feed + share @ decay
+        variance = (1.0 / params.pump_r ** 2 + 1.0 / feed ** 2
+                    + 2.0 * share @ decay ** 2 - (share @ decay) ** 2)
+        limit = exact_fano(rates, params.pump_r, math.inf)
+        assert limit == pytest.approx(0.4926513, abs=1e-7)
+        assert abs(limit - variance / mean ** 2) < 1e-12
+        assert abs(exact_fano(rates, params.pump_r, 2e8) - limit) < 1e-5
 
     def test_criterion_7_suite_runtime(self):
         elapsed = time.monotonic() - _MODULE_T0

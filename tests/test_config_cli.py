@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import stat
@@ -607,6 +609,10 @@ _ZERO_YIELD = BASE_CFG.replace("gamma_r = 1.0", "gamma_r = 0.0").replace(
 _ZERO_DECAY = BASE_CFG.replace("gamma_r = 1.0", "gamma_r = 0.0").replace(
     "gamma_perp = 0.5", "gamma_perp = 0.0")
 
+# Decay and feeding of 1e-310: the populations' normalizing sum underflows.
+_TINY_CYCLE_RATES = BASE_CFG.replace("gamma_r = 1.0", "gamma_r = 1e-310").replace(
+    "gamma_u = 0.005", "gamma_u = 1e-310")
+
 # command, config file bytes (None: the config path is a directory), whether
 # --out is an existing regular file, and the exit code.
 BAD_RUNS = [
@@ -653,6 +659,25 @@ BAD_RUNS = [
                  id="omega-min-alone"),
     pytest.param("spectrum", BASE_CFG.encode() + b"omega_min = 1\n"
                  b"omega_max = 1\n", False, 2, id="omega-min-not-below-max"),
+    pytest.param("rates", BASE_CFG.replace("nonresonant", "resonant").encode()
+                 + b"drive_rabi = 1e300\n", False, 2,
+                 id="rates-drive-square-overflows"),
+    pytest.param("steady-state", _TINY_CYCLE_RATES.encode(), False, 2,
+                 id="population-sum-underflows"),
+    pytest.param("spectrum", BASE_CFG.replace("v0 = 1.0", "v0 = 1.7e308")
+                 .encode(), False, 2, id="spectrum-default-grid-overflows"),
+    pytest.param("spectrum", BASE_CFG.encode() + b"omega_min = -1e308\n"
+                 b"omega_max = 1e308\n", False, 2,
+                 id="spectrum-grid-span-overflows"),
+    pytest.param("spectrum", BASE_CFG.encode() + b"omega_min = 1e-20\n"
+                 b"omega_max = 1.7e308\n", False, 2,
+                 id="spectrum-grid-offset-overflows"),
+    pytest.param("g2", BASE_CFG.replace("0.005", "1e-310").encode(), False, 2,
+                 id="g2-default-tau-max-overflows"),
+    pytest.param("g2", BASE_CFG.replace("1.0\ngamma_nr", "1e20\ngamma_nr")
+                 .replace("gamma_perp = 0.5", "gamma_perp = 1e20").encode()
+                 + b"tau_max = 1.7e308\n", False, 2,
+                 id="g2-tau-column-overflows"),
 ]
 
 
@@ -729,6 +754,74 @@ class TestFailureBoundary:
         assert err.count("\n") == 1
         assert err.startswith("error: branch rates must be positive")
         assert not any(out.iterdir())
+
+
+    # The populations' normalizing sum underflows to 0 or overflows to inf.
+    @pytest.mark.parametrize("config", [
+        pytest.param(_TINY_CYCLE_RATES, id="underflow"),
+        pytest.param(BASE_CFG.replace("0.005", "1e300"), id="overflow")])
+    def test_population_sum_refused_by_name(self, tmp_path, capsys, config):
+        assert main(["steady-state", "--config", write_cfg(tmp_path, config)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: sum of the unnormalized populations must be positive and "
+            "finite, got ")
+
+    # Closed forms whose squares or exponentials overflow to exact values:
+    # 1/inf and exp(-inf) are 0.
+    @pytest.mark.parametrize("command, config", [
+        pytest.param("spectrum", BASE_CFG + "v0_over_delta_sweep = 1e300\n",
+                     id="spectrum-huge-coupling"),
+        pytest.param("g2", BASE_CFG.replace("nonresonant", "resonant").replace(
+            "gamma_perp = 0.5", "gamma_perp = 1e20") + "tau_max = 1.7e308\n",
+                     id="g2-huge-lags"),
+    ])
+    def test_overflow_to_exact_values_runs_clean(self, tmp_path, capsys,
+                                                 command, config):
+        cfg = write_cfg(tmp_path, config)
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
+
+# The keys a hostile run sets, and the values it takes: zero, denormals and
+# extreme magnitudes of either sign.
+HOSTILE_KEYS = ["omega0", "omega1", "v0", "gamma_r", "gamma_nr", "gamma_perp",
+                "gamma_u", "pump_r", "drive_rabi", "omega_min", "omega_max",
+                "tau_max", "v0_over_delta_sweep"]
+HOSTILE_VALUES = [0.0, 5e-324, 1e-310, 1e-300, 1e-150, 1e-20, 1.0, 1e20,
+                  1e150, 1e300, 1.7e308, -1e300, -1.0]
+
+
+class TestHostileConfig:
+    # About 4 ms a run: the four commands that sample nothing.
+    @settings(max_examples=300, deadline=None)
+    @given(command=st.sampled_from(["spectrum", "g2", "rates", "steady-state"]),
+           scenario=st.sampled_from(["nonresonant", "resonant"]),
+           changes=st.dictionaries(st.sampled_from(HOSTILE_KEYS),
+                                   st.sampled_from(HOSTILE_VALUES),
+                                   min_size=1, max_size=3))
+    def test_run_succeeds_quietly_or_fails_in_one_line(self, command, scenario,
+                                                       changes):
+        written = dict(line.split(" = ") for line in BASE_CFG.split("\n")
+                       if line)
+        written.update({"drive_rabi": "0.1", "scenario": scenario, **changes})
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = os.path.join(tmp, "run.cfg"), os.path.join(tmp, "out")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.write(cfg_text(written))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, "--config", cfg, "--out", out])
+            err = err.getvalue()
+            if code == 0:
+                assert err == ""
+            else:
+                assert code in (2, 3)
+                assert err.count("\n") == 1
+                assert err.startswith("numerical failure: " if code == 3
+                                      else "error: ")
+                assert not os.path.exists(out) or not os.listdir(out)
 
 
 class TestOutputFiles:

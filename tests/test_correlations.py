@@ -354,6 +354,15 @@ class TestG2Resonant:
         assert np.max(np.abs(g2_near.values - limit)) < 1e-5
 
 
+    # At the last lag gpar * tau overflows: exp(-gpar tau) is 0, and g2 is 1.
+    @pytest.mark.parametrize("gap", [0.0, 1e-3, 1.0])
+    def test_lag_past_overflow_gives_one(self, benchmark_rates, gap):
+        rates = replace(benchmark_rates, gpar_minus=1e20,
+                        gperp_minus=1e20 * (1.0 + gap))
+        tau = np.array([0.0, 1e-20, 1e300])
+        values = g2_resonant_analytic(Branch.MINUS, rates, tau).values
+        assert values[0] == 0.0 and 0.0 < values[1] < 1.0 and values[2] == 1.0
+
     @pytest.mark.parametrize("gap", [0.0, 0.99e-9, 1.01e-9, 1e-8, -1e-6,
                                      1e-6, -9.99e-3, 9.99e-3, 1e-2, -2e-2,
                                      1.0])

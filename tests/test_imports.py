@@ -1,9 +1,12 @@
-"""Every name a plexciton module imports is used in that module."""
+"""Every name a plexciton module imports is used in that module, and every
+rule name it passes to ``model._real`` and its kin is a rule."""
 
 import ast
 import pathlib
 
 import pytest
+
+from plexciton import model
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "plexciton"
 
@@ -42,3 +45,40 @@ def test_no_unused_import(path):
 def test_finds_an_unused_import():
     tree = ast.parse("import os\nimport sys\nfrom a import b as c\nsys.exit(c)\n")
     assert unused_imports(tree) == {"os"}
+
+
+# Where each function that takes a _REAL_RULES name takes it.
+RULE_ARGUMENT = {"_real": 2, "_is_real": 1, "_number": 0}
+
+
+def rule_literals(tree: ast.Module) -> set[str]:
+    """Every string literal passed as the rule of ``_real``, ``_is_real`` or
+    ``config._number``, by position or as ``rule=``."""
+    found = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) in RULE_ARGUMENT):
+            continue
+        position = RULE_ARGUMENT[node.func.id]
+        args = node.args[position:position + 1] + [
+            keyword.value for keyword in node.keywords if keyword.arg == "rule"]
+        found |= {arg.value for arg in args
+                  if isinstance(arg, ast.Constant) and isinstance(arg.value, str)}
+    return found
+
+
+def test_every_rule_name_is_a_rule():
+    # A misspelt name would raise a bare KeyError only when its path runs.
+    literals = set().union(*(rule_literals(ast.parse(path.read_text(
+        encoding="utf-8"))) for path in SRC.glob("*.py")))
+    assert "in [0, 1]" in literals
+    named = (literals | set(model._PARAM_RULES.values())
+             | set(model._CHANNEL_RULES.values()))
+    assert named <= set(model._REAL_RULES)
+
+
+def test_finds_every_rule_literal():
+    tree = ast.parse('_real("x", 1, "finite")\n_is_real(2, rule="positiv")\n'
+                     '_number((1,))\n_number("finite and >= 0")\n'
+                     'f(1, 2, "no")\n_real("x", 1, rule)\n')
+    assert rule_literals(tree) == {"finite", "positiv", "finite and >= 0"}
