@@ -18,7 +18,7 @@ import argparse
 import os
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .errors import (
 )
 from .model import (Branch, Scenario, SystemParams, _check_drive, _real,
                     branch_drive_rabi, branch_rates, check_grid, dressed_basis)
-from .rate_dynamics import Populations, steady_state_analytic
+from .rate_dynamics import steady_state_analytic
 from .stochastic import (
     PhotonStream,
     TrajectoryConfig,
@@ -221,9 +221,15 @@ def _require_drive(params: SystemParams) -> None:
         raise ParameterError("resonant scenario needs drive_rabi > 0")
 
 
-def _population_lines(steady: Populations) -> list[str]:
-    return [f"p_{state} = {_fmt(getattr(steady, 'p_' + state))}"
-            for state in ("gg", "uu", "mm", "pp")]
+def _report(title: str, params: SystemParams, rows: list[tuple]) -> str:
+    """The ``key = value`` report text, one line per ``(key, value[, unit])``
+    row; a value that is not finite is refused, naming its key."""
+    lines = [f"# plexciton {__version__} {title}",
+             f"scenario = {params.scenario.value}"]
+    for key, value, *unit in rows:
+        _real(key, float(value), "finite")
+        lines.append(" ".join([f"{key} = {_fmt(value)}", *unit]))
+    return "\n".join(lines) + "\n"
 
 
 def cmd_rates(config: RunConfig) -> Outputs:
@@ -233,28 +239,23 @@ def cmd_rates(config: RunConfig) -> Outputs:
     basis = dressed_basis(params)
     rates = branch_rates(params, basis)
     scale = config.unit_scale
-    lines = [
-        f"# plexciton {__version__} rates report",
-        f"scenario = {params.scenario.value}",
-        f"theta = {_fmt(basis.theta)}",
-        f"omega_rabi = {_fmt(basis.omega_rabi)}",
-        f"omega_minus = {_fmt(basis.omega_minus)}",
-        f"omega_plus = {_fmt(basis.omega_plus)}",
-        f"quantum_yield = {_fmt(params.quantum_yield)}",
-    ]
+    rows = [("theta", basis.theta), ("omega_rabi", basis.omega_rabi),
+            ("omega_minus", basis.omega_minus),
+            ("omega_plus", basis.omega_plus),
+            ("quantum_yield", params.quantum_yield)]
+    for branch in Branch:
+        ch = rates.branch(branch)
+        rows += [(f"{field}_{branch.value}", getattr(ch, field))
+                 for field in ("gpar", "gperp", "grad", "gfeed")]
+
+    resonant = params.scenario is Scenario.RESONANT
+    if not resonant:
+        steady = steady_state_analytic(rates, params.pump_r)
+        rows += asdict(steady).items()
     for branch in Branch:
         ch = rates.branch(branch)
         tag = branch.value
-        lines += [
-            f"gpar_{tag} = {_fmt(ch.gpar)}",
-            f"gperp_{tag} = {_fmt(ch.gperp)}",
-            f"grad_{tag} = {_fmt(ch.grad)}",
-            f"gfeed_{tag} = {_fmt(ch.gfeed)}",
-        ]
-
-    if params.scenario is Scenario.RESONANT:
-        for branch in Branch:
-            ch = rates.branch(branch)
+        if resonant:
             drive = branch_drive_rabi(params, basis, branch)
             _check_drive(drive)
             # saturation is half the s = 2 drive**2 / (gpar gperp) of
@@ -263,30 +264,17 @@ def cmd_rates(config: RunConfig) -> Outputs:
             # steady-state prints (0.1 against 0.0833 on resonant_rates.cfg).
             saturation = drive ** 2 / (ch.gperp * ch.gpar)
             occupation = 2.0 * saturation
-            photon_rate = occupation * ch.grad
-            tag = branch.value
-            lines += [
-                f"drive_rabi_{tag} = {_fmt(drive)}",
-                f"saturation_{tag} = {_fmt(saturation)}",
-                f"occupation_{tag} = {_fmt(occupation)}",
-                f"p_{tag} = {_fmt(photon_rate)}",
-                f"p_{tag}_physical = {_fmt(photon_rate * scale)} THz",
-            ]
-    else:
-        steady = steady_state_analytic(rates, params.pump_r)
-        lines += _population_lines(steady)
-        for branch in Branch:
-            photon_rate = steady.branch(branch) * rates.branch(branch).grad
-            tag = branch.value
-            lines += [
-                f"p_{tag} = {_fmt(photon_rate)}",
-                f"p_{tag}_physical = {_fmt(photon_rate * scale)} THz",
-            ]
-    lines += [
-        f"gamma_r_physical = {_fmt(params.gamma_r * scale)} THz",
-        f"gamma_par_physical = {_fmt(params.gamma_par * scale)} THz",
-    ]
-    return [("rates.txt", "\n".join(lines) + "\n")]
+            rows += [(f"drive_rabi_{tag}", drive),
+                     (f"saturation_{tag}", saturation),
+                     (f"occupation_{tag}", occupation)]
+        else:
+            occupation = steady.branch(branch)
+        photon_rate = occupation * ch.grad
+        rows += [(f"p_{tag}", photon_rate),
+                 (f"p_{tag}_physical", photon_rate * scale, "THz")]
+    rows += [("gamma_r_physical", params.gamma_r * scale, "THz"),
+             ("gamma_par_physical", params.gamma_par * scale, "THz")]
+    return [("rates.txt", _report("rates report", params, rows))]
 
 
 def cmd_steady_state(config: RunConfig) -> Outputs:
@@ -295,22 +283,17 @@ def cmd_steady_state(config: RunConfig) -> Outputs:
     _require_drive(params)
     basis = dressed_basis(params)
     rates = branch_rates(params, basis)
-    lines = [f"# plexciton {__version__} steady state",
-             f"scenario = {params.scenario.value}"]
     if params.scenario is Scenario.RESONANT:
+        rows = []
         for branch in Branch:
             ch = rates.branch(branch)
             state = bloch_steady_state(branch_drive_rabi(params, basis, branch),
                                        ch.gpar, ch.gperp)
-            tag = branch.value
-            lines += [
-                f"p_ee_{tag} = {_fmt(state.p_ee)}",
-                f"coh_re_{tag} = {_fmt(state.coh_re)}",
-                f"coh_im_{tag} = {_fmt(state.coh_im)}",
-            ]
+            rows += [(f"{key}_{branch.value}", value)
+                     for key, value in asdict(state).items()]
     else:
-        lines += _population_lines(steady_state_analytic(rates, params.pump_r))
-    return [("steady_state.txt", "\n".join(lines) + "\n")]
+        rows = list(asdict(steady_state_analytic(rates, params.pump_r)).items())
+    return [("steady_state.txt", _report("steady state", params, rows))]
 
 
 def _build_parser() -> argparse.ArgumentParser:

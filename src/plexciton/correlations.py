@@ -124,8 +124,9 @@ def spectrum_fft_check(g1: CorrelationSeries) -> SpectrumSeries:
 
     The series is extended to negative lags by conjugation and transformed
     with ``exp(+i omega tau)`` kernel, yielding a real spectrum on the grid
-    ``2 pi k / (N dt)``.  Serves as an independent numerical cross-check of
-    the closed-form Lorentzian.
+    ``2 pi k / (N dt)``.  That is one Hermitian transform: ``np.fft.hfft``
+    of the conjugated samples.  Serves as an independent numerical
+    cross-check of the closed-form Lorentzian.
 
     The caller must sample the carrier finely enough: the phase of ``g1``
     may turn by at most pi per sample.  A faster rotation is aliased onto a
@@ -147,13 +148,13 @@ def spectrum_fft_check(g1: CorrelationSeries) -> SpectrumSeries:
     if tau[0] != 0.0 or np.any(np.abs(dts - dt) > 1e-9 * dt):
         raise ResolutionError("tau grid must be uniform and start at 0")
 
+    n = 2 * (tau.size - 1)
+    omega = 2.0 * math.pi * np.fft.fftshift(np.fft.fftfreq(n, dt))
     amplitudes = np.abs(values)
     gamma_est = _decay_scale(tau, amplitudes)
     if gamma_est is None:
         if amplitudes[0] == 0.0:
             # Zero signal transforms to a zero spectrum on the natural grid.
-            n = 2 * (tau.size - 1)
-            omega = 2.0 * math.pi * np.fft.fftshift(np.fft.fftfreq(n, dt))
             return SpectrumSeries(omega=omega, values=np.zeros(n))
         raise ResolutionError("series does not decay within the sampled span")
     if tau[-1] * gamma_est < 20.0:
@@ -166,13 +167,7 @@ def spectrum_fft_check(g1: CorrelationSeries) -> SpectrumSeries:
             f"spacing {dt:.3g} is coarser than 64 samples per decay time"
         )
 
-    n = 2 * (tau.size - 1)
-    two_sided = np.zeros(n, dtype=complex)
-    two_sided[:tau.size] = values
-    two_sided[tau.size:] = np.conj(values[-2:0:-1])
-    spectrum = dt * n * np.fft.ifft(two_sided)
-    omega = 2.0 * math.pi * np.fft.fftshift(np.fft.fftfreq(n, dt))
-    density = np.fft.fftshift(spectrum.real)
+    density = dt * np.fft.fftshift(np.fft.hfft(np.conj(values), n))
     if np.any(density < -1e-9 * density.max(initial=0.0) - 1e-300):
         raise ResolutionError("transform produced significantly negative density")
     return SpectrumSeries(omega=omega, values=np.maximum(density, 0.0))

@@ -246,6 +246,10 @@ class DressedBasis:
     w_minus: float
     w_plus: float
 
+    def __post_init__(self) -> None:  # a doublet past the float range
+        for name in ("omega_minus", "omega_plus"):
+            _real(name, getattr(self, name), "finite")
+
     @property
     def omega_center(self) -> float:
         """Mean transition frequency, midpoint of the doublet."""
@@ -266,7 +270,8 @@ def dressed_basis(params: SystemParams) -> DressedBasis:
     ParameterError
         If the mixing is so one-sided that one branch carries less than
         ``MIN_BRANCH_WEIGHT`` of the plasmon amplitude; that branch would
-        have vanishing decay and no stationary state.
+        have vanishing decay and no stationary state, or if a branch
+        frequency overflows.
     """
     delta = params.delta
     theta = 0.5 * math.atan2(params.v0, delta)

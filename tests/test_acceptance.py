@@ -78,6 +78,13 @@ def exact_fano(rates, pump_r: float, window: float) -> float:
                                                         - np.eye(4))[:, 0]
 
 
+def _random_pumped_sets():
+    """Three random pumped parameter sets and their branch rates."""
+    rng = np.random.default_rng(9)
+    return [(params, branch_rates(params, dressed_basis(params)))
+            for params in (random_params(rng) for _ in range(3))]
+
+
 @pytest.fixture(scope="module")
 def benchmark_steady(benchmark_rates, benchmark_params):
     return steady_state_analytic(benchmark_rates, benchmark_params.pump_r)
@@ -553,6 +560,61 @@ class TestCriterion7StochasticOracle:
         assert limit == pytest.approx(0.4926513, abs=1e-7)
         assert abs(limit - variance / mean ** 2) < 1e-12
         assert abs(exact_fano(rates, params.pump_r, 2e8) - limit) < 1e-5
+
+    def test_criterion_7_fano_matches_exact_value_on_random_sets(self):
+        # Three random pumped sets, windows of 0.3, 1 and 10 slow times: the
+        # mean of 40 seeded estimates of 4000 windows against the exact value.
+        zs = []
+        for set_index, (params, rates) in enumerate(_random_pumped_sets()):
+            for window_index, scale in enumerate((0.3, 1.0, 10.0)):
+                window = scale / (params.pump_r + params.gamma_u)
+                streams = simulate_stream(params, rates, TrajectoryConfig(
+                    duration=4000.0 * window, n_trajectories=40,
+                    master_seed=9000 + 10 * set_index + window_index))
+                blocks = np.array([fano_factor(s, window) for s in streams])
+                se = blocks.std(ddof=1) / math.sqrt(blocks.size)
+                zs.append((blocks.mean()
+                           - exact_fano(rates, params.pump_r, window)) / se)
+        worst = float(np.max(np.abs(zs)))
+        report("7", worst <= 4.0,
+               f"Fano factor within {worst:.2f} sigma of the exact value on "
+               f"{len(zs)} random cases (<= 4)")
+        assert worst <= 4.0
+
+    def test_criterion_7_combined_histogram_matches_exact_g2(self):
+        # Both branches together: the rate-weighted mixture of the branch
+        # regressions, averaged over 20 points a bin, within each bin's
+        # Poisson stderr, on 10 streams of ~3e4 photons per random set.
+        zs = []
+        for set_index, (params, rates) in enumerate(_random_pumped_sets()):
+            slow = params.pump_r + params.gamma_u
+            steady = steady_state_analytic(rates, params.pump_r)
+            branch_rate = {branch: steady.branch(branch) * rates.branch(
+                branch).grad for branch in Branch}
+            total = sum(branch_rate.values())
+            edges = np.linspace(0.0, 3.0 / slow, 31)
+            width = edges[1] - edges[0]
+            points = (edges[:-1, None]
+                      + (np.arange(20) + 0.5) / 20 * width).ravel()
+            exact = sum(rate / total * regression_g2_nonresonant_numeric(
+                rates, params.pump_r, branch, points)
+                        for branch, rate in branch_rate.items())
+            exact = exact.reshape(30, 20).mean(axis=1)
+            streams = simulate_stream(params, rates, TrajectoryConfig(
+                duration=3e4 / total, n_trajectories=10,
+                master_seed=9100 + set_index))
+            for stream in streams:
+                hist = g2_histogram(stream, None, edges)
+                zs.append((hist.values - exact) / hist.stderr)
+        zs = np.concatenate(zs)
+        mean, std, worst = zs.mean(), zs.std(), np.abs(zs).max()
+        passed = abs(mean) <= 0.2 and 0.8 <= std <= 1.2 and worst < 4.5
+        report("7", passed,
+               f"combined histogram against the exact g2: z mean {mean:+.3f}, "
+               f"std {std:.3f}, max |z| {worst:.2f} over {zs.size} bins")
+        assert abs(mean) <= 0.2
+        assert 0.8 <= std <= 1.2
+        assert worst < 4.5
 
     def test_criterion_7_suite_runtime(self):
         elapsed = time.monotonic() - _MODULE_T0

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import stat
 import sys
 import tempfile
@@ -613,6 +614,23 @@ _ZERO_DECAY = BASE_CFG.replace("gamma_r = 1.0", "gamma_r = 0.0").replace(
 _TINY_CYCLE_RATES = BASE_CFG.replace("gamma_r = 1.0", "gamma_r = 1e-310").replace(
     "gamma_u = 0.005", "gamma_u = 1e-310")
 
+# Report values past the float range: the resonant preset's saturation at
+# gamma_r = 1e-310; a drive of 1e150 at rates of 1e-90, whose photon rate
+# at unit_scale = 0 is inf * 0 = nan; a rate of 1e10 at 1e300 THz a unit.
+_RESONANT_TINY_DECAY = _preset_text("resonant_rates.cfg", "gamma_r = 2.0",
+                                    "gamma_r = 1e-310")
+_HUGE_DRIVE_TINY_DECAY = (
+    BASE_CFG.replace("nonresonant", "resonant")
+    .replace("gamma_r = 1.0", "gamma_r = 1e-90")
+    .replace("gamma_perp = 0.5", "gamma_perp = 1e-90")
+    + "drive_rabi = 1e150\nunit_scale = 0\n")
+_PHYSICAL_RATE_OVERFLOWS = (
+    BASE_CFG.replace("gamma_r = 1.0", "gamma_r = 1e10")
+    .replace("gamma_perp = 0.5", "gamma_perp = 1e10") + "unit_scale = 1e300\n")
+# omega0 = omega1 = 1.7e308: the doublet's centre overflows.
+_DOUBLET_OVERFLOWS = BASE_CFG.replace("omega0 = 1.0", "omega0 = 1.7e308").replace(
+    "omega1 = -1.0", "omega1 = 1.7e308")
+
 # command, config file bytes (None: the config path is a directory), whether
 # --out is an existing regular file, and the exit code.
 BAD_RUNS = [
@@ -678,6 +696,14 @@ BAD_RUNS = [
                  .replace("gamma_perp = 0.5", "gamma_perp = 1e20").encode()
                  + b"tau_max = 1.7e308\n", False, 2,
                  id="g2-tau-column-overflows"),
+    pytest.param("rates", _RESONANT_TINY_DECAY.encode(), False, 2,
+                 id="rates-saturation-overflows"),
+    pytest.param("rates", _HUGE_DRIVE_TINY_DECAY.encode(), False, 2,
+                 id="rates-huge-drive-tiny-decay"),
+    pytest.param("rates", _PHYSICAL_RATE_OVERFLOWS.encode(), False, 2,
+                 id="rates-physical-rate-overflows"),
+    pytest.param("g2", _DOUBLET_OVERFLOWS.encode(), False, 2,
+                 id="g2-doublet-overflows"),
 ]
 
 
@@ -766,6 +792,25 @@ class TestFailureBoundary:
             "error: sum of the unnormalized populations must be positive and "
             "finite, got ")
 
+    # A value past the float range is refused by the name it would print.
+    @pytest.mark.parametrize("command, config, name", [
+        pytest.param("rates", _RESONANT_TINY_DECAY, "saturation_minus",
+                     id="saturation"),
+        pytest.param("rates", _HUGE_DRIVE_TINY_DECAY, "saturation_minus",
+                     id="huge-drive-tiny-decay"),
+        pytest.param("rates", _PHYSICAL_RATE_OVERFLOWS, "gamma_r_physical",
+                     id="physical-rate"),
+        *(pytest.param(command, _DOUBLET_OVERFLOWS, "omega_minus",
+                       id=f"{command}-doublet")
+          for command in ("spectrum", "g2", "rates", "steady-state")),
+    ])
+    def test_non_finite_value_refused_by_name(self, tmp_path, capsys, command,
+                                              config, name):
+        assert main([command, "--config", write_cfg(tmp_path, config),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert (capsys.readouterr().err
+                == f"error: {name} must be finite, got inf\n")
+
     # Closed forms whose squares or exponentials overflow to exact values:
     # 1/inf and exp(-inf) are 0.
     @pytest.mark.parametrize("command, config", [
@@ -787,9 +832,12 @@ class TestFailureBoundary:
 # extreme magnitudes of either sign.
 HOSTILE_KEYS = ["omega0", "omega1", "v0", "gamma_r", "gamma_nr", "gamma_perp",
                 "gamma_u", "pump_r", "drive_rabi", "omega_min", "omega_max",
-                "tau_max", "v0_over_delta_sweep"]
+                "tau_max", "v0_over_delta_sweep", "unit_scale"]
 HOSTILE_VALUES = [0.0, 5e-324, 1e-310, 1e-300, 1e-150, 1e-20, 1.0, 1e20,
                   1e150, 1e300, 1.7e308, -1e300, -1.0]
+# A value printed as inf, -inf or nan: after "=" in a report or comment, or
+# as a CSV cell.
+NON_FINITE = re.compile(r"(^|[=,]) ?-?(inf|nan)\b", re.MULTILINE)
 
 
 class TestHostileConfig:
@@ -809,13 +857,18 @@ class TestHostileConfig:
             cfg, out = os.path.join(tmp, "run.cfg"), os.path.join(tmp, "out")
             with open(cfg, "w", encoding="utf-8") as fh:
                 fh.write(cfg_text(written))
-            err = io.StringIO()
+            err, stdout = io.StringIO(), io.StringIO()
             with contextlib.redirect_stderr(err), \
-                    contextlib.redirect_stdout(io.StringIO()):
+                    contextlib.redirect_stdout(stdout):
                 code = main([command, "--config", cfg, "--out", out])
             err = err.getvalue()
             if code == 0:
                 assert err == ""
+                written = [stdout.getvalue()]
+                for name in os.listdir(out):
+                    with open(os.path.join(out, name), encoding="utf-8") as fh:
+                        written.append(fh.read())
+                assert not any(NON_FINITE.search(text) for text in written)
             else:
                 assert code in (2, 3)
                 assert err.count("\n") == 1

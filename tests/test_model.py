@@ -137,6 +137,16 @@ class TestDressedBasis:
         with pytest.raises(ParameterError, match="one-sided"):
             dressed_basis(make_params(omega0=1.0, omega1=-1.0, v0=1e-4))
 
+    def test_refuses_a_doublet_past_the_float_range(self):
+        # The centre 0.5 * (omega0 + omega1) overflows.
+        with pytest.raises(ParameterError,
+                           match=r"^omega_minus must be finite, got inf$"):
+            dressed_basis(make_params(omega0=1.7e308, omega1=1.7e308))
+        basis = dressed_basis(make_params())
+        for name in ("omega_minus", "omega_plus"):
+            with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+                dataclasses.replace(basis, **{name: math.nan})
+
 
 class TestBranchRates:
     def test_symmetric_mixing_halves(self):
