@@ -73,8 +73,9 @@ def g1_analytic(branch: Branch, rates: BranchRates, steady: Populations,
     lags follow by complex conjugation and are not tabulated.
     """
     tau = check_grid(tau_grid, "tau_grid")
-    ch = rates.branch(branch)
-    values = steady.branch(branch) * np.exp(-(ch.gperp + 1j * basis.omega(branch)) * tau)
+    decay = rates.branch(branch).gperp + 1j * basis.omega(branch)
+    _real("tau[-1] * |gperp_b + i omega_b|", float(tau[-1]) * abs(decay), "finite")
+    values = steady.branch(branch) * np.exp(-decay * tau)
     return CorrelationSeries(tau=tau, values=values)
 
 
@@ -108,17 +109,6 @@ def detected_spectrum(rates: BranchRates, steady: Populations,
     return SpectrumSeries(omega=omega, values=total)
 
 
-def _decay_scale(tau: np.ndarray, amplitudes: np.ndarray) -> float | None:
-    """Dephasing-rate estimate from the 1/e crossing of |g1|; None if flat."""
-    a0 = amplitudes[0]
-    if a0 <= 0.0:
-        return None
-    below = np.nonzero(amplitudes <= a0 / math.e)[0]
-    if below.size == 0:
-        return None
-    return 1.0 / tau[below[0]]
-
-
 def spectrum_fft_check(g1: CorrelationSeries) -> SpectrumSeries:
     """Discrete-Fourier spectrum of a sampled first-order coherence.
 
@@ -135,10 +125,14 @@ def spectrum_fft_check(g1: CorrelationSeries) -> SpectrumSeries:
 
     Raises
     ------
+    ParameterError
+        If the largest angular frequency ``pi / dt`` is not finite.
     ResolutionError
-        If the grid is non-uniform, shorter than 20 decay times, or coarser
-        than 64 samples per decay time (both judged from the sampled decay
-        itself).
+        If the grid is non-uniform, the series never decays to 1/e, or the
+        grid is shorter than 20 decay times or coarser than 64 samples per
+        decay time.  The decay time ``t_e = tau[j]`` is the first grid time
+        at which ``|g1|`` is down to ``|g1(0)|/e``, and both are counted in
+        samples: ``tau.size - 1 >= 20 j`` and ``j >= 64`` pass.
     """
     tau, values = g1.tau, g1.values
     if tau.size < 3:
@@ -149,23 +143,22 @@ def spectrum_fft_check(g1: CorrelationSeries) -> SpectrumSeries:
         raise ResolutionError("tau grid must be uniform and start at 0")
 
     n = 2 * (tau.size - 1)
+    _real("largest angular frequency pi / dt", math.pi / dt, "finite")
     omega = 2.0 * math.pi * np.fft.fftshift(np.fft.fftfreq(n, dt))
     amplitudes = np.abs(values)
-    gamma_est = _decay_scale(tau, amplitudes)
-    if gamma_est is None:
-        if amplitudes[0] == 0.0:
-            # Zero signal transforms to a zero spectrum on the natural grid.
-            return SpectrumSeries(omega=omega, values=np.zeros(n))
+    if amplitudes[0] == 0.0:
+        # Zero signal transforms to a zero spectrum on the natural grid.
+        return SpectrumSeries(omega=omega, values=np.zeros(n))
+    below = np.nonzero(amplitudes <= amplitudes[0] / math.e)[0]
+    if below.size == 0:
         raise ResolutionError("series does not decay within the sampled span")
-    if tau[-1] * gamma_est < 20.0:
+    j = int(below[0])  # t_e = tau[j], so t_e / dt is j
+    if tau.size - 1 < 20 * j:
         raise ResolutionError(
-            f"span {tau[-1]:.3g} is under 20 decay times (1/gamma ~ "
-            f"{1.0 / gamma_est:.3g})"
-        )
-    if dt * gamma_est > 1.0 / 64.0:
+            f"span {tau[-1]:.3g} is under 20 decay times (1/gamma ~ {tau[j]:.3g})")
+    if j < 64:
         raise ResolutionError(
-            f"spacing {dt:.3g} is coarser than 64 samples per decay time"
-        )
+            f"spacing {dt:.3g} is coarser than 64 samples per decay time")
 
     density = dt * np.fft.fftshift(np.fft.hfft(np.conj(values), n))
     if np.any(density < -1e-9 * density.max(initial=0.0) - 1e-300):

@@ -369,6 +369,9 @@ def plan_run(params: SystemParams, rates: BranchRates,
     spread of ``n`` move it little at the 2**17 or more photons a refused
     count needs.  On the trajectory preset's rates it was 0.74-1.00 of the
     expected count (durations 6e7 and 6e8, lags 600 to 0.48 duration).
+    Two refusals still come after sampling, and such a run writes nothing:
+    under 1e4 photons of the histogram branch (``InsufficientDataError``),
+    and an exact pair count over ``MAX_PAIRS`` that the margin let through.
     """
     slow = params.pump_r + params.gamma_u
     if window is None and slow > 0.0:
@@ -400,14 +403,15 @@ def g2_histogram(stream: PhotonStream, branch: Branch | None,
     np.histogram's rule (last bin closed), and divides each bin by the
     expected count of a rate-matched uncorrelated stream,
     ``rate**2 * width * (T - tau_center)``.  Per-bin standard errors assume
-    Poisson pair counts.  The pairs are counted before they are binned, and
-    more than ``MAX_PAIRS`` are refused.  They are binned one index offset
-    ``k = j - i`` at a time.  While over half of the first ``n - k`` of the
-    ``n`` photons have a partner at offset ``k``, the lags are one slice
-    difference over all of them, masked to those that do; from then on they
-    are gathered through a shrinking index list of the photons left.  Over
-    half of the sliced photons are pairs, so time is O(photons + pairs) and
-    memory O(photons) whatever the lag window holds.
+    Poisson pair counts; ``tau_bins`` with a bin too narrow for either to
+    be a finite float are refused.  The pairs are counted before they are
+    binned, and more than ``MAX_PAIRS`` are refused.  They are binned one
+    index offset ``k = j - i`` at a time.  While over half of the first
+    ``n - k`` of the ``n`` photons have a partner at offset ``k``, the lags
+    are one slice difference over all of them, masked to those that do;
+    from then on they are gathered through a shrinking index list of the
+    photons left.  Over half of the sliced photons are pairs, so time is
+    O(photons + pairs) and memory O(photons) whatever the lag window holds.
     """
     edges = check_grid(tau_bins, "tau_bins")
     if edges.size < 2:
@@ -444,10 +448,11 @@ def g2_histogram(stream: PhotonStream, branch: Branch | None,
         k += 1
         first = first[room[first] >= k]
     centers = 0.5 * (edges[:-1] + edges[1:])
-    widths = np.diff(edges)
-    exposure = rate ** 2 * widths * (duration - centers)
-    values = counts / exposure
-    stderr = np.sqrt(np.maximum(counts, 1)) / exposure
+    exposure = rate ** 2 * np.diff(edges) * (duration - centers)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused below
+        values, stderr = counts / exposure, np.sqrt(np.maximum(counts, 1)) / exposure
+    if not (np.isfinite(values).all() and np.isfinite(stderr).all()):
+        raise ParameterError("tau_bins has a bin too narrow to normalise its pair count")
     return CorrelationSeries(tau=centers, values=values, stderr=stderr)
 
 

@@ -616,6 +616,37 @@ class TestCriterion7StochasticOracle:
         assert 0.8 <= std <= 1.2
         assert worst < 4.5
 
+    def test_criterion_7_interval_law_on_random_sets(self):
+        # Every cycle, and the run, starts in G, so the time to the next kept
+        # photon has the phase-type law F(tau) = 1 - 1.e^{S tau} e_G, with S
+        # the rate matrix less its kept emissions.  One stream of ~2e4 kept
+        # photons per random set and branch selection, KS-tested against it.
+        stats = []
+        for set_index, (params, rates) in enumerate(_random_pumped_sets()):
+            steady = steady_state_analytic(rates, params.pump_r).as_array()
+            for selection, branch_filter in enumerate(
+                    (None, Branch.MINUS, Branch.PLUS)):
+                sub = rate_matrix(rates, params.pump_r)
+                rate = 0.0
+                for branch in [branch_filter] if branch_filter else Branch:
+                    slot = 2 if branch is Branch.MINUS else 3
+                    sub[0, slot] -= rates.branch(branch).grad
+                    rate += rates.branch(branch).grad * steady[slot]
+                stream = simulate_stream(params, rates, TrajectoryConfig(
+                    duration=2e4 / rate, master_seed=9200 + 10 * set_index
+                    + selection, branch_filter=branch_filter))[0]
+                intervals = np.sort(np.diff(stream.times, prepend=0.0))
+                law = 1.0 - expm(sub * intervals[:, None, None])[:, :, 0].sum(axis=1)
+                n = intervals.size
+                gap = max(np.max(np.arange(1, n + 1) / n - law),
+                          np.max(law - np.arange(n) / n))
+                stats.append(math.sqrt(n) * gap)
+        worst = max(stats)
+        report("7", worst < 1.95,
+               f"inter-photon intervals fit the phase-type law: sqrt(n) D <= "
+               f"{worst:.2f} on {len(stats)} random cases (< 1.95, 0.1% level)")
+        assert worst < 1.95
+
     def test_criterion_7_suite_runtime(self):
         elapsed = time.monotonic() - _MODULE_T0
         report("7", elapsed < 600.0,

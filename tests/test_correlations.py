@@ -10,6 +10,7 @@ from plexciton import (
     Branch,
     ParameterError,
     PhotonStream,
+    PlexcitonError,
     Populations,
     SpectrumSeries,
     RegimeWarning,
@@ -465,3 +466,62 @@ def test_non_finite_grid_rejected(call, bad, benchmark_rates, benchmark_steady,
     grid = np.array([0.0, 1.0, 2.0, bad])
     with pytest.raises(ParameterError):
         GRID_CALLS[call](benchmark_rates, benchmark_steady, benchmark_basis, grid)
+
+
+def _even_stream(n):
+    """``n`` minus-branch photons evenly spaced over a duration of 1e5."""
+    return PhotonStream(np.arange(n) * (1e5 / n), np.zeros(n, dtype=np.int8), 1e5)
+
+
+# GRID_CALLS plus the calls that reach past their first grid check: the oracle
+# on values built from the index alone, and the histogram on streams that hold
+# enough photons to be binned.
+HOSTILE_GRID_CALLS = {
+    **GRID_CALLS,
+    "spectrum_fft_check": lambda r, s, b, grid: spectrum_fft_check(
+        CorrelationSeries(tau=grid, values=np.exp(-np.arange(grid.size) / 80.0))),
+    "g2_histogram_2e4_photons": lambda r, s, b, grid:
+        g2_histogram(_even_stream(20_000), Branch.MINUS, grid),
+    "g2_histogram_1e6_photons": lambda r, s, b, grid:
+        g2_histogram(_even_stream(1_000_000), Branch.MINUS, grid),
+}
+
+# Finite grids whose steps, spans or products leave the float range.
+HOSTILE_GRIDS = {
+    "step_5e-324": np.arange(5) * 5e-324,
+    "step_1e-310": np.arange(5) * 1e-310,
+    "step_1e-308": np.arange(5) * 1e-308,
+    "span_1.7e308": np.array([0.0, 1e300, 1.7e308]),
+    "linspace_1e308": np.linspace(0.0, 1e308, 5),
+    "denormal_then_1e308": np.array([0.0, 5e-324, 1e308]),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(HOSTILE_GRIDS))
+@pytest.mark.parametrize("call", sorted(HOSTILE_GRID_CALLS))
+def test_finite_hostile_grid_gives_finite_numbers_or_refusal(
+        call, grid, benchmark_rates, benchmark_steady, benchmark_basis):
+    # A RuntimeWarning fails the suite, so a call that warns fails here too.
+    try:
+        result = HOSTILE_GRID_CALLS[call](benchmark_rates, benchmark_steady,
+                                          benchmark_basis, HOSTILE_GRIDS[grid])
+    except PlexcitonError:
+        return
+    arrays = [result] if isinstance(result, np.ndarray) else [
+        value for value in vars(result).values() if value is not None]
+    assert all(np.isfinite(array).all() for array in arrays)
+
+
+@pytest.mark.parametrize("call, grid, names", [
+    ("spectrum_fft_check", "step_5e-324", r"pi / dt"),
+    ("spectrum_fft_check", "step_1e-310", r"pi / dt"),
+    ("spectrum_fft_check", "step_1e-308", r"pi / dt"),
+    ("g1_analytic", "span_1.7e308", r"tau\[-1\] \* \|gperp_b \+ i omega_b\|"),
+    ("g2_histogram_2e4_photons", "step_5e-324", r"tau_bins"),
+    ("g2_histogram_1e6_photons", "step_5e-324", r"tau_bins"),
+])
+def test_unrepresentable_grid_refusal_names_its_quantity(
+        call, grid, names, benchmark_rates, benchmark_steady, benchmark_basis):
+    with pytest.raises(ParameterError, match=names):
+        HOSTILE_GRID_CALLS[call](benchmark_rates, benchmark_steady,
+                                 benchmark_basis, HOSTILE_GRIDS[grid])
