@@ -28,7 +28,8 @@ class CorrelationSeries:
     """A correlation function sampled on a nonnegative lag grid.
 
     Estimated series (from photon streams) carry per-bin standard errors;
-    analytic ones do not.
+    analytic ones do not.  A ``values`` or ``stderr`` entry that is not
+    finite is refused.
     """
 
     tau: np.ndarray
@@ -38,10 +39,11 @@ class CorrelationSeries:
     def __post_init__(self) -> None:
         tau = check_grid(self.tau, "tau")
         object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "values",
-                           _numbers(self.values, "values", complex_ok=True))
+        object.__setattr__(self, "values", _numbers(
+            self.values, "values", complex_ok=True, finite=True))
         if self.stderr is not None:
-            object.__setattr__(self, "stderr", _numbers(self.stderr, "stderr"))
+            object.__setattr__(self, "stderr",
+                               _numbers(self.stderr, "stderr", finite=True))
         if self.values.shape != tau.shape:
             raise ParameterError("values and tau must have matching shapes")
         if self.stderr is not None and self.stderr.shape != tau.shape:
@@ -50,7 +52,7 @@ class CorrelationSeries:
 
 @dataclass(frozen=True)
 class SpectrumSeries:
-    """A nonnegative spectral density sampled on a frequency grid."""
+    """A nonnegative, finite spectral density sampled on a frequency grid."""
 
     omega: np.ndarray
     values: np.ndarray
@@ -63,6 +65,8 @@ class SpectrumSeries:
             raise ParameterError("values and omega must have matching shapes")
         if not (self.values >= 0.0).all():  # a NaN is refused too
             raise ParameterError("spectral density must be nonnegative")
+        if not (self.values < np.inf).all():
+            raise ParameterError("values must be finite")
 
 
 def g1_analytic(branch: Branch, rates: BranchRates, steady: Populations,

@@ -112,14 +112,19 @@ def _integer(name: str, value, low=None, high=None) -> int:
     return value
 
 
-def _numbers(values, name: str, complex_ok: bool = False) -> np.ndarray:
+def _numbers(values, name: str, complex_ok: bool = False,
+             finite: bool = False) -> np.ndarray:
     """``values`` as a float (or, when ``complex_ok``, complex) array, or
-    ParameterError naming ``name`` unless their dtype holds such numbers."""
+    ParameterError naming ``name`` unless their dtype holds such numbers
+    and, when ``finite``, each of them is finite."""
     values = np.asarray(values)
     kinds, what = ("iufc", "real or complex") if complex_ok else ("iuf", "real")
     if values.dtype.kind not in kinds:
         raise ParameterError(f"{name} must be {what} numbers, got dtype {values.dtype}")
-    return values.astype(complex if values.dtype.kind == "c" else float, copy=False)
+    values = values.astype(complex if values.dtype.kind == "c" else float, copy=False)
+    if finite and not np.isfinite(values).all():
+        raise ParameterError(f"{name} must be finite")
+    return values
 
 
 def check_grid(grid, name: str, nonnegative: bool = True) -> np.ndarray:

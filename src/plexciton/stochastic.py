@@ -404,14 +404,15 @@ def g2_histogram(stream: PhotonStream, branch: Branch | None,
     expected count of a rate-matched uncorrelated stream,
     ``rate**2 * width * (T - tau_center)``.  Per-bin standard errors assume
     Poisson pair counts; ``tau_bins`` with a bin too narrow for either to
-    be a finite float are refused.  The pairs are counted before they are
-    binned, and more than ``MAX_PAIRS`` are refused.  They are binned one
-    index offset ``k = j - i`` at a time.  While over half of the first
-    ``n - k`` of the ``n`` photons have a partner at offset ``k``, the lags
-    are one slice difference over all of them, masked to those that do;
-    from then on they are gathered through a shrinking index list of the
-    photons left.  Over half of the sliced photons are pairs, so time is
-    O(photons + pairs) and memory O(photons) whatever the lag window holds.
+    be a finite float, and a stream whose squared photon rate is not, are
+    refused.  The pairs are counted before they are binned, and more than
+    ``MAX_PAIRS`` are refused.  They are binned one index offset
+    ``k = j - i`` at a time.  While over half of the first ``n - k`` of the
+    ``n`` photons have a partner at offset ``k``, the lags are one slice
+    difference over all of them, masked to those that do; from then on
+    they are gathered through a shrinking index list of the photons left.
+    Over half of the sliced photons are pairs, so time is O(photons +
+    pairs) and memory O(photons) whatever the lag window holds.
     """
     edges = check_grid(tau_bins, "tau_bins")
     if edges.size < 2:
@@ -425,6 +426,7 @@ def g2_histogram(stream: PhotonStream, branch: Branch | None,
     duration = stream.duration
     n = times.size
     rate = n / duration
+    _real("squared photon rate", rate * rate, "finite")
     # Photon i pairs with i+1 .. i+room[i].
     room = (np.searchsorted(times, times + edges[-1], "right")
             - np.arange(1, n + 1))
@@ -567,45 +569,30 @@ def read_photon_stream(path) -> PhotonStream:
     The file is read in chunks of whole lines.  A chunk made only of
     canonical rows, as the writer emits them, is parsed in bulk
     (:func:`_canonical_rows`); any other chunk goes through
-    :func:`_parse_lines`, which defines the format.  A malformed line, or a
-    header or row whose value :class:`PhotonStream` rejects, raises
+    :func:`_parse_lines`, which defines the format.  Both give a chunk's
+    ``(times, tags, row line numbers, header or None)``.  A malformed line,
+    or a header or row whose value :class:`PhotonStream` rejects, raises
     :class:`ParameterError` naming ``path:line``.
     """
-    time_chunks: list[np.ndarray] = []
-    tag_chunks: list[np.ndarray] = []
-    row_lines: list[range | np.ndarray] = []  # each chunk's row line numbers
-    header = None
-    lineno = 0
+    parts, lineno = [], 0  # each chunk's (times, tags, row lines, header)
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for chunk in _line_chunks(fh):
             n_lines = chunk.count("\n")
-            rows = _canonical_rows(chunk, n_lines)
-            if rows is None:
-                times, tags, lines, found = _parse_lines(chunk, path,
-                                                         lineno + 1)
-                header = found or header
-            else:
-                times, tags = rows
-                lines = range(lineno + 1, lineno + 1 + n_lines)
-            time_chunks.append(times)
-            tag_chunks.append(tags)
-            row_lines.append(lines)
+            parts.append(_canonical_rows(chunk, lineno + 1, n_lines)
+                         or _parse_lines(chunk, path, lineno + 1))
             lineno += n_lines
-    if header is None:
+    headers = [part[3] for part in parts if part[3] is not None]
+    if not headers:
         raise ParameterError(f"{path}: missing '# duration=' header")
-    duration, line = header
-    times = np.concatenate(time_chunks)
+    duration, line = headers[-1]
+    times = np.concatenate([part[0] for part in parts])
     try:
-        return PhotonStream(times=times, tags=np.concatenate(tag_chunks),
-                            duration=duration)
+        return PhotonStream(times=times, tags=np.concatenate(
+            [part[1] for part in parts]), duration=duration)
     except ParameterError as exc:
         if _is_real(duration, "positive and finite"):  # else the header's line
-            row = _first_bad_time(times, duration)
-            for lines in row_lines:
-                if row < len(lines):
-                    line = int(lines[row])
-                    break
-                row -= len(lines)
+            line = np.concatenate([part[2] for part in parts])[
+                _first_bad_time(times, duration)]
         raise ParameterError(f"{path}:{line}: {exc}") from None
 
 
@@ -624,9 +611,10 @@ def _line_chunks(fh):
         chunk = fh.read(_READ_CHARS)
 
 
-def _canonical_rows(chunk: str, n_lines: int):
-    """``(times, tags)`` of the ``n_lines`` lines of ``chunk`` if each is a
-    canonical row, else None.
+def _canonical_rows(chunk: str, first: int, n_lines: int):
+    """``(times, tags, range(first, first + n_lines), None)``, the shape of
+    :func:`_parse_lines`, if the ``n_lines`` lines of ``chunk``, numbered
+    from ``first``, are each a canonical row, else None.
 
     A canonical row is a timestamp that ``float`` accepts, a TAB, and ``-``
     or ``+``, with no other TAB.  ``float`` ignores the same surrounding
@@ -642,7 +630,7 @@ def _canonical_rows(chunk: str, n_lines: int):
     except ValueError:
         return None
     plus = np.frombuffer("".join(fields[1::2]).encode(), np.uint8) == ord("+")
-    return times, plus.view(np.int8)
+    return times, plus.view(np.int8), range(first, first + n_lines), None
 
 
 def _parse_lines(chunk: str, path, first: int):

@@ -57,6 +57,23 @@ GROUND = Populations(1.0, 0.0, 0.0, 0.0)
 RUN = TrajectoryConfig(duration=1e4)
 
 
+def g1_with(index, value):
+    """A 4001-point ``exp(-tau)`` series at ``dt = 0.01``, ``value`` at
+    ``index``."""
+    tau = np.arange(4001) * 0.01
+    values = np.exp(-tau)
+    values[index] = value
+    return CorrelationSeries(tau, values)
+
+
+def dense_histogram(spacing, duration):
+    """``g2_histogram`` of 1e4 photons ``spacing`` apart over ``duration``,
+    in two bins as wide as that spacing."""
+    stream = PhotonStream(np.arange(1, 10001) * spacing,
+                          np.zeros(10000, dtype=np.int8), duration)
+    return g2_histogram(stream, None, np.arange(3) * spacing)
+
+
 REFUSALS = [
     pytest.param(lambda: TrajectoryConfig(duration=1.0, n_trajectories=0),
                  ParameterError, "n_trajectories must be >= 1, got 0",
@@ -253,6 +270,35 @@ REFUSALS = [
         TAU, np.full(11, "1"))), ParameterError,
                  "values must be real or complex numbers, got dtype <U1",
                  id="fft-string-values"),
+    # Squared, the photon rate overflows a float, or the rate already has.
+    pytest.param(lambda: dense_histogram(1e-165, 1e-160),
+                 ParameterError, "squared photon rate must be finite",
+                 id="histogram-squared-rate-overflows"),
+    pytest.param(lambda: dense_histogram(1e-310, 1e-305),
+                 ParameterError, "squared photon rate must be finite",
+                 id="histogram-infinite-rate"),
+    pytest.param(lambda: spectrum_fft_check(g1_with(5, np.inf)),
+                 ParameterError, "values must be finite", id="fft-inf-value"),
+    pytest.param(lambda: spectrum_fft_check(g1_with(-1, np.inf)),
+                 ParameterError, "values must be finite",
+                 id="fft-inf-last-value"),
+    pytest.param(lambda: spectrum_fft_check(g1_with(5, np.nan)),
+                 ParameterError, "values must be finite", id="fft-nan-value"),
+    pytest.param(lambda: CorrelationSeries(TAU, np.full(11, -np.inf)),
+                 ParameterError, "values must be finite",
+                 id="correlation-inf-values"),
+    pytest.param(lambda: CorrelationSeries(TAU, np.full(11, complex(0, np.inf))),
+                 ParameterError, "values must be finite",
+                 id="correlation-complex-inf-values"),
+    pytest.param(lambda: CorrelationSeries(TAU, TAU, np.full(11, np.nan)),
+                 ParameterError, "stderr must be finite",
+                 id="correlation-nan-stderr"),
+    pytest.param(lambda: CorrelationSeries(TAU, TAU, np.full(11, np.inf)),
+                 ParameterError, "stderr must be finite",
+                 id="correlation-inf-stderr"),
+    pytest.param(lambda: SpectrumSeries(TAU, np.full(11, np.inf)),
+                 ParameterError, "values must be finite",
+                 id="spectrum-inf-values"),
     pytest.param(lambda: check_grid("abc", "grid"), ParameterError,
                  "grid must be real numbers, got dtype <U3", id="grid-string"),
     pytest.param(lambda: check_grid(TAU + 1j, "grid"), ParameterError,

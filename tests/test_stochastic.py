@@ -908,6 +908,19 @@ ODD_LINE = st.one_of(
 )
 
 
+@functools.lru_cache(maxsize=None)
+def written_stream_lines():
+    """One simulated stream of ~2e4 photons and the lines it is written as."""
+    params, rates = make_setup()
+    stream = simulate_stream(params, rates, TrajectoryConfig(
+        duration=8e6, master_seed=87))[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "photons.tsv")
+        write_photon_stream(stream, path)
+        with open(path, "rb") as fh:
+            return stream, tuple(fh.read().splitlines(keepends=True))
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         params, rates = make_setup()
@@ -1053,6 +1066,52 @@ class TestSerialization:
             except ParameterError as exc:
                 expected = exc
             with mock.patch.object(stochastic, "_READ_CHARS", read_chars):
+                try:
+                    loaded = read_photon_stream(path)
+                except ParameterError as exc:
+                    assert isinstance(expected, ParameterError), str(exc)
+                    assert str(exc).startswith(str(expected))
+                    return
+        assert not isinstance(expected, ParameterError), str(expected)
+        duration, times, tags = expected
+        assert loaded.duration == duration
+        assert loaded.times.tobytes() == np.array(times, float).tobytes()
+        assert loaded.tags.tolist() == tags
+
+    @settings(max_examples=60, deadline=None)
+    @given(how=st.sampled_from(["swap", "truncate", "0xff", "note", "blank",
+                                "no-header", "nan", "-1.0", "past"]),
+           data=st.data())
+    def test_mutated_written_stream_matches_line_by_line(self, how, data):
+        # One written stream of ~2e4 rows, read in ~400 chunks, with one
+        # mutation anywhere: a refused row is named across chunk boundaries.
+        stream, lines = written_stream_lines()
+        lines = list(lines)
+        row = data.draw(st.integers(1, len(lines) - 2), label="row")
+        if how == "swap":
+            lines[row], lines[row + 1] = lines[row + 1], lines[row]
+        elif how in ("note", "blank"):
+            lines.insert(row, b"# note\n" if how == "note" else b"\n")
+        elif how == "no-header":
+            del lines[0]
+        elif how in ("nan", "-1.0", "past"):
+            stamp = repr(2.0 * stream.duration) if how == "past" else how
+            lines[row] = stamp.encode() + lines[row][lines[row].index(b"\t"):]
+        text = b"".join(lines)
+        cut = data.draw(st.integers(0, len(text) - 1), label="byte")
+        if how == "truncate":
+            text = text[:cut]
+        elif how == "0xff":
+            text = text[:cut] + b"\xff" + text[cut + 1:]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "photons.tsv")
+            with open(path, "wb") as fh:
+                fh.write(text)
+            try:
+                expected = read_line_by_line(path)
+            except ParameterError as exc:
+                expected = exc
+            with mock.patch.object(stochastic, "_READ_CHARS", 1 << 10):
                 try:
                     loaded = read_photon_stream(path)
                 except ParameterError as exc:
