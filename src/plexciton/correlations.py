@@ -29,7 +29,7 @@ class CorrelationSeries:
 
     Estimated series (from photon streams) carry per-bin standard errors;
     analytic ones do not.  A ``values`` or ``stderr`` entry that is not
-    finite is refused.
+    finite, and a negative ``stderr`` entry, is refused.
     """
 
     tau: np.ndarray
@@ -48,6 +48,8 @@ class CorrelationSeries:
             raise ParameterError("values and tau must have matching shapes")
         if self.stderr is not None and self.stderr.shape != tau.shape:
             raise ParameterError("stderr and tau must have matching shapes")
+        if self.stderr is not None and (self.stderr < 0.0).any():
+            raise ParameterError("stderr must be nonnegative")
 
 
 @dataclass(frozen=True)

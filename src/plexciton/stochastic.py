@@ -12,10 +12,11 @@ a trajectory the draws come in fixed-size cycle blocks, ordered as: ground
 dwell, upper dwell, branch choice, branch dwell (unit exponential), and,
 only when the quantum yield is below one, the detection draw.  The last
 block of a run is computed only up to the first cycle that must end past
-the duration (``reach``, see ``_cycle_blocks``): the rest of its branch
-choices is skipped over, and its branch dwells are left undrawn unless a
-detection draw follows.  No drawn value changes, so streams are the same
-bytes as when every block was computed whole.
+the duration (``reach``, see ``_cycle_blocks``): only a prefix of its
+ground and upper dwells is kept, the rest of its branch choices is skipped
+over, and its branch dwells are left undrawn unless a detection draw
+follows.  No drawn value changes, so streams are the same bytes as when
+every block was computed whole.
 """
 
 from __future__ import annotations
@@ -36,14 +37,17 @@ _MASK64 = (1 << 64) - 1
 # Cycles sampled per vectorized block.
 _CHUNK = 1 << 19
 
+# Dwells of a last block drawn at a time past its kept prefix, then dropped.
+_SPARE = 1 << 13
+
 # Most photons one simulate_stream run may be expected to keep, over all its
 # trajectories (a float64 time and an int8 tag each: about 1.2 GB).
 MAX_PHOTONS = 1 << 27
 
 # Most pump cycles one run may draw, over all its trajectories, counted in
-# whole blocks (the dwell arrays of a last block are drawn whole too): 2048
-# blocks, about 75 s of sampling at ~35-40 ms per whole block on one core of
-# a 2-vCPU Xeon VM (numpy 2.4).
+# whole blocks (every dwell of a last block is drawn too, kept or not): 2048
+# blocks, about 30-37 s of sampling at 14-18 ms per whole block (quantum
+# yield one, below one) on one core of a 2-vCPU Xeon VM (numpy 2.4).
 MAX_CYCLES = 1 << 30
 
 # Most counting windows fano_factor may use: its tracemalloc peak is 8.0
@@ -54,9 +58,10 @@ MAX_WINDOWS = 1 << 25
 # Windows fano_factor turns from counts into squared deviations at a time.
 _FANO_BLOCK = 1 << 16
 
-# Most photon pairs g2_histogram may count: about 73 s of counting at ~17 ns
-# per pair on the same core (16-19 ns in three runs on a 1.5e6-photon
-# stream with 1.1e8 pairs).
+# Most photon pairs g2_histogram may count: about 35 s of counting and
+# binning at ~8 ns per pair on the same core (8.1-8.2 ns in three runs on a
+# 1.5e6-photon stream with 1.1e8 pairs); a refused call stops counting once
+# past the cap, at ~0.7 ns a pair counted.
 MAX_PAIRS = 1 << 32
 
 _CHAR_TAG = {"-": 0, "+": 1}
@@ -209,6 +214,29 @@ def _check_run(params: SystemParams, rates: BranchRates,
             f"{cap}")
 
 
+def _prefix_size(cycles: float) -> int:
+    """Dwells a block keeps when the run is expected to end after ``cycles``
+    of its cycles: the power of two of at least 2**11 that covers twice
+    that, at most ``_CHUNK``."""
+    size = 1 << 11
+    while size < 2.0 * cycles and size < _CHUNK:
+        size *= 2
+    return size
+
+
+def _dwells(rng: np.random.Generator, scale: float, size: int,
+            spare: np.ndarray) -> np.ndarray:
+    """``_CHUNK`` exponential draws of mean ``scale``, each
+    ``scale * standard_exponential()`` as ``rng.exponential`` makes it: the
+    first ``size`` are returned, and the rest are drawn into ``spare`` and
+    dropped."""
+    dwell = rng.standard_exponential(size)
+    dwell *= scale
+    for start in range(size, _CHUNK, spare.size):
+        rng.standard_exponential(out=spare[:_CHUNK - start])
+    return dwell
+
+
 def simulate_stream(params: SystemParams, rates: BranchRates,
                     config: TrajectoryConfig) -> list[PhotonStream]:
     """Simulate the jump process and return one photon stream per trajectory."""
@@ -235,43 +263,58 @@ def _cycle_blocks(rng: np.random.Generator, params: SystemParams,
     only when the run is expected to end within the block; otherwise
     ``reach`` is the whole block, which is always safe.
 
-    No drawn value changes, so neither do the stream's bytes.  The two
-    dwell arrays are drawn whole, because the ziggurat takes a variable
-    number of 64-bit words and later draws depend on them.  A uniform
-    double takes exactly one word, so the branch choice draws ``reach``
-    values and advances the generator past the rest.  The branch dwell is
-    drawn whole only when a later draw needs the state after it (a whole
-    block, or the detection draw), and the detection draw comes last.
+    No drawn value changes, so neither do the stream's bytes.  Every
+    ground and upper dwell of a block is drawn, because the ziggurat takes
+    a variable number of 64-bit words and later draws depend on them; each
+    is ``scale * standard_exponential()``, as ``exponential(scale)`` draws
+    it.  When the run is expected to end in the block, only the first
+    ``_prefix_size`` of each are kept, and the rest are drawn into a small
+    spare buffer and dropped; should the search pass the kept prefix, the
+    generator is set back to its state before the block and both are drawn
+    again, kept whole.  A uniform double takes exactly one word, so the
+    branch choice draws ``reach`` values and advances the generator past
+    the rest.  The branch dwell is drawn whole only when a later draw needs
+    the state after it (a whole block, or the detection draw), and the
+    detection draw comes last.
     ``ends`` is a prefix of the whole block's sequential cumulative sum.
     Blocks are lazy, and a consumer drops a block's arrays before asking
     for the next, so only one block is held at a time.
     """
     p_minus = rates.gfeed_minus / rates.gfeed_total
-    mean_gu = 1.0 / params.pump_r + 1.0 / rates.gfeed_total
+    scale_g, scale_u = 1.0 / params.pump_r, 1.0 / rates.gfeed_total
+    mean_gu = scale_g + scale_u
     detect = yield_ < 1.0
+    spare = np.empty(_SPARE)
     t0 = 0.0
     while t0 < duration:
-        dwell_g = rng.exponential(1.0 / params.pump_r, _CHUNK)
-        dwell_u = rng.exponential(1.0 / rates.gfeed_total, _CHUNK)
-        reach = _CHUNK
-        if duration - t0 <= _CHUNK * mean_gu:
-            # The run is expected to end in this block.  Search doubling
-            # prefixes from about the expected crossing; first == n means
-            # that none of the n cycles passes duration.
-            n = 1 << 10
-            while n * mean_gu < duration - t0:
-                n *= 2
+        reach = size = _CHUNK
+        last = duration - t0 <= _CHUNK * mean_gu
+        if last:  # the run is expected to end in this block
+            size = _prefix_size((duration - t0) / mean_gu)
+            state = rng.bit_generator.state
+        # One statement each, so each replaces the last block's array before
+        # the next is drawn: fewer live arrays leave fewer holes in the heap.
+        dwell_g = _dwells(rng, scale_g, size, spare)
+        dwell_u = _dwells(rng, scale_u, size, spare)
+        if last:
+            # Search doubling prefixes from about the expected crossing;
+            # first == n means that none of the n cycles passes duration.
+            n = size // 2
             while (first := int(np.searchsorted(
                     t0 + np.cumsum(dwell_g[:n] + dwell_u[:n]), duration,
                     "right"))) == n < _CHUNK:
+                if n == dwell_g.size:  # past the kept prefix: redraw whole
+                    rng.bit_generator.state = state
+                    dwell_g = _dwells(rng, scale_g, _CHUNK, spare)
+                    dwell_u = _dwells(rng, scale_u, _CHUNK, spare)
                 n *= 2
             reach = min(first + 1, _CHUNK)
-        if reach < _CHUNK:  # free the whole arrays before the rest is made
+        if reach < dwell_g.size:  # free the kept arrays' unused tails
             dwell_g, dwell_u = dwell_g[:reach].copy(), dwell_u[:reach].copy()
         is_minus = rng.random(reach) < p_minus
         rng.bit_generator.advance(_CHUNK - reach)
-        unit = rng.exponential(
-            1.0, _CHUNK if detect or reach == _CHUNK else reach)
+        unit = rng.standard_exponential(
+            _CHUNK if detect or reach == _CHUNK else reach)
         dwell_b = unit[:reach] / np.where(is_minus, rates.gpar_minus,
                                           rates.gpar_plus)
         del unit
@@ -405,14 +448,15 @@ def g2_histogram(stream: PhotonStream, branch: Branch | None,
     ``rate**2 * width * (T - tau_center)``.  Per-bin standard errors assume
     Poisson pair counts; ``tau_bins`` with a bin too narrow for either to
     be a finite float, and a stream whose squared photon rate is not, are
-    refused.  The pairs are counted before they are binned, and more than
-    ``MAX_PAIRS`` are refused.  They are binned one index offset
-    ``k = j - i`` at a time.  While over half of the first ``n - k`` of the
-    ``n`` photons have a partner at offset ``k``, the lags are one slice
-    difference over all of them, masked to those that do; from then on
-    they are gathered through a shrinking index list of the photons left.
-    Over half of the sliced photons are pairs, so time is O(photons +
-    pairs) and memory O(photons) whatever the lag window holds.
+    refused.  Pairs are found one index offset ``k = j - i`` at a time by
+    ``_partners``, with comparisons only.  They are counted before they are
+    binned, and the count stops at the offset that takes it past
+    ``MAX_PAIRS``, which is refused: a refused call costs at most about two
+    comparisons a pair up to the cap, and bins nothing.  Then the pairs are
+    found again and binned: while a mask marks them, their lags are one
+    slice difference over the first ``n - k`` of the ``n`` photons, masked;
+    from then on they are gathered through the index list.  Time is
+    O(photons + pairs) and memory O(photons) whatever the lag window holds.
     """
     edges = check_grid(tau_bins, "tau_bins")
     if edges.size < 2:
@@ -427,28 +471,18 @@ def g2_histogram(stream: PhotonStream, branch: Branch | None,
     n = times.size
     rate = n / duration
     _real("squared photon rate", rate * rate, "finite")
-    # Photon i pairs with i+1 .. i+room[i].
-    room = (np.searchsorted(times, times + edges[-1], "right")
-            - np.arange(1, n + 1))
-    pairs = int(room.sum())
-    if pairs > MAX_PAIRS:
-        raise ParameterError(
-            f"largest lag {edges[-1]} gives {pairs} photon pairs, over the "
-            f"cap of {MAX_PAIRS}")
+    reach = times + edges[-1]
+    pairs = 0
+    for k, _, count in _partners(times, reach):
+        pairs += count
+        if pairs > MAX_PAIRS:
+            raise ParameterError(
+                f"largest lag {edges[-1]} gives {pairs} photon pairs, over "
+                f"the cap of {MAX_PAIRS} (counted to index offset {k})")
     counts = np.zeros(edges.size - 1, dtype=np.int64)
-    # ``has`` marks the first n - k photons with a partner at offset k;
-    # ``first`` lists them once they are half or fewer.
-    k = 1
-    has = room[:n - 1] >= 1
-    while 2 * np.count_nonzero(has) > n - k:
-        counts += np.histogram((times[k:] - times[:-k])[has], edges)[0]
-        k += 1
-        has = room[:n - k] >= k
-    first = np.flatnonzero(has)
-    while first.size:
-        counts += np.histogram(times[k:][first] - times[first], edges)[0]
-        k += 1
-        first = first[room[first] >= k]
+    for k, has, _ in _partners(times, reach):
+        counts += np.histogram((times[k:] - times[:-k])[has] if has.dtype == bool
+                               else times[k:][has] - times[has], edges)[0]
     centers = 0.5 * (edges[:-1] + edges[1:])
     exposure = rate ** 2 * np.diff(edges) * (duration - centers)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused below
@@ -456,6 +490,31 @@ def g2_histogram(stream: PhotonStream, branch: Branch | None,
     if not (np.isfinite(values).all() and np.isfinite(stderr).all()):
         raise ParameterError("tau_bins has a bin too narrow to normalise its pair count")
     return CorrelationSeries(tau=centers, values=values, stderr=stderr)
+
+
+def _partners(times: np.ndarray, reach: np.ndarray):
+    """Yield ``(k, has, count)`` for each index offset ``k = 1, 2, ...`` at
+    which a photon ``i`` has a partner, ``times[i + k] <= reach[i]``.
+
+    ``has`` marks the ``count`` such photons among the first ``n - k`` as a
+    mask while they are over half of them, and from then on lists them as
+    indices; a photon with no partner at ``k`` has none further on, so the
+    list shrinks.  Each offset costs one comparison a photon of the mask or
+    list, so at most two a pair it yields.
+    """
+    n = times.size
+    k = 1
+    has = times[k:] <= reach[:-k]
+    while 2 * (count := np.count_nonzero(has)) > n - k:
+        yield k, has, count
+        k += 1
+        has = times[k:] <= reach[:-k]
+    has = np.flatnonzero(has)
+    while has.size:
+        yield k, has, has.size
+        k += 1
+        has = has[:np.searchsorted(has, n - k)]
+        has = has[times[has + k] <= reach[has]]
 
 
 def _fano_windows(duration: float, window: float) -> int:

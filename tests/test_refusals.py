@@ -296,6 +296,9 @@ REFUSALS = [
     pytest.param(lambda: CorrelationSeries(TAU, TAU, np.full(11, np.inf)),
                  ParameterError, "stderr must be finite",
                  id="correlation-inf-stderr"),
+    pytest.param(lambda: CorrelationSeries(TAU, np.ones(11), -np.ones(11)),
+                 ParameterError, "stderr must be nonnegative",
+                 id="correlation-negative-stderr"),
     pytest.param(lambda: SpectrumSeries(TAU, np.full(11, np.inf)),
                  ParameterError, "values must be finite",
                  id="spectrum-inf-values"),

@@ -278,10 +278,38 @@ class TestPrefixSampler:
                                   master_seed=405, branch_filter=branch)
         self.assert_matches_full_blocks(params, rates, config)
 
-    def test_short_run_allocates_under_three_blocks(self):
-        # About 100 cycles: the ground and upper dwells are drawn whole
-        # (8 MB); the full-block sampler allocated about seven block-sized
-        # arrays.
+    @pytest.mark.parametrize("setup", PREFIX_SETUPS)
+    @pytest.mark.parametrize("branch", [None, Branch.MINUS, Branch.PLUS])
+    @pytest.mark.parametrize("where", ["block-1", "block-2"])
+    def test_streams_match_full_blocks_after_redraw(self, monkeypatch, setup,
+                                                    branch, where):
+        # A last block whose crossing falls past its kept prefix is drawn
+        # again whole: the prefix is forced to 256 dwells, and the last
+        # block's crossing, 500 to 600 cycles in, lies past them.
+        params, rates = PREFIX_SETUPS[setup]
+        config = TrajectoryConfig(duration=4000.0, master_seed=406,
+                                  branch_filter=branch)
+        if where == "block-2":
+            first = next(reference_blocks(reference_rng(config), params,
+                                          rates, np.inf, 1.0))
+            config = replace(config, duration=float(first[0][-1]) + 4000.0)
+        *_, last = reference_blocks(reference_rng(config), params, rates,
+                                    config.duration, 1.0)
+        assert np.count_nonzero(last[1]) > 256
+        calls = []
+
+        def forced(cycles):
+            calls.append(cycles)
+            return 256
+
+        monkeypatch.setattr(stochastic, "_prefix_size", forced)
+        self.assert_matches_full_blocks(params, rates, config)
+        assert calls  # the last block kept a prefix
+
+    def test_short_run_allocates_under_half_a_block(self):
+        # About 40 cycles: of the ground and upper dwells, prefixes of 2**11
+        # are kept and the rest drawn into a spare buffer; the full-block
+        # sampler allocated about seven block-sized arrays.
         params, rates = PREFIX_SETUPS["unit-yield"]
         config = TrajectoryConfig(duration=300.0)
         tracemalloc.start()
@@ -291,7 +319,7 @@ class TestPrefixSampler:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * _CHUNK * 8
+        assert peak < _CHUNK * 4
 
 
 class TestValidation:
