@@ -62,13 +62,12 @@ class SpectrumSeries:
     def __post_init__(self) -> None:
         omega = check_grid(self.omega, "omega", nonnegative=False)
         object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "values", _numbers(self.values, "values"))
+        object.__setattr__(self, "values",
+                           _numbers(self.values, "values", finite=True))
         if self.values.shape != omega.shape:
             raise ParameterError("values and omega must have matching shapes")
-        if not (self.values >= 0.0).all():  # a NaN is refused too
+        if (self.values < 0.0).any():
             raise ParameterError("spectral density must be nonnegative")
-        if not (self.values < np.inf).all():
-            raise ParameterError("values must be finite")
 
 
 def g1_analytic(branch: Branch, rates: BranchRates, steady: Populations,

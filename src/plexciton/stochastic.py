@@ -58,10 +58,10 @@ MAX_WINDOWS = 1 << 25
 # Windows fano_factor turns from counts into squared deviations at a time.
 _FANO_BLOCK = 1 << 16
 
-# Most photon pairs g2_histogram may count: about 35 s of counting and
-# binning at ~8 ns per pair on the same core (8.1-8.2 ns in three runs on a
-# 1.5e6-photon stream with 1.1e8 pairs); a refused call stops counting once
-# past the cap, at ~0.7 ns a pair counted.
+# Most photon pairs g2_histogram may count: about 27 s of counting and
+# binning at ~6.2 ns per pair on the same core (0.689-0.691 s in three runs
+# on a 1.5e6-photon stream with 1.1e8 pairs).  A refused call has binned
+# every pair up to the offset that passes the cap, so it costs at most that.
 MAX_PAIRS = 1 << 32
 
 _CHAR_TAG = {"-": 0, "+": 1}
@@ -329,6 +329,7 @@ def _cycle_blocks(rng: np.random.Generator, params: SystemParams,
         if detect:
             keep &= rng.random(reach) < yield_
         yield ends, keep, dwell_g, dwell_u, is_minus, dwell_b
+        del ends, keep, dwell_g, dwell_u, is_minus, dwell_b
 
 
 def _simulate_one(params: SystemParams, rates: BranchRates,
@@ -449,14 +450,16 @@ def g2_histogram(stream: PhotonStream, branch: Branch | None,
     Poisson pair counts; ``tau_bins`` with a bin too narrow for either to
     be a finite float, and a stream whose squared photon rate is not, are
     refused.  Pairs are found one index offset ``k = j - i`` at a time by
-    ``_partners``, with comparisons only.  They are counted before they are
-    binned, and the count stops at the offset that takes it past
-    ``MAX_PAIRS``, which is refused: a refused call costs at most about two
-    comparisons a pair up to the cap, and bins nothing.  Then the pairs are
-    found again and binned: while a mask marks them, their lags are one
-    slice difference over the first ``n - k`` of the ``n`` photons, masked;
-    from then on they are gathered through the index list.  Time is
-    O(photons + pairs) and memory O(photons) whatever the lag window holds.
+    ``_partners``, with comparisons only, in one sweep: each offset's pairs
+    are counted, checked against ``MAX_PAIRS`` and binned before the next
+    offset is searched.  The offset that takes the count past the cap is
+    refused before it is binned, so a refused call costs at most what an
+    accepted call at the cap does.  While a mask marks the pairs, their
+    lags are one slice difference over the first ``n - k`` of the ``n``
+    photons, written into one buffer of ``n - 1`` floats and masked unless
+    every photon pairs; from then on they are gathered through the index
+    list, and the buffer is dropped.  Time is O(photons + pairs) and memory
+    O(photons) whatever the lag window holds.
     """
     edges = check_grid(tau_bins, "tau_bins")
     if edges.size < 2:
@@ -471,18 +474,21 @@ def g2_histogram(stream: PhotonStream, branch: Branch | None,
     n = times.size
     rate = n / duration
     _real("squared photon rate", rate * rate, "finite")
-    reach = times + edges[-1]
+    counts = np.zeros(edges.size - 1, dtype=np.int64)
+    lags = np.empty(n - 1)  # the mask phase's lags, one offset at a time
     pairs = 0
-    for k, _, count in _partners(times, reach):
+    for k, has, count in _partners(times, times + edges[-1]):
         pairs += count
         if pairs > MAX_PAIRS:
             raise ParameterError(
                 f"largest lag {edges[-1]} gives {pairs} photon pairs, over "
                 f"the cap of {MAX_PAIRS} (counted to index offset {k})")
-    counts = np.zeros(edges.size - 1, dtype=np.int64)
-    for k, has, _ in _partners(times, reach):
-        counts += np.histogram((times[k:] - times[:-k])[has] if has.dtype == bool
-                               else times[k:][has] - times[has], edges)[0]
+        if has.dtype == bool:
+            lag = np.subtract(times[k:], times[:-k], out=lags[:n - k])
+            counts += np.histogram(lag if count == n - k else lag[has], edges)[0]
+        else:
+            lags = lag = None  # dropped: the list's lags are gathered
+            counts += np.histogram(times[k:][has] - times[has], edges)[0]
     centers = 0.5 * (edges[:-1] + edges[1:])
     exposure = rate ** 2 * np.diff(edges) * (duration - centers)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused below

@@ -229,8 +229,7 @@ REFUSALS = [
                  ParameterError, "trajectory contains out-of-range populations",
                  id="trajectory-nan"),
     pytest.param(lambda: SpectrumSeries(TAU, np.full(11, np.nan)),
-                 ParameterError, "spectral density must be nonnegative",
-                 id="spectrum-nan"),
+                 ParameterError, "values must be finite", id="spectrum-nan"),
     # Array fields take check_grid's rule for a real number; g1 may be complex.
     pytest.param(lambda: CorrelationSeries(TAU, np.full(11, "1")),
                  ParameterError,

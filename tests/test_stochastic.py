@@ -224,10 +224,12 @@ def occupations_repr(params, rates, config):
         return "InsufficientDataError"
 
 
-# Unit and sub-unit quantum yield at fast rates: a cycle takes about 3.
+# Unit and sub-unit quantum yield at fast rates: a cycle takes 8.0 and 6.6.
 PREFIX_SETUPS = {"unit-yield": make_setup(pump=1.0, feed=1.0),
                  "lossy": make_setup(pump=1.0, feed=1.0, gamma_nr=0.3)}
-BLOCK_TIME = 3.0 * _CHUNK  # about one block of cycles
+# The mean time of one block of cycles, per setup.
+BLOCK_TIME = {setup: _CHUNK * stochastic._mean_cycle(*PREFIX_SETUPS[setup])
+              for setup in PREFIX_SETUPS}
 
 
 class TestPrefixSampler:
@@ -257,7 +259,10 @@ class TestPrefixSampler:
         elif where == "block-1":
             duration = 300.0
         elif where == "block-3":
-            duration = 2.5 * BLOCK_TIME
+            duration = 2.5 * BLOCK_TIME[setup]
+            blocks = reference_blocks(reference_rng(config), params, rates,
+                                      duration, params.quantum_yield)
+            assert sum(1 for _ in blocks) == 3
         else:  # the second block keeps a cycle or so
             first = next(reference_blocks(reference_rng(config), params,
                                           rates, np.inf, 1.0))
@@ -274,7 +279,7 @@ class TestPrefixSampler:
                                                 exponent):
         # From under one cycle (no photon) to just past one block.
         params, rates = PREFIX_SETUPS[setup]
-        config = TrajectoryConfig(duration=BLOCK_TIME * 10.0 ** exponent,
+        config = TrajectoryConfig(duration=BLOCK_TIME[setup] * 10.0 ** exponent,
                                   master_seed=405, branch_filter=branch)
         self.assert_matches_full_blocks(params, rates, config)
 
@@ -320,6 +325,28 @@ class TestPrefixSampler:
         finally:
             tracemalloc.stop()
         assert peak < _CHUNK * 4
+
+    def test_long_run_holds_one_block(self):
+        # Each run ends 2% of a block's time before the mean end of a block,
+        # so its last block keeps 98% of its cycles, and every block is
+        # drawn whole (a block's ground and upper dwells take a quarter of
+        # its time, so none is expected to end the run).  Holding the last
+        # block's arrays while drawing the next cost 2.1 block arrays more;
+        # the slack, _CHUNK bytes (1/8 of a float array), covers the 2% more
+        # cycles an earlier block keeps.
+        params, rates = PREFIX_SETUPS["unit-yield"]
+        peaks = {}
+        for blocks in (1, 3, 6):
+            config = TrajectoryConfig(
+                duration=(blocks - 0.02) * BLOCK_TIME["unit-yield"])
+            tracemalloc.start()
+            try:
+                occupation_fractions(params, rates, config)
+                peaks[blocks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[3] <= peaks[1] + _CHUNK
+        assert peaks[6] <= peaks[1] + _CHUNK
 
 
 class TestValidation:
@@ -560,6 +587,27 @@ def reference_pair_lags(times, tau_max):
     return np.concatenate(parts)
 
 
+def offset_counts(times, last):
+    """Photons with a partner at each index offset ``k = 1, 2, ...``, and
+    the first offset at which at most half of the ``n - k`` have one: where
+    ``g2_histogram``'s sweep turns from a mask to an index list."""
+    room = (np.searchsorted(times, times + last, "right")
+            - np.arange(1, times.size + 1))
+    counts = np.bincount(room)[::-1].cumsum()[::-1][1:]
+    offsets = np.arange(1, counts.size + 1)
+    listed = int(np.argmin(2 * counts > times.size - offsets)) + 1
+    return counts, listed
+
+
+def eighths_stream(seed):
+    """1e4 photons with gaps of 1 to 8 eighths: lags are exact multiples of
+    1/8, and a last edge of ``m`` eighths pairs every photon at the first
+    ``m // 8`` offsets."""
+    times = 0.125 * np.cumsum(np.random.default_rng(seed).integers(1, 9, 10000))
+    return PhotonStream(times=times, tags=np.zeros(times.size, dtype=np.int8),
+                        duration=float(times[-1]) + 1.0)
+
+
 def histogram_counts(stream, edges):
     """Pair counts behind ``g2_histogram``, undoing its documented normalization."""
     hist = g2_histogram(stream, None, edges)
@@ -647,12 +695,29 @@ class TestHistogram:
                               tags=np.zeros(times.size, dtype=np.int8),
                               duration=float(times[-1]) + 1.0)
         edges = 0.125 * np.array(sorted({v % last for v in inner} | {last}))
-        room = (np.searchsorted(times, times + edges[-1], "right")
-                - np.arange(1, times.size + 1))
-        share = [np.count_nonzero(room >= k) / (times.size - k)
-                 for k in range(1, room.max() + 1)]
-        assert share[0] > 0.5 > share[-1]
+        counts, listed = offset_counts(times, edges[-1])
+        assert 1 < listed <= counts.size
         lags = reference_pair_lags(times, edges[-1])
+        assert np.array_equal(histogram_counts(stream, edges),
+                              np.histogram(lags, edges)[0])
+
+    # Gaps of 1 to 8 eighths and a last edge of 3 to 10: every photon has
+    # a partner at the first offsets (their lags are binned unmasked), over
+    # half but not all at the next (masked), and few at the largest (the
+    # index list).  Lags can sit exactly on edges.
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), last=st.integers(24, 80),
+           inner=st.sets(st.integers(0, 79), min_size=1, max_size=10))
+    def test_counts_match_every_pair_from_full_offsets(self, seed, last,
+                                                       inner):
+        stream = eighths_stream(seed)
+        edges = 0.125 * np.array(sorted({v % last for v in inner} | {last}))
+        counts, listed = offset_counts(stream.times, edges[-1])
+        n = stream.n_photons
+        assert counts[0] == n - 1
+        assert any(counts[k - 1] < n - k for k in range(2, listed))
+        assert listed <= counts.size
+        lags = reference_pair_lags(stream.times, edges[-1])
         assert np.array_equal(histogram_counts(stream, edges),
                               np.histogram(lags, edges)[0])
 
@@ -700,6 +765,26 @@ class TestHistogram:
         monkeypatch.setattr(stochastic, "MAX_PAIRS", pairs - 1)
         with pytest.raises(ParameterError, match=(
                 rf"{pairs} photon pairs, over the cap of {pairs - 1}")):
+            g2_histogram(stream, None, edges)
+
+    # The count is checked at each offset before its pairs are binned: the
+    # refusal names the offset that passes the cap and the pairs counted to
+    # it, in the sweep's mask phase (the last offset before the index list)
+    # and in its index-list phase (the second offset of the list).
+    @pytest.mark.parametrize("step", [pytest.param(-1, id="mask"),
+                                      pytest.param(1, id="list")])
+    def test_pair_count_refused_at_the_offset_past_the_cap(self, monkeypatch,
+                                                           step):
+        stream = eighths_stream(61)
+        edges = np.array([0.0, 5.0])
+        counts, listed = offset_counts(stream.times, edges[-1])
+        k = listed + step
+        assert counts[k - 1] > 0
+        pairs = int(counts[:k].sum())
+        monkeypatch.setattr(stochastic, "MAX_PAIRS", pairs - 1)
+        with pytest.raises(ParameterError, match=(
+                rf"^largest lag 5.0 gives {pairs} photon pairs, over the cap "
+                rf"of {pairs - 1} \(counted to index offset {k}\)$")):
             g2_histogram(stream, None, edges)
 
 
