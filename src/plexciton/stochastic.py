@@ -50,12 +50,13 @@ MAX_PHOTONS = 1 << 27
 # yield one, below one) on one core of a 2-vCPU Xeon VM (numpy 2.4).
 MAX_CYCLES = 1 << 30
 
-# Most counting windows fano_factor may use: its tracemalloc peak is 8.0
-# bytes a window, the counts, plus one block of their variance and O(photons)
-# (269 MB at the cap, with 1000 photons).
+# Most counting windows fano_factor may use.  It holds one node of windows
+# and the photons (1.1 MB traced at the cap with 1000 photons), so the cap
+# bounds time: 0.11 s there on one core of a 2-vCPU Xeon VM (numpy 2.4).
 MAX_WINDOWS = 1 << 25
 
-# Windows fano_factor turns from counts into squared deviations at a time.
+# Most windows fano_factor counts at a time, 16 bytes each: at least 128,
+# numpy's pairwise-sum leaf size, so every node it splits numpy splits too.
 _FANO_BLOCK = 1 << 16
 
 # Most photon pairs g2_histogram may count: about 27 s of counting and
@@ -542,10 +543,10 @@ def fano_factor(stream: PhotonStream, window: float) -> float:
     is ``[k*window, (k+1)*window)``, the last one closed, and photons past
     ``n*window`` are not counted: np.histogram's rule for the edges
     ``np.arange(n + 1) * window``.  Each photon is counted into its window,
-    so the cost is O(photons + windows).  The variance is ``var(ddof=1)``'s
-    own float operations, in its order, computed in the counts' buffer:
-    the tracemalloc peak is 8 bytes a window (60.4 MB on 6.0e6 windows and
-    1.5e6 photons, 269 MB at ``MAX_WINDOWS`` with 1000 photons).
+    so the time is O(photons + windows).  The variance is ``var(ddof=1)``'s
+    own float operations, in its order, down numpy's pairwise tree one node
+    of at most ``_FANO_BLOCK`` windows at a time: memory is one node plus the
+    photons (0.92 MB traced on 6.0e6 windows and 1.5e6 photons).
     """
     n_windows = _fano_windows(stream.duration, window)
     if n_windows < 100:
@@ -554,27 +555,31 @@ def fano_factor(stream: PhotonStream, window: float) -> float:
         )
     times = stream.times[:np.searchsorted(stream.times, n_windows * window,
                                           "right")]
-    # The quotient and the edges k*window round apart, so next to an edge
-    # the floor can be one window off either way (at most one while there
-    # are far fewer than 2**52 windows); check it against the edges.
-    index = (times / window).astype(np.int64)
-    index -= times < index * window
-    index += times >= (index + 1) * window
-    np.minimum(index, n_windows - 1, out=index)  # a photon on the last edge
-    counts = np.bincount(index, minlength=n_windows).astype(np.int64,
-                                                            copy=False)
-    del index
-    mean = counts.mean()
+    # counts.mean(): an integer sum below 2**53 is exact in float64.
+    mean = times.size / n_windows
     if mean == 0.0:
         raise InsufficientDataError("no photons in any counting window")
-    # counts.var(ddof=1), with each squared deviation written over its own
-    # count: numpy copies an overlapping input, so one block at a time.
-    dev = counts.view(np.float64)
-    for start in range(0, n_windows, _FANO_BLOCK):
-        block = dev[start:start + _FANO_BLOCK]
-        np.subtract(counts[start:start + _FANO_BLOCK], mean, out=block)
-        np.multiply(block, block, out=block)
-    return float(dev.sum() / (n_windows - 1) / mean)
+
+    def squares(lo: int, hi: int) -> float:
+        """Summed squared deviations of windows [lo, hi), one tree node."""
+        m = hi - lo
+        if m > _FANO_BLOCK:
+            h = m // 2 - (m // 2) % 8
+            return squares(lo, lo + h) + squares(lo + h, hi)
+        first, last = np.searchsorted(times, np.array((lo, hi)) * window)
+        part = times[first:] if hi == n_windows else times[first:last]
+        # The quotient and the edges k*window round apart, so next to an edge
+        # the floor can be one window off either way (at most one while far
+        # fewer than 2**52 windows); check it against the edges, as above.
+        index = (part / window).astype(np.int64)
+        index -= part < index * window
+        index += part >= (index + 1) * window
+        np.minimum(index, n_windows - 1, out=index)  # on the last edge
+        dev = np.bincount(index - lo, minlength=m) - mean
+        np.multiply(dev, dev, out=dev)
+        return float(dev.sum())
+
+    return squares(0, n_windows) / (n_windows - 1) / mean
 
 
 def emission_rate(stream: PhotonStream, branch: Branch | None) -> EmissionRate:

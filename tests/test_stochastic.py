@@ -788,6 +788,19 @@ class TestHistogram:
             g2_histogram(stream, None, edges)
 
 
+def pairwise_tree(leaf, n, block):
+    """Add ``leaf(lo, hi)`` over the nodes of numpy's pairwise sum of ``n``
+    values: a node of ``m`` over ``block`` values splits at ``m // 2``
+    rounded down to a multiple of 8, and its halves' sums are added."""
+    def node(lo, hi):
+        m = hi - lo
+        if m <= block:
+            return leaf(lo, hi)
+        h = lo + m // 2 - (m // 2) % 8
+        return node(lo, h) + node(h, hi)
+    return node(0, n)
+
+
 class TestFano:
     @staticmethod
     def histogram_fano(stream, window):
@@ -902,18 +915,81 @@ class TestFano:
         stream = poisson_stream(rng, rate=1.7, duration=0.5 * n_windows)
         assert fano_factor(stream, 0.5) == self.histogram_fano(stream, 0.5)
 
-    def test_memory_bounded_in_windows(self):
-        # 2**20 windows and about 1000 photons: the counts, 8 bytes a window,
-        # and one block of their variance.
-        rng = np.random.default_rng(59)
-        stream = poisson_stream(rng, rate=1e-3, duration=float(1 << 20))
+    # Nodes of 128 windows (numpy's own leaf size) put a few hundred to a few
+    # thousand windows into many nodes.  Photons sit on window edges, on the
+    # edges of those nodes and on the last edge, or a few ulps either side.
+    @settings(max_examples=60, deadline=None)
+    @given(window=st.one_of(st.sampled_from([0.1, 1.0 / 3.0]),
+                            st.floats(min_value=0.01, max_value=50.0)),
+           windows=st.integers(300, 3000),
+           extra=st.floats(min_value=0.0, max_value=3.0),
+           end_ulps=st.integers(-2, 2),
+           on_edges=st.lists(st.tuples(st.integers(0, 3003),
+                                       st.integers(-2, 2)), max_size=40),
+           on_nodes=st.lists(st.tuples(st.integers(0, 1 << 10),
+                                       st.integers(-2, 2)), max_size=40),
+           last_ulps=st.lists(st.integers(-2, 2), max_size=3),
+           anywhere=st.lists(st.floats(min_value=0.0, max_value=1.0),
+                             min_size=1, max_size=200))
+    @example(window=0.1, windows=1000, extra=0.0, end_ulps=0, on_edges=[],
+             on_nodes=[(k, u) for k in range(16) for u in range(-2, 3)],
+             last_ulps=[-1, 0], anywhere=[0.5])
+    def test_counts_match_numpy_histogram_across_nodes(
+            self, window, windows, extra, end_ulps, on_edges, on_nodes,
+            last_ulps, anywhere):
+        duration = float(self.nudge((windows + extra) * window, end_ulps))
+        n_windows = int(duration / window)
+        nodes = []
+        pairwise_tree(lambda lo, hi: nodes.append(lo) or 0.0, n_windows, 128)
+        times = np.unique(np.concatenate((
+            [self.nudge(k * window, ulps) for k, ulps in on_edges],
+            [self.nudge(nodes[k % len(nodes)] * window, ulps)
+             for k, ulps in on_nodes],
+            [self.nudge(n_windows * window, ulps) for ulps in last_ulps],
+            np.array(anywhere) * duration)))
+        times = times[(times >= 0.0) & (times <= duration)]
+        stream = PhotonStream(times=times,
+                              tags=np.zeros(times.size, dtype=np.int8),
+                              duration=duration)
+        with mock.patch.object(stochastic, "_FANO_BLOCK", 128):
+            fano = fano_factor(stream, window)
+        assert fano == self.histogram_fano(stream, window)
+
+    # fano_factor adds its nodes' sums as numpy's float64 sum adds them; a
+    # numpy whose sum takes another order fails here by name.
+    @pytest.mark.parametrize("size", [24577, 1000003, 6045000, (1 << 20) + 5])
+    def test_numpy_sums_along_the_pairwise_tree(self, size):
+        values = np.random.default_rng(size).random(size) * 1e3
+        tree = pairwise_tree(lambda lo, hi: float(values[lo:hi].sum()), size,
+                             stochastic._FANO_BLOCK)
+        assert float(np.add.reduce(values)) == tree, (
+            "numpy's float64 sum no longer adds along the pairwise tree that "
+            "fano_factor walks")
+
+    @staticmethod
+    def fano_peak(stream, window):
         tracemalloc.start()
         try:
-            fano_factor(stream, window=1.0)
-            peak = tracemalloc.get_traced_memory()[1]
+            fano_factor(stream, window)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * (1 << 20) + 64 * stream.n_photons
+
+    def test_memory_bounded_in_windows(self):
+        # 2**20 windows and about 1000 photons: one node of window counts
+        # and their squared deviations, 16 bytes a window, plus the photons.
+        rng = np.random.default_rng(59)
+        stream = poisson_stream(rng, rate=1e-3, duration=float(1 << 20))
+        peak = self.fano_peak(stream, 1.0)
+        assert peak < 3 * 8 * stochastic._FANO_BLOCK + 64 * stream.n_photons
+
+    def test_memory_bounded_at_window_cap(self):
+        # MAX_WINDOWS windows and about 1000 photons (8 bytes a window would
+        # be 268 MB).
+        rng = np.random.default_rng(60)
+        duration = float(stochastic.MAX_WINDOWS)
+        stream = poisson_stream(rng, rate=1000.0 / duration, duration=duration)
+        assert self.fano_peak(stream, 1.0) < 2 * 10 ** 6
 
     def test_requires_100_windows(self):
         rng = np.random.default_rng(56)
