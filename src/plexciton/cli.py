@@ -8,8 +8,9 @@ trajectory    stochastic photon streams plus estimator summary
 rates         human- and machine-readable parameter/rate report
 steady-state  stationary populations of the configured scenario
 
-Exit codes: 0 success, else the error's ``exit_code`` (2 bad input or a path
-the OS refuses, 3 numerical failure).  ``cmd_*`` compute, ``main`` writes.
+Every run setting is a config key.  Exit codes: 0 success, 2 from argparse
+on a usage error, else the error's ``exit_code`` (2 bad input or a path the
+OS refuses, 3 numerical failure).  ``cmd_*`` compute, ``main`` writes.
 """
 
 from __future__ import annotations
@@ -306,10 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "steady-state"])
     parser.add_argument("--config", required=True, help="key = value file")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override master_seed")
-    parser.add_argument("--scenario", choices=["nonresonant", "resonant"],
-                        default=None, help="override the configured scenario")
     return parser
 
 
@@ -317,11 +314,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = parse_config(args.config)
-        if args.seed is not None:
-            config = replace(config, master_seed=args.seed)
-        if args.scenario is not None:
-            config = replace(config, params=replace(
-                config.params, scenario=Scenario(args.scenario)))
         writes_files = args.command in ("spectrum", "g2", "trajectory")
         out_dir = (args.out or ".") if writes_files else args.out
         if out_dir is not None:

@@ -92,10 +92,12 @@ def _is_real(value, rule: str) -> bool:
         return False
 
 
-def _real(name: str, value, rule: str) -> None:
-    """Refuse ``value`` unless ``_is_real(value, rule)``, naming ``name``."""
+def _real(name: str, value, rule: str) -> float:
+    """``value`` as a float, or ParameterError naming ``name`` unless
+    ``_is_real(value, rule)``."""
     if not _is_real(value, rule):
         raise ParameterError(f"{name} must be {rule}, got {value!r}")
+    return float(value)
 
 
 def _integer(name: str, value, low=None, high=None) -> int:
@@ -144,8 +146,8 @@ def check_grid(grid, name: str, nonnegative: bool = True) -> np.ndarray:
 
 def _check_drive(omega_l_rabi) -> None:
     """Refuse a drive amplitude unless it and its square are finite."""
-    _real("omega_l_rabi", omega_l_rabi, "finite")
-    _real("omega_l_rabi**2", float(omega_l_rabi) * float(omega_l_rabi), "finite")
+    drive = _real("omega_l_rabi", omega_l_rabi, "finite")
+    _real("omega_l_rabi**2", drive * drive, "finite")
 
 
 def _check_branch_rates(gpar, gperp) -> None:
@@ -205,7 +207,7 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         for name, rule in _PARAM_RULES.items():
-            _real(name, getattr(self, name), rule)
+            object.__setattr__(self, name, _real(name, getattr(self, name), rule))
         object.__setattr__(self, "scenario", _scenario(self.scenario))
         if self.gamma_perp < (self.gamma_r + self.gamma_nr) / 2.0:
             raise ParameterError(

@@ -97,7 +97,8 @@ class TrajectoryConfig:
     branch_filter: Branch | None = None
 
     def __post_init__(self) -> None:
-        _real("duration", self.duration, "positive and finite")
+        object.__setattr__(self, "duration", _real(
+            "duration", self.duration, "positive and finite"))
         for name, low in (("n_trajectories", 1), ("master_seed", None)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), low))
         if self.branch_filter is not None:
@@ -124,7 +125,8 @@ class PhotonStream:
         if np.any((tags != 0) & (tags != 1)):
             raise ParameterError("tags must be 0 (minus) or 1 (plus)")
         object.__setattr__(self, "tags", tags.astype(np.int8, copy=False))
-        _real("duration", self.duration, "positive and finite")
+        object.__setattr__(self, "duration", _real(
+            "duration", self.duration, "positive and finite"))
         bad = _first_bad_time(self.times, self.duration)
         if bad >= 0:
             t = float(self.times[bad])
@@ -425,7 +427,7 @@ def plan_run(params: SystemParams, rates: BranchRates,
         tau_max = 3.0 / slow if slow > 0.0 else config.duration / 100.0
     branch = config.branch_filter or Branch.MINUS
     if window is not None:
-        _fano_windows(config.duration, window)
+        window = _fano_windows(config.duration, window)[1]
     _check_run(params, rates, config, stream=True)
     _real("largest lag", tau_max, "positive and finite")
     _check_lag(tau_max, config.duration)
@@ -524,31 +526,31 @@ def _partners(times: np.ndarray, reach: np.ndarray):
         has = has[times[has + k] <= reach[has]]
 
 
-def _fano_windows(duration: float, window: float) -> int:
-    """Number of whole counting windows ``fano_factor`` uses; a window that
-    is not positive and finite, or gives over ``MAX_WINDOWS`` of them, is
-    refused."""
-    _real("window", window, "positive and finite")
-    if float(duration) / float(window) > MAX_WINDOWS:
+def _fano_windows(duration: float, window: float) -> tuple[int, float]:
+    """``(n, window)``: the number of whole counting windows ``fano_factor``
+    uses, and the window as a float; a window that is not positive and
+    finite, or gives over ``MAX_WINDOWS`` of them, is refused."""
+    window = _real("window", window, "positive and finite")
+    if duration / window > MAX_WINDOWS:
         raise ParameterError(f"window {window} splits the duration "
                              f"{duration} into over the cap of "
                              f"{MAX_WINDOWS} windows")
-    return int(duration / window)
+    return int(duration / window), window
 
 
 def fano_factor(stream: PhotonStream, window: float) -> float:
     """Variance-to-mean ratio of photon counts in disjoint windows.
 
-    Window ``k`` of the ``n = _fano_windows(duration, window)`` whole windows
+    Window ``k`` of the ``n`` whole windows that ``_fano_windows`` counts
     is ``[k*window, (k+1)*window)``, the last one closed, and photons past
     ``n*window`` are not counted: np.histogram's rule for the edges
-    ``np.arange(n + 1) * window``.  Each photon is counted into its window,
-    so the time is O(photons + windows).  The variance is ``var(ddof=1)``'s
+    ``np.arange(n + 1) * float(window)``.  Each photon is counted into its
+    window, so the time is O(photons + windows).  The variance is ``var(ddof=1)``'s
     own float operations, in its order, down numpy's pairwise tree one node
     of at most ``_FANO_BLOCK`` windows at a time: memory is one node plus the
     photons (0.92 MB traced on 6.0e6 windows and 1.5e6 photons).
     """
-    n_windows = _fano_windows(stream.duration, window)
+    n_windows, window = _fano_windows(stream.duration, window)
     if n_windows < 100:
         raise InsufficientDataError(
             f"duration covers only {n_windows} windows, need at least 100"

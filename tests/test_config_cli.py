@@ -381,12 +381,13 @@ class TestTrajectoryCommand:
         second = (out2 / "photons_000.tsv").read_bytes()
         assert first == second
 
-    def test_seed_flag_changes_stream(self, tmp_path):
+    def test_master_seed_changes_stream(self, tmp_path):
         cfg = os.path.join(PRESETS, "trajectory.cfg")
+        reseeded = write_cfg(tmp_path, _preset_text(
+            "trajectory.cfg", "master_seed = 1", "master_seed = 99"))
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["trajectory", "--config", cfg, "--out", str(out1)]) == 0
-        assert main(["trajectory", "--config", cfg, "--out", str(out2),
-                     "--seed", "99"]) == 0
+        assert main(["trajectory", "--config", reseeded, "--out", str(out2)]) == 0
         assert ((out1 / "photons_000.tsv").read_bytes()
                 != (out2 / "photons_000.tsv").read_bytes())
 
@@ -509,13 +510,6 @@ class TestSteadyStateCommand:
         total = sum(float(fields[k]) for k in ("p_gg", "p_uu", "p_mm", "p_pp"))
         assert total == pytest.approx(1.0, abs=1e-12)
 
-    def test_scenario_override_flag(self, capsys):
-        code = main(["steady-state", "--config",
-                     os.path.join(PRESETS, "resonant_rates.cfg"),
-                     "--scenario", "nonresonant"])
-        assert code == 0
-        assert "p_gg" in capsys.readouterr().out
-
 
 class TestExitCodes:
     @pytest.mark.parametrize("code", [0, 2])
@@ -532,6 +526,21 @@ class TestExitCodes:
         assert stop.value.code == code
         out, err = capsys.readouterr()
         assert ("p_minus = " in out) if code == 0 else err.startswith("error: ")
+
+    # Every run setting is a config key: the command line names only the
+    # command, the config file and the output directory.
+    @pytest.mark.parametrize("flag", [["--seed", "2"], ["--scenario", "resonant"]])
+    def test_run_setting_flag_is_a_usage_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as stop:
+            main(["trajectory", "--config", os.path.join(PRESETS, "trajectory.cfg"),
+                  "--out", str(out), *flag])
+        assert stop.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+        assert [action.option_strings or [action.dest]
+                for action in cli_module._build_parser()._actions] == [
+            ["-h", "--help"], ["command"], ["--config"], ["--out"]]
 
     def test_validation_error_is_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "omega0 = 1.0\n")
@@ -771,11 +780,11 @@ class TestFailureBoundary:
                                          "rates", "steady-state"])
     def test_zero_decay_refused_by_every_command(self, tmp_path, capsys,
                                                  command, scenario):
-        cfg = write_cfg(tmp_path, _ZERO_DECAY + "duration = 1e4\n"
-                        "drive_rabi = 0.1\n")
+        cfg = write_cfg(tmp_path, _ZERO_DECAY.replace(
+            "scenario = nonresonant", f"scenario = {scenario}")
+            + "duration = 1e4\ndrive_rabi = 0.1\n")
         out = tmp_path / "out"
-        assert main([command, "--config", cfg, "--scenario", scenario,
-                     "--out", str(out)]) == 2
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: branch rates must be positive")

@@ -4,7 +4,7 @@ import os
 import stat
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -531,6 +531,40 @@ class TestPlanRun:
                                 None, tau_max)
 
 
+class TestStoredFloats:
+    # Under NEP 50 a float32 field times a Python float rounds in float32, so
+    # each value type stores the float of every real it checks.
+    VALUES = {"omega0": 30.1, "omega1": -10.3, "v0": 20.7, "gamma_r": 3.3,
+              "gamma_nr": 1.1, "gamma_perp": 4.9, "gamma_u": 2.3,
+              "pump_r": 1.7, "omega_l_rabi": 0.6}
+
+    @staticmethod
+    def run(values, duration):
+        params = SystemParams(**values)
+        rates = branch_rates(params, dressed_basis(params))
+        config = TrajectoryConfig(duration=duration, master_seed=28)
+        return params, rates, config, simulate_stream(params, rates, config)[0]
+
+    @pytest.mark.parametrize("kind", [np.float32, np.float64, int])
+    def test_reals_are_stored_as_floats(self, kind):
+        values = {key: kind(value) for key, value in self.VALUES.items()}
+        duration = kind(2000.5)
+        got = self.run(values, duration)
+        want = self.run({key: float(value) for key, value in values.items()},
+                        float(duration))
+        assert got[:3] == want[:3]
+        assert np.array_equal(got[3].times, want[3].times)
+        assert np.array_equal(got[3].tags, want[3].tags)
+        params, rates, config, stream = got
+        stored = [getattr(params, key) for key in self.VALUES]
+        stored += [getattr(rates, field.name) for field in fields(rates)]
+        stored += [config.duration, stream.duration, PhotonStream(
+            stream.times, stream.tags, duration).duration]
+        stored.append(stochastic.plan_run(params, rates, config, kind(5.0),
+                                          kind(50.0))[0])
+        assert all(type(value) is float for value in stored), stored
+
+
 class TestErgodicityAndRenewal:
     def test_occupations_match_steady_state_within_3se(self):
         params, rates = make_setup()
@@ -866,6 +900,23 @@ class TestFano:
                               tags=np.zeros(times.size, dtype=np.int8),
                               duration=duration)
         assert fano_factor(stream, window) == self.histogram_fano(stream, window)
+
+    # A window of any real type counts as its float.  The 1000th window of
+    # np.float32(0.1) ends at 100.0 in float32 and at 100.0000014901 in
+    # float64; the last photon lies between the two edges.
+    @pytest.mark.parametrize("window, n_windows", [
+        (np.float32(0.1), 1000), (np.float64(0.1), 1000), (2, 100)])
+    def test_window_counts_as_its_float(self, window, n_windows):
+        w = float(window)
+        rng = np.random.default_rng(28)
+        times = np.sort(np.concatenate((
+            rng.uniform(0.0, (n_windows - 1) * w, 340),
+            rng.uniform((n_windows - 1) * w, (n_windows - 0.001) * w, 16),
+            [n_windows * w - 5e-7])))
+        stream = PhotonStream(times=times, tags=np.zeros(times.size, dtype=np.int8),
+                              duration=n_windows * w + 1e-5)
+        assert fano_factor(stream, window) == fano_factor(stream, w)
+        assert fano_factor(stream, w) == self.histogram_fano(stream, w)
 
     def test_poisson_baseline_is_unity(self):
         rng = np.random.default_rng(54)
