@@ -22,7 +22,9 @@ import numpy as np
 from .errors import ParameterError
 # STEP_SAFETY stays importable from here; the step rule is in integrate.
 from .integrate import STEP_SAFETY, evolve_linear
-from .model import _SLACK, _check_branch_rates, _check_drive, _real
+from .model import _SLACK, _check_branch_rates, _check_drive, _real, _store_reals
+
+_STATE_RULES = {"p_ee": "in [0, 1]", "coh_re": "finite", "coh_im": "finite"}
 
 
 @dataclass(frozen=True)
@@ -34,9 +36,7 @@ class BlochState:
     coh_im: float
 
     def __post_init__(self) -> None:
-        for name, rule in (("p_ee", "in [0, 1]"), ("coh_re", "finite"),
-                           ("coh_im", "finite")):
-            _real(name, getattr(self, name), rule)
+        _store_reals(self, _STATE_RULES)
         coh2 = self.coh_re ** 2 + self.coh_im ** 2
         if coh2 > self.p_ee * (1.0 - self.p_ee) + _SLACK:
             raise ParameterError(
@@ -52,9 +52,8 @@ def bloch_steady_state(omega_l_rabi: float, gpar_b: float,
     stationary population is ``s / (1 + 2 s)``: it reduces to ``s`` for weak
     driving and saturates monotonically at one half.
     """
-    _check_drive(omega_l_rabi)
-    _check_branch_rates(gpar_b, gperp_b)
-    omega_l_rabi, gpar_b, gperp_b = map(float, (omega_l_rabi, gpar_b, gperp_b))
+    omega_l_rabi = _check_drive(omega_l_rabi)
+    gpar_b, gperp_b = _check_branch_rates(gpar_b, gperp_b)
     if omega_l_rabi == 0.0:
         return BlochState(0.0, 0.0, 0.0)
     # coh_re decays to zero.  This operation order, and -0.0 for coh_re,
@@ -95,9 +94,9 @@ def regression_g2_resonant_numeric(omega_l_rabi: float, gpar_b: float,
     coincidence is the re-excitation transient divided by the stationary
     population: ``g2(tau) = p_ee(tau | ground) / p_ee(inf)``.
     """
-    _real("drive amplitude", omega_l_rabi, "positive and finite")
+    omega_l_rabi = _real("drive amplitude", omega_l_rabi, "positive and finite")
     stationary = bloch_steady_state(omega_l_rabi, gpar_b, gperp_b).p_ee
-    _real("stationary p_ee", stationary, "positive")  # it may underflow
+    stationary = _real("stationary p_ee", stationary, "positive")  # it may underflow
     states = evolve_bloch(BlochState(0.0, 0.0, 0.0), omega_l_rabi,
                           gpar_b, gperp_b, tau_grid)
     return states[:, 0] / stationary

@@ -228,8 +228,7 @@ def _report(title: str, params: SystemParams, rows: list[tuple]) -> str:
     lines = [f"# plexciton {__version__} {title}",
              f"scenario = {params.scenario.value}"]
     for key, value, *unit in rows:
-        _real(key, float(value), "finite")
-        lines.append(" ".join([f"{key} = {_fmt(value)}", *unit]))
+        lines.append(" ".join([f"{key} = {_real(key, value, 'finite')!r}", *unit]))
     return "\n".join(lines) + "\n"
 
 

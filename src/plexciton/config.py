@@ -50,10 +50,9 @@ def _number(rule):
         try:
             if kind is int:
                 return _integer(name, value, *rule)
-            _real(name, value, rule)
+            return _real(name, value, rule)
         except ParameterError as exc:
             raise ConfigError(str(exc)) from None
-        return value
     return parse
 
 

@@ -201,10 +201,9 @@ def g2_nonresonant_analytic(branch: Branch, rates: BranchRates, pump_r: float,
     warning fires when ``s`` reaches the slower of the two.
     """
     tau = check_grid(tau_grid, "tau_grid")
-    _real("pump_r", pump_r, "finite and >= 0")
-    _real("gamma_total", gamma_total, "finite and >= 0")
+    slow = (_real("pump_r", pump_r, "finite and >= 0")
+            + _real("gamma_total", gamma_total, "finite and >= 0"))
     gpar_b = rates.branch(branch).gpar
-    slow = float(pump_r) + float(gamma_total)
     slowest = min(rates.gpar_minus, rates.gpar_plus)
     if slow >= slowest:
         warnings.warn(
@@ -213,8 +212,7 @@ def g2_nonresonant_analytic(branch: Branch, rates: BranchRates, pump_r: float,
             RegimeWarning,
             stacklevel=2,
         )
-    eps = slow / gpar_b
-    _real("(pump_r + gamma_total) / gpar_b", eps, "finite")
+    eps = _real("(pump_r + gamma_total) / gpar_b", slow / gpar_b, "finite")
     with np.errstate(over="ignore"):  # exp(-inf) is exact
         values = -np.expm1(-slow * tau) + eps * np.expm1(-gpar_b * tau)
     return CorrelationSeries(tau=tau, values=values)

@@ -85,12 +85,11 @@ def evolve_linear(a: np.ndarray, x0: np.ndarray, grid: np.ndarray,
         the first such sample.
     """
     grid = check_grid(grid, "grid")
-    _real("dt_cap", dt_cap, "positive")
-    fastest = np.abs(a).max()
-    _real("largest entry of the system matrix", fastest, "finite")
+    dt_cap = _real("dt_cap", dt_cap, "positive")
+    fastest = _real("largest entry of the system matrix", np.abs(a).max(), "finite")
     if fastest > 0.0:
         dt_cap = min(dt_cap, STEP_SAFETY / fastest)
-    _real("grid end / step bound", float(grid[-1]) / float(dt_cap), "finite")
+    _real("grid end / step bound", float(grid[-1]) / dt_cap, "finite")
 
     x = np.asarray(x0, dtype=float)
     out = np.empty((grid.size, x.size))

@@ -63,11 +63,19 @@ _BRANCHES = tuple(_SLOT)  # the branch in each slot
 _slot = _rule(_SLOT, "branch")
 _scenario = _rule({member: member for member in Scenario}, "scenario")
 
-# The _real rule of each numeric SystemParams field, in field order.
+# The _real rule of each real field of SystemParams (in field order),
+# DressedBasis (the doublet's ends first: they name its overflow) and
+# BranchRates (by slot).
 _PARAM_RULES = {"omega0": "finite", "omega1": "finite",
                 "v0": "positive and finite", **dict.fromkeys((
                     "gamma_r", "gamma_nr", "gamma_perp", "gamma_u", "pump_r",
                     "omega_l_rabi"), "finite and >= 0")}
+_BASIS_RULES = {"omega_minus": "finite", "omega_plus": "finite", "theta": "finite",
+                "omega_rabi": "finite", "w_minus": "in [0, 1]", "w_plus": "in [0, 1]"}
+_RATE_RULES = {f"{field}_{b.value}": rule for b in Branch for field, rule in (
+    ("gpar", "positive and finite"), ("gperp", "positive and finite"),
+    ("grad", "finite and >= 0"), ("gfeed", "finite and >= 0"),
+    ("dipole_w", "in [0, 1]"))}
 
 # Largest grid step, bin or sample count: 10**6 points take tens of MB.
 MAX_STEPS = 10 ** 6
@@ -98,6 +106,12 @@ def _real(name: str, value, rule: str) -> float:
     if not _is_real(value, rule):
         raise ParameterError(f"{name} must be {rule}, got {value!r}")
     return float(value)
+
+
+def _store_reals(obj, rules: dict) -> None:
+    """Store ``_real(name, value, rule)`` in field ``name`` of ``obj``, in order."""
+    for name, rule in rules.items():
+        object.__setattr__(obj, name, _real(name, getattr(obj, name), rule))
 
 
 def _integer(name: str, value, low=None, high=None) -> int:
@@ -144,22 +158,24 @@ def check_grid(grid, name: str, nonnegative: bool = True) -> np.ndarray:
     return grid
 
 
-def _check_drive(omega_l_rabi) -> None:
-    """Refuse a drive amplitude unless it and its square are finite."""
+def _check_drive(omega_l_rabi) -> float:
+    """A drive amplitude as a float; refused unless it and its square are finite."""
     drive = _real("omega_l_rabi", omega_l_rabi, "finite")
     _real("omega_l_rabi**2", drive * drive, "finite")
+    return drive
 
 
-def _check_branch_rates(gpar, gperp) -> None:
-    """Refuse a branch's decay rates unless both are positive and finite
-    numbers, and so is ``gperp**2 * gpar``, the smallest product a closed
-    form or report divides by (tiny or huge rates under- or overflow it)."""
+def _check_branch_rates(gpar, gperp) -> tuple[float, float]:
+    """A branch's decay rates as floats; refused unless both are positive and
+    finite numbers, and so is ``gperp**2 * gpar``, the smallest product a
+    closed form or report divides by (tiny or huge rates under- or overflow it)."""
     if not (_is_real(gpar, "positive and finite")
             and _is_real(gperp, "positive and finite") and _is_real(
                 float(gperp) * float(gperp) * float(gpar), "positive and finite")):
         raise ParameterError(
             "branch rates must be positive and finite, and so must "
             f"gperp**2 * gpar, got gpar={gpar!r}, gperp={gperp!r}")
+    return float(gpar), float(gperp)
 
 
 @dataclass(frozen=True)
@@ -206,8 +222,7 @@ class SystemParams:
     scenario: Scenario = Scenario.NONRESONANT
 
     def __post_init__(self) -> None:
-        for name, rule in _PARAM_RULES.items():
-            object.__setattr__(self, name, _real(name, getattr(self, name), rule))
+        _store_reals(self, _PARAM_RULES)
         object.__setattr__(self, "scenario", _scenario(self.scenario))
         if self.gamma_perp < (self.gamma_r + self.gamma_nr) / 2.0:
             raise ParameterError(
@@ -254,8 +269,7 @@ class DressedBasis:
     w_plus: float
 
     def __post_init__(self) -> None:  # a doublet past the float range
-        for name in ("omega_minus", "omega_plus"):
-            _real(name, getattr(self, name), "finite")
+        _store_reals(self, _BASIS_RULES)
 
     @property
     def omega_center(self) -> float:
@@ -301,12 +315,6 @@ def dressed_basis(params: SystemParams) -> DressedBasis:
     )
 
 
-# The _real rule of each BranchChannel field that _check_branch_rates
-# does not check.
-_CHANNEL_RULES = {"grad": "finite and >= 0", "gfeed": "finite and >= 0",
-                  "dipole_w": "in [0, 1]"}
-
-
 class BranchChannel(NamedTuple):
     """All relaxation rates of a single dressed branch."""
 
@@ -339,18 +347,15 @@ class BranchRates:
     dipole_w_minus: float
     dipole_w_plus: float
 
-    def __post_init__(self) -> None:  # the channels in slot order
-        object.__setattr__(self, "_channels", (
+    def __post_init__(self) -> None:  # a branch that never decays has no line
+        _check_branch_rates(self.gpar_minus, self.gperp_minus)
+        _check_branch_rates(self.gpar_plus, self.gperp_plus)
+        _store_reals(self, _RATE_RULES)  # zero feeding is the run's to refuse
+        object.__setattr__(self, "_channels", (  # the channels in slot order
             BranchChannel(self.gpar_minus, self.gperp_minus, self.grad_minus,
                           self.gfeed_minus, self.dipole_w_minus),
             BranchChannel(self.gpar_plus, self.gperp_plus, self.grad_plus,
                           self.gfeed_plus, self.dipole_w_plus)))
-        for channel in self._channels:  # one that never decays has no line
-            _check_branch_rates(channel.gpar, channel.gperp)
-        for slot in ("minus", "plus"):  # zero feeding is the run's to refuse
-            for field, rule in _CHANNEL_RULES.items():
-                name = f"{field}_{slot}"
-                _real(name, getattr(self, name), rule)
 
     def branch(self, branch: Branch) -> BranchChannel:
         return self._channels[_slot(branch)]

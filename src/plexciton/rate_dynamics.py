@@ -18,7 +18,9 @@ from .errors import DegenerateSteadyStateError, IntegrationError, ParameterError
 # STEP_SAFETY stays importable from here; the step rule is in integrate.
 from .integrate import STEP_SAFETY, evolve_linear
 from .model import (MAX_STEPS, Branch, BranchRates, _SLACK, _integer, _numbers,
-                    _real, _slot, check_grid)
+                    _real, _slot, _store_reals, check_grid)
+
+_POPULATION_RULES = dict.fromkeys(("p_gg", "p_uu", "p_mm", "p_pp"), "in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -31,8 +33,7 @@ class Populations:
     p_pp: float
 
     def __post_init__(self) -> None:
-        for name in ("p_gg", "p_uu", "p_mm", "p_pp"):
-            _real(name, getattr(self, name), "in [0, 1]")
+        _store_reals(self, _POPULATION_RULES)
 
     @property
     def total(self) -> float:
@@ -93,11 +94,11 @@ def evolve_populations(initial: Populations, rates: BranchRates, pump_r: float,
     """
     if abs(initial.total - 1.0) > _SLACK:
         raise ParameterError(f"initial populations sum to {initial.total}, not 1")
-    _real("pump_r", pump_r, "finite and >= 0")
-    _real("t_end", t_end, "positive and finite")
-    _real("dt_max", dt_max, "positive")
+    pump_r = _real("pump_r", pump_r, "finite and >= 0")
+    t_end = _real("t_end", t_end, "positive and finite")
+    dt_max = _real("dt_max", dt_max, "positive")
     n_samples = _integer("n_samples", n_samples, 1, MAX_STEPS)
-    times = np.linspace(0.0, float(t_end), n_samples + 1)
+    times = np.linspace(0.0, t_end, n_samples + 1)
     states = evolve_linear(rate_matrix(rates, pump_r), initial.as_array(),
                            times, dt_max)
     if abs(float(states[-1].sum()) - 1.0) > _SLACK:
@@ -115,7 +116,7 @@ def steady_state_analytic(rates: BranchRates, pump_r: float) -> Populations:
     stationarity conditions of their own equations.  The result is normalized
     so the four components sum to one.
     """
-    _real("pump_r", pump_r, "finite")
+    pump_r = _real("pump_r", pump_r, "finite")
     gm, gp = rates.gfeed_minus, rates.gfeed_plus
     lm, lp = rates.gpar_minus, rates.gpar_plus
     if min(gm, gp) <= 0.0 or pump_r <= 0.0:
@@ -127,8 +128,8 @@ def steady_state_analytic(rates: BranchRates, pump_r: float) -> Populations:
     uu = pump_r * lm * lp
     mm = pump_r * gm * lp
     pp = pump_r * gp * lm
-    total = gg + uu + mm + pp
-    _real("sum of the unnormalized populations", total, "positive and finite")
+    total = _real("sum of the unnormalized populations", gg + uu + mm + pp,
+                  "positive and finite")
     return Populations(gg / total, uu / total, mm / total, pp / total)
 
 
@@ -143,7 +144,7 @@ def regression_g2_nonresonant_numeric(rates: BranchRates, pump_r: float,
     stationary value: ``g2(tau) = p_b(tau | G) / p_b(inf)``.
     """
     stationary = steady_state_analytic(rates, pump_r).branch(branch)
-    _real("stationary branch population", stationary, "positive")
+    stationary = _real("stationary branch population", stationary, "positive")
     a = rate_matrix(rates, pump_r)
     x0 = np.array([1.0, 0.0, 0.0, 0.0])
     states = evolve_linear(a, x0, tau_grid)

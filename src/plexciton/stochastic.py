@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConfigError, InsufficientDataError, ParameterError
 from .correlations import CorrelationSeries
 from .model import (Branch, BranchRates, SystemParams, _BRANCHES, _integer,
-                    _is_real, _numbers, _real, _slot, check_grid)
+                    _is_real, _numbers, _real, _slot, _store_reals, check_grid)
 
 _GOLDEN64 = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -97,8 +97,7 @@ class TrajectoryConfig:
     branch_filter: Branch | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "duration", _real(
-            "duration", self.duration, "positive and finite"))
+        _store_reals(self, {"duration": "positive and finite"})
         for name, low in (("n_trajectories", 1), ("master_seed", None)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), low))
         if self.branch_filter is not None:
@@ -125,8 +124,7 @@ class PhotonStream:
         if np.any((tags != 0) & (tags != 1)):
             raise ParameterError("tags must be 0 (minus) or 1 (plus)")
         object.__setattr__(self, "tags", tags.astype(np.int8, copy=False))
-        object.__setattr__(self, "duration", _real(
-            "duration", self.duration, "positive and finite"))
+        _store_reals(self, {"duration": "positive and finite"})
         bad = _first_bad_time(self.times, self.duration)
         if bad >= 0:
             t = float(self.times[bad])
@@ -318,15 +316,16 @@ def _cycle_blocks(rng: np.random.Generator, params: SystemParams,
         rng.bit_generator.advance(_CHUNK - reach)
         unit = rng.standard_exponential(
             _CHUNK if detect or reach == _CHUNK else reach)
-        dwell_b = unit[:reach] / np.where(is_minus, rates.gpar_minus,
-                                          rates.gpar_plus)
-        del unit
-        # t0 + cumsum(dwell_g + dwell_u + dwell_b), in place: fewer
-        # temporaries leave fewer holes in the heap.
-        ends = dwell_g + dwell_u
-        ends += dwell_b
-        np.cumsum(ends, out=ends)
-        ends += t0
+        # t0 + cumsum(dwell_g + dwell_u + dwell_b), in place to leave fewer
+        # holes in the heap; an end that overflows is past any duration.
+        with np.errstate(over="ignore"):
+            dwell_b = unit[:reach] / np.where(is_minus, rates.gpar_minus,
+                                              rates.gpar_plus)
+            del unit
+            ends = dwell_g + dwell_u
+            ends += dwell_b
+            np.cumsum(ends, out=ends)
+            ends += t0
         t0 = float(ends[-1])
         keep = ends <= duration
         if detect:
@@ -429,7 +428,7 @@ def plan_run(params: SystemParams, rates: BranchRates,
     if window is not None:
         window = _fano_windows(config.duration, window)[1]
     _check_run(params, rates, config, stream=True)
-    _real("largest lag", tau_max, "positive and finite")
+    tau_max = _real("largest lag", tau_max, "positive and finite")
     _check_lag(tau_max, config.duration)
     if params.pump_r > 0.0:
         n = _expected_kept(params, rates, config.duration, branch)
@@ -544,7 +543,7 @@ def fano_factor(stream: PhotonStream, window: float) -> float:
     Window ``k`` of the ``n`` whole windows that ``_fano_windows`` counts
     is ``[k*window, (k+1)*window)``, the last one closed, and photons past
     ``n*window`` are not counted: np.histogram's rule for the edges
-    ``np.arange(n + 1) * float(window)``.  Each photon is counted into its
+    ``np.arange(n + 1) * window``.  Each photon is counted into its
     window, so the time is O(photons + windows).  The variance is ``var(ddof=1)``'s
     own float operations, in its order, down numpy's pairwise tree one node
     of at most ``_FANO_BLOCK`` windows at a time: memory is one node plus the
@@ -625,7 +624,7 @@ def write_photon_stream(stream: PhotonStream, path) -> None:
     partial stream.
     """
     def chunks():
-        yield f"# duration={float(stream.duration)!r}\n"
+        yield f"# duration={stream.duration!r}\n"
         for start in range(0, stream.n_photons, _WRITE_ROWS):
             stop = start + _WRITE_ROWS
             yield "".join([repr(t) + _ROW_END[g] for t, g in zip(

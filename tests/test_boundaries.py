@@ -5,6 +5,7 @@ never another exception (a RuntimeWarning is an error in this suite too)."""
 import inspect
 import math
 import os
+import sys
 import warnings
 from dataclasses import fields, replace
 
@@ -82,23 +83,25 @@ NO_SCALAR = {"__version__", "dressed_basis", "branch_rates", "simulate_stream",
                  if name.endswith("Error") and name != "PlexcitonError")}
 
 
-def _cases():
-    """``(label, call)`` pairs; ``call(value)`` feeds one argument."""
+def _cases(functions, instances):
+    """``(label, call, valid)`` triples; ``call(value)`` feeds one argument,
+    whose valid value is ``valid``."""
     cases = []
-    for name, (valid, fed) in FUNCTIONS.items():
+    for name, (valid, fed) in functions.items():
         fn = getattr(plexciton, name)
         for arg in fed or valid:
             cases.append((f"{name}({arg})", lambda value, fn=fn, valid=valid,
-                          arg=arg: fn(**{**valid, arg: value})))
-    for instance in INSTANCES:
+                          arg=arg: fn(**{**valid, arg: value}), valid[arg]))
+    for instance in instances:
         for field in fields(instance):
             cases.append((f"{type(instance).__name__}.{field.name}",
                           lambda value, instance=instance, field=field.name:
-                          replace(instance, **{field: value})))
+                          replace(instance, **{field: value}),
+                          getattr(instance, field.name)))
     return cases
 
 
-CASES = _cases()
+CASES = _cases(FUNCTIONS, INSTANCES)
 
 
 def test_every_public_name_is_covered():
@@ -134,7 +137,7 @@ def test_every_public_name_is_covered():
 def test_scalar_returns_or_raises_plexciton_error(value):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
-        for label, call in CASES:
+        for label, call, _ in CASES:
             try:
                 call(value)
             except PlexcitonError:
@@ -142,3 +145,30 @@ def test_scalar_returns_or_raises_plexciton_error(value):
             except Exception as exc:
                 pytest.fail(f"{label} = {value!r} raised "
                             f"{type(exc).__name__}: {exc}")
+
+
+# Every real scalar argument or field, BlochState's too (it is not public),
+# but those of the records that check no field and keep each as given: an
+# emission-rate estimate, and the parsed config, whose parser stores floats.
+UNCHECKED = ("EmissionRate.", "RunConfig.")
+REAL_CASES = [(label, call, valid) for label, call, valid
+              in CASES + _cases({}, [plexciton.bloch.bloch_steady_state(0.1, 1.0, 0.5)])
+              if type(valid) is float and not label.startswith(UNCHECKED)]
+
+
+def test_every_real_is_taken_as_its_float():
+    # NEP 50 would round what a kept float32 or float16 computes in its own
+    # width; an int would print as one.  floatmode="unique" prints every
+    # array entry in full, so the reprs differ if any bit does.
+    assert len(REAL_CASES) == 48  # 14 arguments, 34 fields
+    with warnings.catch_warnings(), np.printoptions(floatmode="unique",
+                                                    threshold=sys.maxsize):
+        warnings.simplefilter("ignore", RegimeWarning)
+        for label, call, valid in REAL_CASES:
+            for form in (np.float32, np.float16, int, np.float64):
+                value = form(valid)
+                try:
+                    expected = repr(call(float(value)))
+                except PlexcitonError:
+                    continue  # not valid in this form, as int(0.005) is not
+                assert repr(call(value)) == expected, f"{label} = {value!r}"

@@ -9,7 +9,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plexciton import (Branch, ConfigError, Scenario, TrajectoryConfig,
                        branch_rates, dressed_basis, parse_config)
@@ -838,52 +838,90 @@ class TestFailureBoundary:
 
 
 # The keys a hostile run sets, and the values it takes: zero, denormals and
-# extreme magnitudes of either sign.
+# extreme magnitudes of either sign, and spellings float() reads as a
+# non-finite number or from non-ASCII digits.
 HOSTILE_KEYS = ["omega0", "omega1", "v0", "gamma_r", "gamma_nr", "gamma_perp",
                 "gamma_u", "pump_r", "drive_rabi", "omega_min", "omega_max",
                 "tau_max", "v0_over_delta_sweep", "unit_scale"]
 HOSTILE_VALUES = [0.0, 5e-324, 1e-310, 1e-300, 1e-150, 1e-20, 1.0, 1e20,
-                  1e150, 1e300, 1.7e308, -1e300, -1.0]
+                  1e150, 1e300, 1.7e308, -1e300, -1.0,
+                  "Infinity", "+inf", "NaN", "-nan", "\uff11", "\uff11e3"]
+# The integer keys a hostile run sets, and their values.  The sampling
+# budget: with duration = 1e5 a trajectory draws at most ~2e5 cycles, under
+# one sampler block, and 3 trajectories are the most any value accepts
+# (2049 is over the cap of 2048 blocks); a grid or bin count is at most
+# 2049, so no file takes 10**6 rows.
+HOSTILE_COUNT_KEYS = ["omega_steps", "tau_steps", "bins", "n_trajectories",
+                      "master_seed"]
+HOSTILE_COUNTS = [-1, 0, 1, 2, 3, 2049, 10 ** 6 + 1, 2 ** 64, 2.5, "1e3",
+                  "\uff13"]
+# Every key a hostile run writes before its changes.
+HOSTILE_BASE = dict(line.split(" = ") for line in BASE_CFG.split("\n") if line)
+HOSTILE_BASE.update({"drive_rabi": "0.1", "duration": "1e5"})
 # A value printed as inf, -inf or nan: after "=" in a report or comment, or
 # as a CSV cell.
 NON_FINITE = re.compile(r"(^|[=,]) ?-?(inf|nan)\b", re.MULTILINE)
 
 
+def run_hostile(command, text):
+    """Run ``command`` on the config ``text``: it exits 0 with no stderr and
+    prints no non-finite value, or exits 2 or 3 with one stderr line and
+    writes no file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = os.path.join(tmp, "run.cfg"), os.path.join(tmp, "out")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err, stdout = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout):
+            code = main([command, "--config", cfg, "--out", out])
+        err = err.getvalue()
+        if code == 0:
+            assert err == ""
+            written = [stdout.getvalue()]
+            for name in os.listdir(out):
+                with open(os.path.join(out, name), encoding="utf-8") as fh:
+                    written.append(fh.read())
+            assert not any(NON_FINITE.search(text) for text in written)
+        else:
+            assert code in (2, 3)
+            assert err.count("\n") == 1
+            assert err.startswith("numerical failure: " if code == 3
+                                  else "error: ")
+            assert not os.path.exists(out) or not os.listdir(out)
+
+
+COMMANDS = ["spectrum", "g2", "trajectory", "rates", "steady-state"]
+
+
 class TestHostileConfig:
-    # About 4 ms a run: the four commands that sample nothing.
-    @settings(max_examples=300, deadline=None)
-    @given(command=st.sampled_from(["spectrum", "g2", "rates", "steady-state"]),
+    # About 4 ms a run for the four commands that sample nothing, and about
+    # 15 ms for a trajectory run that samples its block.
+    @settings(max_examples=400, deadline=None)
+    @given(command=st.sampled_from(COMMANDS),
            scenario=st.sampled_from(["nonresonant", "resonant"]),
            changes=st.dictionaries(st.sampled_from(HOSTILE_KEYS),
                                    st.sampled_from(HOSTILE_VALUES),
-                                   min_size=1, max_size=3))
+                                   min_size=1, max_size=3),
+           counts=st.dictionaries(st.sampled_from(HOSTILE_COUNT_KEYS),
+                                  st.sampled_from(HOSTILE_COUNTS), max_size=1))
+    # A branch decay rate of 1e-310 ends every cycle past the float range;
+    # fast feeding at zero detuning keeps ~2.5e4 photons of each branch.
+    @example(command="trajectory", scenario="nonresonant",
+             changes={"gamma_r": 1e-310}, counts={})
+    @example(command="trajectory", scenario="nonresonant",
+             changes={"pump_r": 1e20, "gamma_u": 1e20, "omega0": -1.0},
+             counts={"n_trajectories": 2})
     def test_run_succeeds_quietly_or_fails_in_one_line(self, command, scenario,
-                                                       changes):
-        written = dict(line.split(" = ") for line in BASE_CFG.split("\n")
-                       if line)
-        written.update({"drive_rabi": "0.1", "scenario": scenario, **changes})
-        with tempfile.TemporaryDirectory() as tmp:
-            cfg, out = os.path.join(tmp, "run.cfg"), os.path.join(tmp, "out")
-            with open(cfg, "w", encoding="utf-8") as fh:
-                fh.write(cfg_text(written))
-            err, stdout = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stderr(err), \
-                    contextlib.redirect_stdout(stdout):
-                code = main([command, "--config", cfg, "--out", out])
-            err = err.getvalue()
-            if code == 0:
-                assert err == ""
-                written = [stdout.getvalue()]
-                for name in os.listdir(out):
-                    with open(os.path.join(out, name), encoding="utf-8") as fh:
-                        written.append(fh.read())
-                assert not any(NON_FINITE.search(text) for text in written)
-            else:
-                assert code in (2, 3)
-                assert err.count("\n") == 1
-                assert err.startswith("numerical failure: " if code == 3
-                                      else "error: ")
-                assert not os.path.exists(out) or not os.listdir(out)
+                                                       changes, counts):
+        run_hostile(command, cfg_text(
+            {**HOSTILE_BASE, "scenario": scenario, **changes, **counts}))
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_or_duplicate_key(self, command):
+        for key, value in HOSTILE_BASE.items():
+            run_hostile(command, cfg_text(HOSTILE_BASE) + cfg_text({key: value}))
+            run_hostile(command, cfg_text(
+                {other: text for other, text in HOSTILE_BASE.items() if other != key}))
 
 
 class TestOutputFiles:

@@ -1,7 +1,9 @@
 """Every name a plexciton module imports is used in that module, and every
-rule name it passes to ``model._real`` and its kin is a rule."""
+rule name it passes to ``model._real`` and its kin, or holds in a table it
+passes to ``model._store_reals``, is a rule."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -67,13 +69,27 @@ def rule_literals(tree: ast.Module) -> set[str]:
     return found
 
 
+def rule_tables(tree: ast.Module, module) -> list[dict]:
+    """Every rule table passed to ``model._store_reals``: a dict literal, or
+    a name read from ``module``.  Any other expression fails here."""
+    return [getattr(module, node.args[1].id) if isinstance(node.args[1], ast.Name)
+            else ast.literal_eval(node.args[1]) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "_store_reals"]
+
+
 def test_every_rule_name_is_a_rule():
     # A misspelt name would raise a bare KeyError only when its path runs.
-    literals = set().union(*(rule_literals(ast.parse(path.read_text(
-        encoding="utf-8"))) for path in SRC.glob("*.py")))
-    assert "in [0, 1]" in literals
-    named = (literals | set(model._PARAM_RULES.values())
-             | set(model._CHANNEL_RULES.values()))
+    literals, tables = set(), []
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        literals |= rule_literals(tree)
+        tables += rule_tables(tree, importlib.import_module(
+            f"plexciton.{path.stem}".removesuffix(".__init__")))
+    # SystemParams, DressedBasis, BranchRates, Populations, BlochState,
+    # TrajectoryConfig and PhotonStream store their reals by a table each.
+    assert len(tables) == 7 and model._RATE_RULES in tables
+    named = literals.union(*(table.values() for table in tables))
     assert named <= set(model._REAL_RULES)
 
 
@@ -82,3 +98,11 @@ def test_finds_every_rule_literal():
                      '_number((1,))\n_number("finite and >= 0")\n'
                      'f(1, 2, "no")\n_real("x", 1, rule)\n')
     assert rule_literals(tree) == {"finite", "positiv", "finite and >= 0"}
+
+
+def test_finds_every_rule_table():
+    tree = ast.parse('_store_reals(self, _PARAM_RULES)\n'
+                     '_store_reals(self, {"t": "positiv"})\nf(self, {"u": "no"})\n')
+    assert rule_tables(tree, model) == [model._PARAM_RULES, {"t": "positiv"}]
+    with pytest.raises(ValueError):
+        rule_tables(ast.parse('_store_reals(self, dict(t="finite"))\n'), model)

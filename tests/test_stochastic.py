@@ -164,6 +164,21 @@ class TestSimulate:
                            ("mm", steady.p_mm), ("pp", steady.p_pp)):
             assert fractions[key] == pytest.approx(value, rel=0.05, abs=2e-4)
 
+    # The g2 benchmark's rates with branch decay rates so small that a
+    # cycle's branch dwell (1e-307, 3e-308) or its end (1e-305) overflows:
+    # that cycle ends past any duration, so the run keeps nothing, and the
+    # overflow warns of nothing (a RuntimeWarning is an error here).
+    @pytest.mark.parametrize("gamma_r", [1e-305, 1e-307, 3e-308])
+    def test_decay_past_the_float_range_keeps_nothing(self, gamma_r):
+        params = SystemParams(omega0=1.0, omega1=-1.0, v0=1.0, gamma_r=gamma_r,
+                              gamma_nr=0.0, gamma_perp=0.5, gamma_u=0.005,
+                              pump_r=0.005)
+        rates = branch_rates(params, dressed_basis(params))
+        config = TrajectoryConfig(duration=2e5)
+        assert simulate_stream(params, rates, config)[0].n_photons == 0
+        with pytest.raises(InsufficientDataError):
+            occupation_fractions(params, rates, config)
+
 
 def reference_blocks(rng, params, rates, duration, yield_):
     """The full-block sampler: every draw of a block made whole, and (yield
