@@ -256,8 +256,7 @@ def cmd_rates(config: RunConfig) -> Outputs:
         ch = rates.branch(branch)
         tag = branch.value
         if resonant:
-            drive = branch_drive_rabi(params, basis, branch)
-            _check_drive(drive)
+            drive = _check_drive(branch_drive_rabi(params, basis, branch))
             # saturation is half the s = 2 drive**2 / (gpar gperp) of
             # bloch_steady_state, and occupation = s is the weak-drive,
             # first-order population, not the exact s / (1 + 2 s) that

@@ -63,7 +63,7 @@ class PopulationTrajectory:
 
     @property
     def final(self) -> Populations:
-        return Populations(*map(float, self.values[-1]))
+        return Populations(*self.values[-1])
 
 
 def rate_matrix(rates: BranchRates, pump_r: float) -> np.ndarray:

@@ -86,6 +86,8 @@ def test_every_rule_name_is_a_rule():
         literals |= rule_literals(tree)
         tables += rule_tables(tree, importlib.import_module(
             f"plexciton.{path.stem}".removesuffix(".__init__")))
+    # The scan must find the literals the scalar checks pass to _real.
+    assert {"positive", "positive and finite", "finite and >= 0"} <= literals
     # SystemParams, DressedBasis, BranchRates, Populations, BlochState,
     # TrajectoryConfig and PhotonStream store their reals by a table each.
     assert len(tables) == 7 and model._RATE_RULES in tables
