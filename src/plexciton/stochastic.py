@@ -59,10 +59,17 @@ MAX_WINDOWS = 1 << 25
 # numpy's pairwise-sum leaf size, so every node it splits numpy splits too.
 _FANO_BLOCK = 1 << 16
 
-# Most photon pairs g2_histogram may count: about 27 s of counting and
-# binning at ~6.2 ns per pair on the same core (0.689-0.691 s in three runs
-# on a 1.5e6-photon stream with 1.1e8 pairs).  A refused call has binned
-# every pair up to the offset that passes the cap, so it costs at most that.
+# First photons g2_histogram pairs at a time, 8 bytes a float each.  On the
+# 1.5e6-photon pumped_long stream with lags to 6000, blocks of 2^15, 2^16 and
+# 2^17 photons took 143, 137 and 160 ms (medians of 15, on the core below)
+# with tracemalloc peaks of 1.1, 2.2 and 4.3 MB.
+_PAIR_BLOCK = 1 << 16
+
+# Most photon pairs g2_histogram may count: about 42 s of counting and
+# binning at ~9.7 ns per pair on one core of a 2-vCPU Xeon VM running at
+# about half its usual speed (1.02-1.12 s in three runs on the pumped_long
+# stream with 1.1e8 pairs).  A refused call has binned every pair up to the
+# (block, offset) that passes the cap, so it costs at most that.
 MAX_PAIRS = 1 << 32
 
 _CHAR_TAG = {"-": 0, "+": 1}
@@ -347,7 +354,7 @@ def _simulate_one(params: SystemParams, rates: BranchRates,
     tags_parts: list[np.ndarray] = []
     for emit, keep, _, _, is_minus, _ in _cycle_blocks(
             rng, params, rates, duration, params.quantum_yield):
-        tags = np.where(is_minus, np.int8(0), np.int8(1))
+        tags = (~is_minus).view(np.int8)
         if want is not None:
             keep &= tags == want
         times_parts.append(emit[keep])
@@ -394,6 +401,20 @@ def _check_lag(tau_max: float, duration: float) -> None:
             f"duration {duration}")
 
 
+def _per_slow(params: SystemParams, factor: float, what: str,
+              floor: float = 0.0) -> float:
+    """``max(factor / (pump_r + gamma_u), floor)``, the default ``what``,
+    for a positive sum; refused by the sum's name unless positive and
+    finite (the sum is so small the quotient overflows, or itself
+    overflows)."""
+    slow = params.pump_r + params.gamma_u
+    value = max(factor / slow, floor)
+    if not 0.0 < value < np.inf:
+        raise ParameterError(f"pump_r + gamma_u = {slow!r} gives the default "
+                             f"{what} {value!r}; set {what}")
+    return value
+
+
 def plan_run(params: SystemParams, rates: BranchRates,
              config: TrajectoryConfig, window: float | None,
              tau_max: float | None) -> tuple[float | None, float, Branch]:
@@ -403,11 +424,12 @@ def plan_run(params: SystemParams, rates: BranchRates,
     With ``slow = pump_r + gamma_u`` the defaults are the Fano window
     ``max(1/slow, duration/MAX_WINDOWS)`` (none if ``slow == 0``), the
     largest lag ``3/slow`` (else ``duration/100``) and the branch filter,
-    else minus.  The checks run in order: the window cap, the run as
-    ``simulate_stream`` checks it, a lag that is positive, finite and below
-    half the duration, and the first stream's expected pairs of branch
-    photons within ``tau_max``, ``n**2 * tau_max / duration`` for ``n``
-    expected kept photons, against twice ``MAX_PAIRS``.
+    else minus; a default set by ``slow`` that is not positive and finite
+    is refused by the sum's name.  The checks run in order: the window cap,
+    the run as ``simulate_stream`` checks it, a lag that is positive, finite
+    and below half the duration, and the first stream's expected pairs of
+    branch photons within ``tau_max``, ``n**2 * tau_max / duration`` for
+    ``n`` expected kept photons, against twice ``MAX_PAIRS``.
 
     The margin keeps runs the exact count accepts.  That count is about the
     expected one times ``1 - tau_max / (2 duration)``, over 3/4 because
@@ -421,9 +443,11 @@ def plan_run(params: SystemParams, rates: BranchRates,
     """
     slow = params.pump_r + params.gamma_u
     if window is None and slow > 0.0:
-        window = max(1.0 / slow, config.duration / MAX_WINDOWS)
+        window = _per_slow(params, 1.0, "fano_window",
+                           config.duration / MAX_WINDOWS)
     if tau_max is None:
-        tau_max = 3.0 / slow if slow > 0.0 else config.duration / 100.0
+        tau_max = (_per_slow(params, 3.0, "tau_max") if slow > 0.0
+                   else config.duration / 100.0)
     branch = config.branch_filter or Branch.MINUS
     if window is not None:
         window = _fano_windows(config.duration, window)[1]
@@ -451,17 +475,16 @@ def g2_histogram(stream: PhotonStream, branch: Branch | None,
     ``rate**2 * width * (T - tau_center)``.  Per-bin standard errors assume
     Poisson pair counts; ``tau_bins`` with a bin too narrow for either to
     be a finite float, and a stream whose squared photon rate is not, are
-    refused.  Pairs are found one index offset ``k = j - i`` at a time by
-    ``_partners``, with comparisons only, in one sweep: each offset's pairs
-    are counted, checked against ``MAX_PAIRS`` and binned before the next
-    offset is searched.  The offset that takes the count past the cap is
-    refused before it is binned, so a refused call costs at most what an
-    accepted call at the cap does.  While a mask marks the pairs, their
-    lags are one slice difference over the first ``n - k`` of the ``n``
-    photons, written into one buffer of ``n - 1`` floats and masked unless
-    every photon pairs; from then on they are gathered through the index
-    list, and the buffer is dropped.  Time is O(photons + pairs) and memory
-    O(photons) whatever the lag window holds.
+    refused.  Pairs are found by ``_block_lags``, one block of
+    ``_PAIR_BLOCK`` first photons ``i`` and one index offset ``k = j - i``
+    at a time, with comparisons only; ``j`` may lie past the block.  Each
+    (block, offset)'s pairs are counted, checked against ``MAX_PAIRS`` and
+    binned before the next is searched.  The one that takes the count past
+    the cap is refused before it is binned, naming its offset and the
+    block's first photon, so a refused call costs at most what an accepted
+    call at the cap does.  Time is O(photons + pairs) and memory one pair
+    block (a few ``_PAIR_BLOCK``-sized arrays) plus the photons of the
+    branch, whatever the lag window holds.
     """
     edges = check_grid(tau_bins, "tau_bins")
     if edges.size < 2:
@@ -473,24 +496,19 @@ def g2_histogram(stream: PhotonStream, branch: Branch | None,
             f"need at least 1e4 photons of the branch, got {times.size}"
         )
     duration = stream.duration
-    n = times.size
-    rate = n / duration
+    rate = times.size / duration
     _real("squared photon rate", rate * rate, "finite")
     counts = np.zeros(edges.size - 1, dtype=np.int64)
-    lags = np.empty(n - 1)  # the mask phase's lags, one offset at a time
     pairs = 0
-    for k, has, count in _partners(times, times + edges[-1]):
-        pairs += count
-        if pairs > MAX_PAIRS:
-            raise ParameterError(
-                f"largest lag {edges[-1]} gives {pairs} photon pairs, over "
-                f"the cap of {MAX_PAIRS} (counted to index offset {k})")
-        if has.dtype == bool:
-            lag = np.subtract(times[k:], times[:-k], out=lags[:n - k])
-            counts += np.histogram(lag if count == n - k else lag[has], edges)[0]
-        else:
-            lags = lag = None  # dropped: the list's lags are gathered
-            counts += np.histogram(times[k:][has] - times[has], edges)[0]
+    for lo in range(0, times.size - 1, _PAIR_BLOCK):
+        for k, lag in _block_lags(times, lo, edges[-1]):
+            pairs += lag.size
+            if pairs > MAX_PAIRS:
+                raise ParameterError(
+                    f"largest lag {edges[-1]} gives {pairs} photon pairs, over "
+                    f"the cap of {MAX_PAIRS} (counted to index offset {k} "
+                    f"from photon {lo})")
+            counts += np.histogram(lag, edges)[0]
     centers = 0.5 * (edges[:-1] + edges[1:])
     exposure = rate ** 2 * np.diff(edges) * (duration - centers)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused below
@@ -500,29 +518,38 @@ def g2_histogram(stream: PhotonStream, branch: Branch | None,
     return CorrelationSeries(tau=centers, values=values, stderr=stderr)
 
 
-def _partners(times: np.ndarray, reach: np.ndarray):
-    """Yield ``(k, has, count)`` for each index offset ``k = 1, 2, ...`` at
-    which a photon ``i`` has a partner, ``times[i + k] <= reach[i]``.
+def _block_lags(times: np.ndarray, lo: int, last: float):
+    """Yield ``(k, lags)`` for each index offset ``k = 1, 2, ...`` at which
+    a photon ``i`` of the block ``lo <= i < lo + _PAIR_BLOCK`` has a
+    partner ``j = i + k < n``, ``times[j] <= times[i] + last``: the lags
+    ``times[j] - times[i]`` of those pairs, in order of ``i``.
 
-    ``has`` marks the ``count`` such photons among the first ``n - k`` as a
-    mask while they are over half of them, and from then on lists them as
-    indices; a photon with no partner at ``k`` has none further on, so the
-    list shrinks.  Each offset costs one comparison a photon of the mask or
-    list, so at most two a pair it yields.
+    The ``m`` photons of the block that can have a partner at ``k`` are
+    marked by a mask while over half of them do, and from then on listed
+    as indices; a photon with no partner at ``k`` has none further on, so
+    the list shrinks, and the sweep stops once it is empty.  Each offset
+    costs one comparison a photon of the mask or list, so at most two a
+    pair it yields.  A mask offset's lags are one slice difference, taken
+    whole when every photon pairs.
     """
     n = times.size
-    k = 1
-    has = times[k:] <= reach[:-k]
-    while 2 * (count := np.count_nonzero(has)) > n - k:
-        yield k, has, count
+    first = times[lo:min(lo + _PAIR_BLOCK, n - 1)]
+    reach = first + last
+    k, m = 1, first.size
+    has = times[lo + 1:lo + 1 + m] <= reach
+    while 2 * (count := np.count_nonzero(has)) > m:
+        lag = times[lo + k:lo + k + m] - first[:m]
+        yield k, lag if count == m else lag[has]
+        del lag
         k += 1
-        has = times[k:] <= reach[:-k]
+        m = min(first.size, n - k - lo)
+        has = times[lo + k:lo + k + m] <= reach[:m]
     has = np.flatnonzero(has)
     while has.size:
-        yield k, has, has.size
+        yield k, times[lo + k:][has] - first[has]
         k += 1
-        has = has[:np.searchsorted(has, n - k)]
-        has = has[times[has + k] <= reach[has]]
+        has = has[:np.searchsorted(has, n - k - lo)]
+        has = has[times[lo + k:][has] <= reach[has]]
 
 
 def _fano_windows(duration: float, window: float) -> tuple[int, float]:

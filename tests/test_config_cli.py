@@ -537,7 +537,7 @@ class TestExitCodes:
                   "--out", str(out), *flag])
         assert stop.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-        assert not out.exists()
+        assert not out.exists() or not any(out.iterdir())
         assert [action.option_strings or [action.dest]
                 for action in cli_module._build_parser()._actions] == [
             ["-h", "--help"], ["command"], ["--config"], ["--out"]]
@@ -568,7 +568,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["g2", "--config", cfg, "--out", str(out)]) == 2
         assert f"'{key}'" in capsys.readouterr().err
-        assert not out.exists()
+        assert not out.exists() or not any(out.iterdir())
 
     def test_huge_duration_is_2_and_writes_nothing(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE_CFG + "duration = 1e300\n")
@@ -915,6 +915,26 @@ class TestHostileConfig:
                                                        changes, counts):
         run_hostile(command, cfg_text(
             {**HOSTILE_BASE, "scenario": scenario, **changes, **counts}))
+
+    # A default fano_window or tau_max of 1/, 3/ or 6/(pump_r + gamma_u) that
+    # overflows (the sum 2e-310) or is 0 (the sum inf) is refused by the
+    # sum's name, not as a window, lag or grid the config never set.
+    @pytest.mark.parametrize("command, rate, extra, refused", [
+        ("g2", "1e-310", {}, "2e-310 gives the default tau_max inf"),
+        ("g2", "1e308", {}, "inf gives the default tau_max 0.0"),
+        ("trajectory", "1e-310", {}, "2e-310 gives the default fano_window inf"),
+        ("trajectory", "1e-310", {"fano_window": "5.0"},
+         "2e-310 gives the default tau_max inf"),
+    ], ids=["g2", "g2-huge", "trajectory-window", "trajectory-lag"])
+    def test_defaults_not_positive_and_finite_refused(
+            self, tmp_path, capsys, command, rate, extra, refused):
+        cfg = write_cfg(tmp_path, cfg_text(
+            {**HOSTILE_BASE, "pump_r": rate, "gamma_u": rate, **extra}))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists() or not any(out.iterdir())
+        assert capsys.readouterr().err == (
+            f"error: pump_r + gamma_u = {refused}; set {refused.split()[-2]}\n")
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_missing_or_duplicate_key(self, command):

@@ -538,6 +538,27 @@ class TestPlanRun:
         assert stochastic.plan_run(params, rates, TrajectoryConfig(
             duration=1e4), None, None) == (None, 100.0, Branch.MINUS)
 
+    # At pump_r + gamma_u = 2e-310, 1/slow and 3/slow overflow; at inf,
+    # 3/slow is 0.  A default that is not positive and finite is refused by
+    # the sum it is derived from, not as a window or lag never given; the
+    # window at inf is duration / MAX_WINDOWS.
+    @pytest.mark.parametrize("rate, window, tau_max, refused", [
+        (1e-310, None, 300.0, "2e-310 gives the default fano_window inf"),
+        (1e-310, 5.0, None, "2e-310 gives the default tau_max inf"),
+        (1e308, None, None, "inf gives the default tau_max 0.0"),
+    ])
+    def test_defaults_not_positive_and_finite_refused(self, rate, window,
+                                                      tau_max, refused):
+        params, rates = make_setup(pump=rate, feed=rate)
+        with pytest.raises(ParameterError, match=(
+                rf"^pump_r \+ gamma_u = {refused}; set ")):
+            stochastic.plan_run(params, rates, TrajectoryConfig(duration=1e5),
+                                window, tau_max)
+        if rate > 1.0:
+            assert stochastic.plan_run(
+                params, rates, TrajectoryConfig(duration=1e5), None,
+                300.0)[0] == 1e5 / stochastic.MAX_WINDOWS
+
     @pytest.mark.parametrize("tau_max", [np.nan, 0.0, -1.0, np.inf])
     def test_lag_must_be_positive_and_finite(self, tau_max):
         params, rates = make_setup()
@@ -657,6 +678,12 @@ def eighths_stream(seed):
                         duration=float(times[-1]) + 1.0)
 
 
+# A seed, a last edge of 3 to 10 and up to ten inner edges below it, all in
+# eighths.
+EIGHTHS_EDGES = dict(seed=st.integers(0, 2 ** 32 - 1), last=st.integers(24, 80),
+                     inner=st.sets(st.integers(0, 79), min_size=1, max_size=10))
+
+
 def histogram_counts(stream, edges):
     """Pair counts behind ``g2_histogram``, undoing its documented normalization."""
     hist = g2_histogram(stream, None, edges)
@@ -734,10 +761,8 @@ class TestHistogram:
     # over half of them have a partner at offset 1 and few at the largest,
     # so the sweep runs both its slice and its index phase.  Lags can sit
     # exactly on edges.
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), last=st.integers(24, 80),
-           inner=st.sets(st.integers(0, 79), min_size=1, max_size=10))
-    def test_counts_match_every_pair_across_phases(self, seed, last, inner):
+    @staticmethod
+    def check_across_phases(seed, last, inner):
         times = 0.125 * np.cumsum(
             np.random.default_rng(seed).geometric(0.125, 10000))
         stream = PhotonStream(times=times,
@@ -750,15 +775,27 @@ class TestHistogram:
         assert np.array_equal(histogram_counts(stream, edges),
                               np.histogram(lags, edges)[0])
 
+    @settings(max_examples=30, deadline=None)
+    @given(**EIGHTHS_EDGES)
+    def test_counts_match_every_pair_across_phases(self, seed, last, inner):
+        self.check_across_phases(seed, last, inner)
+
+    # The same streams in blocks of 1000 or 64 first photons (one default
+    # block holds them all): pairs cross the block edges, and the last
+    # block's photons run out of partners at its own offsets.
+    @settings(max_examples=30, deadline=None)
+    @given(**EIGHTHS_EDGES, block=st.sampled_from([1000, 64]))
+    def test_counts_match_every_pair_across_phases_in_blocks(
+            self, seed, last, inner, block):
+        with mock.patch.object(stochastic, "_PAIR_BLOCK", block):
+            self.check_across_phases(seed, last, inner)
+
     # Gaps of 1 to 8 eighths and a last edge of 3 to 10: every photon has
     # a partner at the first offsets (their lags are binned unmasked), over
     # half but not all at the next (masked), and few at the largest (the
     # index list).  Lags can sit exactly on edges.
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), last=st.integers(24, 80),
-           inner=st.sets(st.integers(0, 79), min_size=1, max_size=10))
-    def test_counts_match_every_pair_from_full_offsets(self, seed, last,
-                                                       inner):
+    @staticmethod
+    def check_from_full_offsets(seed, last, inner):
         stream = eighths_stream(seed)
         edges = 0.125 * np.array(sorted({v % last for v in inner} | {last}))
         counts, listed = offset_counts(stream.times, edges[-1])
@@ -766,6 +803,33 @@ class TestHistogram:
         assert counts[0] == n - 1
         assert any(counts[k - 1] < n - k for k in range(2, listed))
         assert listed <= counts.size
+        lags = reference_pair_lags(stream.times, edges[-1])
+        assert np.array_equal(histogram_counts(stream, edges),
+                              np.histogram(lags, edges)[0])
+
+    @settings(max_examples=30, deadline=None)
+    @given(**EIGHTHS_EDGES)
+    def test_counts_match_every_pair_from_full_offsets(self, seed, last,
+                                                       inner):
+        self.check_from_full_offsets(seed, last, inner)
+
+    @settings(max_examples=30, deadline=None)
+    @given(**EIGHTHS_EDGES, block=st.sampled_from([1000, 64]))
+    def test_counts_match_every_pair_from_full_offsets_in_blocks(
+            self, seed, last, inner, block):
+        with mock.patch.object(stochastic, "_PAIR_BLOCK", block):
+            self.check_from_full_offsets(seed, last, inner)
+
+    # A sampled stream of more photons than one default block, with ~7
+    # partners a photon: the pair (B - 1, B + 1) crosses the first edge B.
+    def test_counts_match_every_pair_over_blocks(self):
+        params, rates = make_setup()
+        config = TrajectoryConfig(duration=4.5e7, master_seed=62)
+        stream = simulate_stream(params, rates, config)[0]
+        block = stochastic._PAIR_BLOCK
+        edges = np.linspace(0.0, 3000.0, 31)
+        assert stream.n_photons > block
+        assert stream.times[block + 1] - stream.times[block - 1] <= edges[-1]
         lags = reference_pair_lags(stream.times, edges[-1])
         assert np.array_equal(histogram_counts(stream, edges),
                               np.histogram(lags, edges)[0])
@@ -805,6 +869,22 @@ class TestHistogram:
             tracemalloc.stop()
         assert peak < 4e6
 
+    def test_memory_stays_bounded_in_photons(self):
+        # 2^20 photons (an 8 MB array) with ~3 partners each: the sweep holds
+        # a few arrays of one pair block, not of the stream.
+        times = np.cumsum(np.random.default_rng(63).exponential(1.0, 1 << 20))
+        stream = PhotonStream(times=times, tags=np.zeros(times.size, dtype=np.int8),
+                              duration=float(times[-1]) + 1.0)
+        edges = np.linspace(0.0, 3.0, 31)
+        tracemalloc.start()
+        try:
+            g2_histogram(stream, None, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 8 * stochastic._PAIR_BLOCK
+        assert peak < 6 * block <= 0.5 * times.nbytes
+
     def test_pair_count_capped(self, monkeypatch):
         stream = half_integer_stream()
         edges = np.array([0.0, 300.0])
@@ -817,9 +897,10 @@ class TestHistogram:
             g2_histogram(stream, None, edges)
 
     # The count is checked at each offset before its pairs are binned: the
-    # refusal names the offset that passes the cap and the pairs counted to
-    # it, in the sweep's mask phase (the last offset before the index list)
-    # and in its index-list phase (the second offset of the list).
+    # refusal names the offset that passes the cap, the block's first photon
+    # and the pairs counted to it, in the sweep's mask phase (the last offset
+    # before the index list) and in its index-list phase (the second offset
+    # of the list).  The stream fits in one block, which starts at photon 0.
     @pytest.mark.parametrize("step", [pytest.param(-1, id="mask"),
                                       pytest.param(1, id="list")])
     def test_pair_count_refused_at_the_offset_past_the_cap(self, monkeypatch,
@@ -833,8 +914,30 @@ class TestHistogram:
         monkeypatch.setattr(stochastic, "MAX_PAIRS", pairs - 1)
         with pytest.raises(ParameterError, match=(
                 rf"^largest lag 5.0 gives {pairs} photon pairs, over the cap "
-                rf"of {pairs - 1} \(counted to index offset {k}\)$")):
+                rf"of {pairs - 1} \(counted to index offset {k} from photon "
+                rf"0\)$")):
             g2_histogram(stream, None, edges)
+
+    # In blocks of 1000 first photons, a cap passed at offset k of the block
+    # from photon 3000: every pair of the photons before it is counted, and
+    # those of the block's photons at offsets up to k.  All 1000 of them have
+    # a partner at offset 3, 934 at 7 (a mask) and 260 at 10 (a list).
+    @pytest.mark.parametrize("k", [3, 7, 10])
+    def test_pair_count_refused_in_a_later_block(self, monkeypatch, k):
+        stream = eighths_stream(61)
+        times, lo = stream.times, 3000
+        room = (np.searchsorted(times, times + 5.0, "right")
+                - np.arange(1, times.size + 1))  # partners of each photon
+        block = room[lo:lo + 1000]
+        pairs = int(room[:lo].sum() + np.minimum(block, k).sum())
+        assert pairs > room[:lo].sum() + np.minimum(block, k - 1).sum()
+        monkeypatch.setattr(stochastic, "_PAIR_BLOCK", 1000)
+        monkeypatch.setattr(stochastic, "MAX_PAIRS", pairs - 1)
+        with pytest.raises(ParameterError, match=(
+                rf"^largest lag 5.0 gives {pairs} photon pairs, over the cap "
+                rf"of {pairs - 1} \(counted to index offset {k} from photon "
+                rf"{lo}\)$")):
+            g2_histogram(stream, None, np.array([0.0, 5.0]))
 
 
 def pairwise_tree(leaf, n, block):
