@@ -46,7 +46,6 @@ from .rate_dynamics import steady_state_analytic
 from .stochastic import (
     PhotonStream,
     TrajectoryConfig,
-    _per_slow,
     atomic_write,
     emission_rate,
     fano_factor,
@@ -143,7 +142,8 @@ def cmd_g2(config: RunConfig) -> Outputs:
     if config.tau_max is not None:
         tau_max = config.tau_max
     elif slow > 0.0:
-        tau_max = _per_slow(params, 6.0, "tau_max")
+        tau_max = _real(f"default tau_max from pump_r + gamma_u = {slow!r}",
+                        6.0 / slow, "positive and finite")
     else:
         raise ConfigError("tau_max must be given when pump_r + gamma_u is zero")
     _real("tau_max * (gamma_r + gamma_nr)", tau_max * gamma_par, "finite")

@@ -401,20 +401,6 @@ def _check_lag(tau_max: float, duration: float) -> None:
             f"duration {duration}")
 
 
-def _per_slow(params: SystemParams, factor: float, what: str,
-              floor: float = 0.0) -> float:
-    """``max(factor / (pump_r + gamma_u), floor)``, the default ``what``,
-    for a positive sum; refused by the sum's name unless positive and
-    finite (the sum is so small the quotient overflows, or itself
-    overflows)."""
-    slow = params.pump_r + params.gamma_u
-    value = max(factor / slow, floor)
-    if not 0.0 < value < np.inf:
-        raise ParameterError(f"pump_r + gamma_u = {slow!r} gives the default "
-                             f"{what} {value!r}; set {what}")
-    return value
-
-
 def plan_run(params: SystemParams, rates: BranchRates,
              config: TrajectoryConfig, window: float | None,
              tau_max: float | None) -> tuple[float | None, float, Branch]:
@@ -443,11 +429,14 @@ def plan_run(params: SystemParams, rates: BranchRates,
     """
     slow = params.pump_r + params.gamma_u
     if window is None and slow > 0.0:
-        window = _per_slow(params, 1.0, "fano_window",
-                           config.duration / MAX_WINDOWS)
-    if tau_max is None:
-        tau_max = (_per_slow(params, 3.0, "tau_max") if slow > 0.0
-                   else config.duration / 100.0)
+        window = _real(f"default fano_window from pump_r + gamma_u = {slow!r}",
+                       max(1.0 / slow, config.duration / MAX_WINDOWS),
+                       "positive and finite")
+    if tau_max is None and slow > 0.0:
+        tau_max = _real(f"default tau_max from pump_r + gamma_u = {slow!r}",
+                        3.0 / slow, "positive and finite")
+    elif tau_max is None:
+        tau_max = config.duration / 100.0
     branch = config.branch_filter or Branch.MINUS
     if window is not None:
         window = _fano_windows(config.duration, window)[1]
