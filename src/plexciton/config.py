@@ -18,7 +18,9 @@ from .model import (MAX_STEPS, _PARAM_RULES, Branch, Scenario, SystemParams,
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated contents of one configuration file."""
+    """Validated contents of one configuration file: each number is checked
+    by its key's rule in ``_KEYS`` and kept as a Python float or int; the
+    rest reach only ``SystemParams`` and ``TrajectoryConfig``, which check."""
 
     params: SystemParams
     unit_scale: float
@@ -34,6 +36,14 @@ class RunConfig:
     branch_filter: Branch | None
     fano_window: float | None
     v0_over_delta_sweep: tuple[float, ...] | None
+
+    def __post_init__(self) -> None:
+        for key, (rule, _) in _KEYS.items():  # physics keys are in params
+            value = getattr(self, key, None)
+            if isinstance(rule, tuple):
+                object.__setattr__(self, key, _integer(key, value, *rule))
+            elif isinstance(rule, str) and value is not None:
+                object.__setattr__(self, key, _real(key, value, rule))
 
 
 def _number(rule):
@@ -69,7 +79,6 @@ def _choice(enum, **extra):
 
 
 _positive = _number("positive and finite")
-_steps = _number((2, MAX_STEPS))
 
 
 def _ratios(key: str, text: str) -> tuple[float, ...]:
@@ -78,28 +87,29 @@ def _ratios(key: str, text: str) -> tuple[float, ...]:
 
 _REQUIRED = object()
 
-# key -> (parser, default).  Each parser checks type and a model rule (a
-# physics key's is its field's) and names the key when it fails; _REQUIRED
-# keys have no default, and None is derived at command time.  The physics
+# key -> (rule, default): a number's rule (a model._REAL_RULES name or
+# model._integer's bounds; a physics key's is its field's), checked by
+# _number's parser naming the key, else the key's parser.  _REQUIRED keys
+# have no default, and None is derived at command time.  The physics
 # keys come first, in SystemParams field order, for the CLI's echo.
 _KEYS = {
-    **{key: (_number(_PARAM_RULES[key]), _REQUIRED) for key in (
+    **{key: (_PARAM_RULES[key], _REQUIRED) for key in (
         "omega0", "omega1", "v0", "gamma_r", "gamma_nr", "gamma_perp",
         "gamma_u", "pump_r")},
-    "drive_rabi": (_number(_PARAM_RULES["omega_l_rabi"]), 0.0),
+    "drive_rabi": (_PARAM_RULES["omega_l_rabi"], 0.0),
     "scenario": (_choice(Scenario), _REQUIRED),
-    "unit_scale": (_number("finite and >= 0"), 1.0),
-    "omega_min": (_number("finite"), None),
-    "omega_max": (_number("finite"), None),
-    "omega_steps": (_steps, 4001),
-    "tau_max": (_positive, None),
-    "tau_steps": (_steps, 601),
-    "bins": (_steps, 20),
-    "duration": (_positive, None),
-    "n_trajectories": (_number((1,)), 1),
-    "master_seed": (_number(()), 1),
+    "unit_scale": ("finite and >= 0", 1.0),
+    "omega_min": ("finite", None),
+    "omega_max": ("finite", None),
+    "omega_steps": ((2, MAX_STEPS), 4001),
+    "tau_max": ("positive and finite", None),
+    "tau_steps": ((2, MAX_STEPS), 601),
+    "bins": ((2, MAX_STEPS), 20),
+    "duration": ("positive and finite", None),
+    "n_trajectories": ((1,), 1),
+    "master_seed": ((), 1),
     "branch": (_choice(Branch, both=None), None),
-    "fano_window": (_positive, None),
+    "fano_window": ("positive and finite", None),
     "v0_over_delta_sweep": (_ratios, None),
 }
 
@@ -151,8 +161,9 @@ def parse_config(path: str) -> RunConfig:
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
 
-    values = {_FIELD.get(key, key): parse(key, entries[key]) if key in entries
-              else default for key, (parse, default) in _KEYS.items()}
+    values = {_FIELD.get(key, key): (rule if callable(rule) else _number(rule))(
+        key, entries[key]) if key in entries else default
+        for key, (rule, default) in _KEYS.items()}
     if (values["omega_min"] is None) != (values["omega_max"] is None):
         raise ConfigError("omega_min and omega_max must be given together")
     if values["omega_min"] is not None and values["omega_min"] >= values["omega_max"]:

@@ -12,7 +12,7 @@ a trajectory the draws come in fixed-size cycle blocks, ordered as: ground
 dwell, upper dwell, branch choice, branch dwell (unit exponential), and,
 only when the quantum yield is below one, the detection draw.  The last
 block of a run is computed only up to the first cycle that must end past
-the duration (``reach``, see ``_cycle_blocks``): only a prefix of its
+the duration (``reach``, see ``_cycle_block``): only a prefix of its
 ground and upper dwells is kept, the rest of its branch choices is skipped
 over, and its branch dwells are left undrawn unless a detection draw
 follows.  No drawn value changes, so streams are the same bytes as when
@@ -37,11 +37,13 @@ _MASK64 = (1 << 64) - 1
 # Cycles sampled per vectorized block.
 _CHUNK = 1 << 19
 
-# Dwells of a last block drawn at a time past its kept prefix, then dropped.
+# Values a block draws or sums at a time in its spare buffer: dwells past a
+# last block's kept prefix (dropped), detection draws, and cycle-end sums.
 _SPARE = 1 << 13
 
 # Most photons one simulate_stream run may be expected to keep, over all its
-# trajectories (a float64 time and an int8 tag each: about 1.2 GB).
+# trajectories: a float64 time and an int8 tag each, about 1.2 GB of
+# streams, held with one sampler block (13 MB) and never a second copy.
 MAX_PHOTONS = 1 << 27
 
 # Most pump cycles one run may draw, over all its trajectories, counted in
@@ -168,6 +170,10 @@ class EmissionRate:
     stderr: float
     n_photons: int
 
+    def __post_init__(self) -> None:
+        _store_reals(self, {"value": "positive", "stderr": "positive"})
+        object.__setattr__(self, "n_photons", _integer("n_photons", self.n_photons, 1))
+
 
 def _mean_cycle(params: SystemParams, rates: BranchRates) -> float:
     """Mean duration of one pump cycle G -> U -> branch -> G."""
@@ -245,6 +251,26 @@ def _dwells(rng: np.random.Generator, scale: float, size: int,
     return dwell
 
 
+def _ends_within(t0: float, duration: float, dwells: tuple,
+                 spare: np.ndarray) -> tuple[int, float]:
+    """How many cycle ends ``t0 + cumsum(sum(dwells))`` are at most
+    ``duration``, and the last end, summed ``spare.size`` cycles at a time
+    in ``spare``: each piece starts from the sum before it, so every end is
+    the sequential cumulative sum's, bit for bit."""
+    count, carry, size = 0, 0.0, dwells[0].size
+    with np.errstate(over="ignore"):  # an overflowed end is past duration
+        for lo in range(0, size, spare.size):
+            part = spare[:size - lo]
+            np.add(*(d[lo:lo + part.size] for d in dwells[:2]), out=part)
+            for d in dwells[2:]:
+                part += d[lo:lo + part.size]
+            part[0] += carry
+            carry = np.cumsum(part, out=part)[-1]
+            part += t0
+            count += int(np.searchsorted(part, duration, "right"))
+    return count, float(part[-1])
+
+
 def simulate_stream(params: SystemParams, rates: BranchRates,
                     config: TrajectoryConfig) -> list[PhotonStream]:
     """Simulate the jump process and return one photon stream per trajectory."""
@@ -253,119 +279,102 @@ def simulate_stream(params: SystemParams, rates: BranchRates,
             for index in range(config.n_trajectories)]
 
 
-def _cycle_blocks(rng: np.random.Generator, params: SystemParams,
-                  rates: BranchRates, duration: float, yield_: float = 1.0):
-    """Yield ``(ends, keep, dwell_g, dwell_u, is_minus, dwell_b)`` per block.
+def _cycle_block(rng: np.random.Generator, params: SystemParams,
+                 rates: BranchRates, t0: float, duration: float,
+                 yield_: float, spare: np.ndarray) -> tuple:
+    """Draw the block of cycles that starts at ``t0``: ``(dwell_g, dwell_u,
+    is_minus, dwell_b, detected)`` of its first ``reach`` cycles, in the
+    module's draw order (``detected`` is None when ``yield_`` is one).  The
+    caller sums their ends ``t0 + cumsum(dwell_g + dwell_u + dwell_b)``,
+    and the next block starts at the last.  A block is these arrays (13 MB
+    whole) and the ``spare`` the caller lends; none is kept here.
 
-    ``ends`` holds the absolute time each cycle's branch decay completes;
-    ``keep`` marks the cycles that complete within ``duration`` and, when
-    ``yield_`` is below one, pass the detection draw.  Each block draws in
-    contract order: ground dwell, upper dwell, branch choice, branch dwell,
-    then the detection draw.
-
-    Only the first ``reach`` cycles of a block are computed: those up to and
-    including the first whose ``t0 + cumsum(dwell_g + dwell_u)`` exceeds
-    ``duration``, or all of them when none does.  That is ``ends`` without
-    the branch dwells, and rounding is monotone, so every later cycle ends
-    past ``duration`` too and the block is the run's last.  The search runs
-    only when the run is expected to end within the block; otherwise
-    ``reach`` is the whole block, which is always safe.
-
-    No drawn value changes, so neither do the stream's bytes.  Every
-    ground and upper dwell of a block is drawn, because the ziggurat takes
-    a variable number of 64-bit words and later draws depend on them; each
-    is ``scale * standard_exponential()``, as ``exponential(scale)`` draws
-    it.  When the run is expected to end in the block, only the first
-    ``_prefix_size`` of each are kept, and the rest are drawn into a small
-    spare buffer and dropped; should the search pass the kept prefix, the
-    generator is set back to its state before the block and both are drawn
-    again, kept whole.  A uniform double takes exactly one word, so the
-    branch choice draws ``reach`` values and advances the generator past
-    the rest.  The branch dwell is drawn whole only when a later draw needs
-    the state after it (a whole block, or the detection draw), and the
-    detection draw comes last.
-    ``ends`` is a prefix of the whole block's sequential cumulative sum.
-    Blocks are lazy, and a consumer drops a block's arrays before asking
-    for the next, so only one block is held at a time.
+    ``reach`` runs to the first cycle whose ``t0 + cumsum(dwell_g +
+    dwell_u)`` passes ``duration``, as every later one ends past it.  It is
+    searched only in an expected last block, which keeps the first
+    ``_prefix_size`` ground and upper dwells (the rest, drawn as the
+    ziggurat takes a variable number of words, go into ``spare``), drawn
+    again whole should the search pass them.  Branch choices past ``reach``
+    are skipped (a uniform double is one word), and branch dwells, unit
+    exponentials divided in place by the branch's rate, are drawn past it
+    (into ``spare``) only when the detection draw follows.
     """
-    p_minus = rates.gfeed_minus / rates.gfeed_total
     scale_g, scale_u = 1.0 / params.pump_r, 1.0 / rates.gfeed_total
-    mean_gu = scale_g + scale_u
-    detect = yield_ < 1.0
-    spare = np.empty(_SPARE)
-    t0 = 0.0
-    while t0 < duration:
-        reach = size = _CHUNK
-        last = duration - t0 <= _CHUNK * mean_gu
-        if last:  # the run is expected to end in this block
-            size = _prefix_size((duration - t0) / mean_gu)
-            state = rng.bit_generator.state
-        # One statement each, so each replaces the last block's array before
-        # the next is drawn: fewer live arrays leave fewer holes in the heap.
+    size = _CHUNK
+    last = duration - t0 <= _CHUNK * (scale_g + scale_u)
+    if last:  # the run is expected to end in this block
+        size = _prefix_size((duration - t0) / (scale_g + scale_u))
+        state = rng.bit_generator.state
+    dwell_g = _dwells(rng, scale_g, size, spare)
+    dwell_u = _dwells(rng, scale_u, size, spare)
+    while last and (reach := _ends_within(
+            t0, duration, (dwell_g, dwell_u), spare)[0]) == size < _CHUNK:
+        rng.bit_generator.state = state  # past the kept prefix: redraw whole
+        size = _CHUNK
         dwell_g = _dwells(rng, scale_g, size, spare)
         dwell_u = _dwells(rng, scale_u, size, spare)
-        if last:
-            # Search doubling prefixes from about the expected crossing;
-            # first == n means that none of the n cycles passes duration.
-            n = size // 2
-            while (first := int(np.searchsorted(
-                    t0 + np.cumsum(dwell_g[:n] + dwell_u[:n]), duration,
-                    "right"))) == n < _CHUNK:
-                if n == dwell_g.size:  # past the kept prefix: redraw whole
-                    rng.bit_generator.state = state
-                    dwell_g = _dwells(rng, scale_g, _CHUNK, spare)
-                    dwell_u = _dwells(rng, scale_u, _CHUNK, spare)
-                n *= 2
-            reach = min(first + 1, _CHUNK)
-        if reach < dwell_g.size:  # free the kept arrays' unused tails
-            dwell_g, dwell_u = dwell_g[:reach].copy(), dwell_u[:reach].copy()
-        is_minus = rng.random(reach) < p_minus
-        rng.bit_generator.advance(_CHUNK - reach)
-        unit = rng.standard_exponential(
-            _CHUNK if detect or reach == _CHUNK else reach)
-        # t0 + cumsum(dwell_g + dwell_u + dwell_b), in place to leave fewer
-        # holes in the heap; an end that overflows is past any duration.
-        with np.errstate(over="ignore"):
-            dwell_b = unit[:reach] / np.where(is_minus, rates.gpar_minus,
-                                              rates.gpar_plus)
-            del unit
-            ends = dwell_g + dwell_u
-            ends += dwell_b
-            np.cumsum(ends, out=ends)
-            ends += t0
-        t0 = float(ends[-1])
-        keep = ends <= duration
-        if detect:
-            keep &= rng.random(reach) < yield_
-        yield ends, keep, dwell_g, dwell_u, is_minus, dwell_b
-        del ends, keep, dwell_g, dwell_u, is_minus, dwell_b
+    reach = min(reach + 1, _CHUNK) if last else _CHUNK
+    dwell_g.resize(reach, refcheck=False)  # free unused tails in place
+    dwell_u.resize(reach, refcheck=False)
+    is_minus = rng.random(reach) < rates.gfeed_minus / rates.gfeed_total
+    rng.bit_generator.advance(_CHUNK - reach)
+    detect = yield_ < 1.0
+    dwell_b = (_dwells(rng, 1.0, reach, spare) if detect
+               else rng.standard_exponential(reach))
+    with np.errstate(over="ignore"):  # an overflowed dwell ends past duration
+        for lo in range(0, reach, spare.size):
+            part = slice(lo, lo + spare.size)
+            dwell_b[part] /= np.where(is_minus[part], rates.gpar_minus,
+                                      rates.gpar_plus)
+    detected = np.empty(reach, dtype=bool) if detect else None
+    for lo in range(0, reach if detect else 0, spare.size):
+        rng.random(out=(part := spare[:reach - lo]))
+        np.less(part, yield_, out=detected[lo:lo + part.size])
+    return dwell_g, dwell_u, is_minus, dwell_b, detected
 
 
 def _simulate_one(params: SystemParams, rates: BranchRates,
                   config: TrajectoryConfig, index: int) -> PhotonStream:
+    """One trajectory's stream, held with one block and never copied: each
+    block's ends are summed in its ground dwells and its kept photons fill
+    one times and one tags array, grown when a block outgrows them by the
+    photons the rest of the run expects, five sigma over; trimmed in place."""
     duration = config.duration
+    times, tags = np.empty(0), np.empty(0, dtype=np.int8)
     if params.pump_r == 0.0:
-        return PhotonStream(times=np.empty(0), tags=np.empty(0, dtype=np.int8),
-                            duration=duration)
+        return PhotonStream(times=times, tags=tags, duration=duration)
     rng = _trajectory_rng(config.master_seed, index)
     want = None if config.branch_filter is None else _slot(config.branch_filter)
-
-    times_parts: list[np.ndarray] = []
-    tags_parts: list[np.ndarray] = []
-    for emit, keep, _, _, is_minus, _ in _cycle_blocks(
-            rng, params, rates, duration, params.quantum_yield):
-        tags = (~is_minus).view(np.int8)
+    n, t0, spare = 0, 0.0, np.empty(_SPARE)
+    while t0 < duration:
+        ends, dwell_u, is_minus, dwell_b, detected = _cycle_block(
+            rng, params, rates, t0, duration, params.quantum_yield, spare)
+        with np.errstate(over="ignore"):  # an overflowed end is past duration
+            ends += dwell_u
+            ends += dwell_b
+            del dwell_u, dwell_b
+            np.cumsum(ends, out=ends)
+            ends += t0
+        t0 = float(ends[-1])
+        keep = ends <= duration
+        if detected is not None:
+            keep &= detected
+        block_tags = np.logical_not(is_minus, out=is_minus).view(np.int8)
         if want is not None:
-            keep &= tags == want
-        times_parts.append(emit[keep])
-        tags_parts.append(tags[keep])
-        del emit, keep, is_minus, _
-
-    return PhotonStream(
-        times=np.concatenate(times_parts),
-        tags=np.concatenate(tags_parts),
-        duration=duration,
-    )
+            keep &= block_tags == want
+        if n + (kept := int(np.count_nonzero(keep))) > times.size:
+            more = _expected_kept(params, rates, max(duration - t0, 0.0),
+                                  config.branch_filter)
+            size = n + kept + int(more + 5.0 * more ** 0.5)
+            times.resize(size, refcheck=False)
+            tags.resize(size, refcheck=False)
+        times[n:n + kept] = ends[keep]
+        tags[n:n + kept] = block_tags[keep]
+        n += kept
+        del ends, is_minus, detected, keep, block_tags
+    times.resize(n, refcheck=False)  # no view of either is left
+    tags.resize(n, refcheck=False)
+    return PhotonStream(times=times, tags=tags, duration=duration)
 
 
 def occupation_fractions(params: SystemParams, rates: BranchRates,
@@ -380,13 +389,21 @@ def occupation_fractions(params: SystemParams, rates: BranchRates,
         return {"gg": 1.0, "uu": 0.0, "mm": 0.0, "pp": 0.0}
     rng = _trajectory_rng(config.master_seed, 0)
     sums = {"gg": 0.0, "uu": 0.0, "mm": 0.0, "pp": 0.0}
-    for ends, keep, dwell_g, dwell_u, is_minus, dwell_b in _cycle_blocks(
-            rng, params, rates, config.duration):
-        sums["gg"] += float(dwell_g[keep].sum())
-        sums["uu"] += float(dwell_u[keep].sum())
-        sums["mm"] += float(dwell_b[keep & is_minus].sum())
-        sums["pp"] += float(dwell_b[keep & ~is_minus].sum())
-        del ends, keep, dwell_g, dwell_u, is_minus, dwell_b
+    t0, duration, spare = 0.0, config.duration, np.empty(_SPARE)
+    while t0 < duration:
+        dwell_g, dwell_u, is_minus, dwell_b, _ = _cycle_block(
+            rng, params, rates, t0, duration, 1.0, spare)
+        # With no detection draw the kept cycles are a prefix.
+        kept, t0 = _ends_within(t0, duration, (dwell_g, dwell_u, dwell_b),
+                                spare)
+        sums["gg"] += float(dwell_g[:kept].sum())
+        sums["uu"] += float(dwell_u[:kept].sum())
+        del dwell_g, dwell_u
+        branch = is_minus[:kept]  # one branch's mask at a time
+        sums["mm"] += float(dwell_b[:kept][branch].sum())
+        sums["pp"] += float(dwell_b[:kept][
+            np.logical_not(branch, out=branch)].sum())
+        del is_minus, dwell_b, branch
     total = sum(sums.values())
     if total == 0.0:
         raise InsufficientDataError("no completed cycle within the duration")

@@ -147,20 +147,17 @@ def test_scalar_returns_or_raises_plexciton_error(value):
                             f"{type(exc).__name__}: {exc}")
 
 
-# Every real scalar argument or field, BlochState's too (it is not public),
-# but those of the records that check no field and keep each as given: an
-# emission-rate estimate, and the parsed config, whose parser stores floats.
-UNCHECKED = ("EmissionRate.", "RunConfig.")
+# Every real scalar argument or field, BlochState's too (it is not public).
 REAL_CASES = [(label, call, valid) for label, call, valid
               in CASES + _cases({}, [plexciton.bloch.bloch_steady_state(0.1, 1.0, 0.5)])
-              if type(valid) is float and not label.startswith(UNCHECKED)]
+              if type(valid) is float]
 
 
 def test_every_real_is_taken_as_its_float():
     # NEP 50 would round what a kept float32 or float16 computes in its own
     # width; an int would print as one.  floatmode="unique" prints every
     # array entry in full, so the reprs differ if any bit does.
-    assert len(REAL_CASES) == 48  # 14 arguments, 34 fields
+    assert len(REAL_CASES) == 52  # 14 arguments, 38 fields
     with warnings.catch_warnings(), np.printoptions(floatmode="unique",
                                                     threshold=sys.maxsize):
         warnings.simplefilter("ignore", RegimeWarning)

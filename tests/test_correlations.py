@@ -263,6 +263,19 @@ class TestSpectrumFftCheck:
                               Branch.MINUS, span_decay=8.0)
             spectrum_fft_check(g1)
 
+    @pytest.mark.parametrize("j", [63, 64])
+    def test_64_samples_per_decay_time_pass(self, j):
+        # |g1| is first down to 1/e at sample j: the documented edge.
+        tau = np.arange(40 * 64 + 1) * 0.01
+        g1 = CorrelationSeries(tau=tau, values=np.exp(
+            -np.arange(tau.size) / (j - 0.5)).astype(complex))
+        assert np.flatnonzero(np.abs(g1.values) <= 1.0 / math.e)[0] == j
+        if j < 64:
+            with pytest.raises(ResolutionError, match="64 samples per decay"):
+                spectrum_fft_check(g1)
+        else:
+            assert spectrum_fft_check(g1).values.size == 2 * 40 * 64
+
 
 class TestG2NonResonant:
     def test_exact_zero_at_zero_lag(self, benchmark_rates, benchmark_params):

@@ -89,8 +89,9 @@ def test_every_rule_name_is_a_rule():
     # The scan must find the literals the scalar checks pass to _real.
     assert {"positive", "positive and finite", "finite and >= 0"} <= literals
     # SystemParams, DressedBasis, BranchRates, Populations, BlochState,
-    # TrajectoryConfig and PhotonStream store their reals by a table each.
-    assert len(tables) == 7 and model._RATE_RULES in tables
+    # TrajectoryConfig, PhotonStream and EmissionRate store their reals by a
+    # table each.
+    assert len(tables) == 8 and model._RATE_RULES in tables
     named = literals.union(*(table.values() for table in tables))
     assert named <= set(model._REAL_RULES)
 

@@ -116,6 +116,15 @@ class TestEvolve:
         with pytest.raises(ParameterError, match="sum"):
             evolve_populations(bad, benchmark_rates, 0.01, t_end=1.0, dt_max=0.1)
 
+    @pytest.mark.parametrize("n_samples", [1, 2, 7])
+    def test_samples_the_start_and_n_samples_more(self, benchmark_rates,
+                                                  n_samples):
+        traj = evolve_populations(GROUND, benchmark_rates, 0.01, t_end=1.0,
+                                  dt_max=0.1, n_samples=n_samples)
+        assert traj.times.tolist() == np.linspace(0.0, 1.0,
+                                                  n_samples + 1).tolist()
+        assert traj.values.shape == (n_samples + 1, 4)
+
     def test_rejects_empty_sampling(self, benchmark_rates):
         with pytest.raises(ParameterError, match="n_samples"):
             evolve_populations(GROUND, benchmark_rates, 0.01, t_end=1.0,

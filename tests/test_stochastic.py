@@ -28,6 +28,7 @@ from plexciton import (
     fano_factor,
     g2_histogram,
     occupation_fractions,
+    parse_config,
     read_photon_stream,
     simulate_stream,
     steady_state_analytic,
@@ -35,6 +36,8 @@ from plexciton import (
 )
 from plexciton import stochastic
 from plexciton.stochastic import _CHUNK, MAX_PHOTONS, atomic_write
+
+from conftest import random_params
 
 
 def make_setup(pump=0.005, feed=0.005, gamma_r=1.0, gamma_nr=0.0, v0=1.0,
@@ -200,15 +203,15 @@ def reference_blocks(rng, params, rates, duration, yield_):
         yield ends, keep, dwell_g, dwell_u, is_minus, dwell_b
 
 
-def reference_rng(config):
-    return stochastic._trajectory_rng(config.master_seed, 0)
+def reference_rng(config, index=0):
+    return stochastic._trajectory_rng(config.master_seed, index)
 
 
-def reference_stream(params, rates, config):
-    """Times and tags of trajectory 0 by the full-block sampler."""
+def reference_stream(params, rates, config, index=0):
+    """Times and tags of trajectory ``index`` by the full-block sampler."""
     times, tags = [], []
     for ends, keep, _, _, is_minus, _ in reference_blocks(
-            reference_rng(config), params, rates, config.duration,
+            reference_rng(config, index), params, rates, config.duration,
             params.quantum_yield):
         tag = np.where(is_minus, np.int8(0), np.int8(1))
         if config.branch_filter is not None:
@@ -327,11 +330,13 @@ class TestPrefixSampler:
         self.assert_matches_full_blocks(params, rates, config)
         assert calls  # the last block kept a prefix
 
-    def test_short_run_allocates_under_half_a_block(self):
+    @pytest.mark.parametrize("setup", PREFIX_SETUPS)
+    def test_short_run_allocates_under_half_a_block(self, setup):
         # About 40 cycles: of the ground and upper dwells, prefixes of 2**11
-        # are kept and the rest drawn into a spare buffer; the full-block
+        # are kept and the rest drawn into a spare buffer, as are the branch
+        # dwells past them when a detection draw follows; the full-block
         # sampler allocated about seven block-sized arrays.
-        params, rates = PREFIX_SETUPS["unit-yield"]
+        params, rates = PREFIX_SETUPS[setup]
         config = TrajectoryConfig(duration=300.0)
         tracemalloc.start()
         try:
@@ -363,6 +368,50 @@ class TestPrefixSampler:
                 tracemalloc.stop()
         assert peaks[3] <= peaks[1] + _CHUNK
         assert peaks[6] <= peaks[1] + _CHUNK
+
+    def test_long_stream_holds_one_block(self):
+        # As above, for simulate_stream less the stream it returns (9 bytes
+        # a photon): a run holds its stream and one block, whose three dwell
+        # arrays and branch mask take 25 bytes a cycle (the slack covers the
+        # stream's margin and a spare buffer).  A stream gathered in
+        # per-block parts and concatenated, or trimmed by a copy, is held
+        # twice: 4.6 MB more per block of photons.
+        params, rates = PREFIX_SETUPS["unit-yield"]
+        over = {}
+        for blocks in (1, 3, 6):
+            config = TrajectoryConfig(
+                duration=(blocks - 0.02) * BLOCK_TIME["unit-yield"])
+            tracemalloc.start()
+            try:
+                photons = simulate_stream(params, rates, config)[0].n_photons
+                over[blocks] = tracemalloc.get_traced_memory()[1] - 9 * photons
+            finally:
+                tracemalloc.stop()
+        assert max(over.values()) <= 25 * _CHUNK + _CHUNK
+        assert over[6] <= over[3] + _CHUNK
+
+    @pytest.mark.parametrize("branch", [None, Branch.MINUS, Branch.PLUS])
+    def test_streams_match_full_blocks_when_grown(self, monkeypatch, branch):
+        # With no photon expected, the stream arrays start empty and grow at
+        # every block by exactly what it keeps: three trajectories of two
+        # blocks each, the last computed only up to the duration.
+        params, rates = PREFIX_SETUPS["lossy"]
+        calls = []
+
+        def nothing(*args):
+            calls.append(args)
+            return 0.0
+
+        monkeypatch.setattr(stochastic, "_expected_kept", nothing)
+        config = TrajectoryConfig(duration=1.5 * BLOCK_TIME["lossy"],
+                                  n_trajectories=3, master_seed=407,
+                                  branch_filter=branch)
+        streams = simulate_stream(params, rates, config)
+        assert len(calls) == 1 + 3 * 2  # the photon cap, then each growth
+        for index, stream in enumerate(streams):
+            times, tags = reference_stream(params, rates, config, index)
+            assert stream.times.tobytes() == times.tobytes()
+            assert stream.tags.tobytes() == tags.tobytes()
 
 
 class TestValidation:
@@ -428,14 +477,14 @@ class TestValidation:
             1.0 + rates.gfeed_minus / rates.gpar_minus
             + rates.gfeed_plus / rates.gpar_plus) / rates.gfeed_total
         drawn = []
-        blocks = stochastic._cycle_blocks
+        draw = stochastic._cycle_block
 
         def counting(*args):
-            for block in blocks(*args):
-                drawn.append(block[0].size)
-                yield block
+            block = draw(*args)
+            drawn.append(block[0].size)
+            return block
 
-        monkeypatch.setattr(stochastic, "_cycle_blocks", counting)
+        monkeypatch.setattr(stochastic, "_cycle_block", counting)
         monkeypatch.setattr(stochastic, "MAX_CYCLES", 4 * _CHUNK)
         config = TrajectoryConfig(duration=1.5 * _CHUNK * mean_cycle,
                                   n_trajectories=2)
@@ -604,8 +653,44 @@ class TestStoredFloats:
                                           kind(50.0))[0])
         assert all(type(value) is float for value in stored), stored
 
+    def test_records_keep_python_numbers(self):
+        # An emission rate and a run config built directly are checked by
+        # their fields' rules and keep a float32 as its float, a numpy
+        # integer as an int.
+        value = np.float32(0.3)
+        rate = stochastic.EmissionRate(value=value, stderr=value,
+                                       n_photons=np.int64(9))
+        config = replace(parse_config(os.path.join(
+            os.path.dirname(__file__), os.pardir, "presets",
+            "g2_benchmark.cfg")), unit_scale=value, tau_max=value,
+            bins=np.int64(30))
+        stored = [rate.value, rate.stderr, config.unit_scale, config.tau_max]
+        assert stored == [float(value)] * 4
+        assert all(type(number) is float for number in stored)
+        assert type(rate.n_photons) is type(config.bins) is int
+        with pytest.raises(ParameterError, match="n_photons"):
+            replace(rate, n_photons=0)
+        with pytest.raises(ParameterError, match="bins"):
+            replace(config, bins=1)
+        with pytest.raises(ParameterError, match="unit_scale"):
+            replace(config, unit_scale=np.nan)
+
 
 class TestErgodicityAndRenewal:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_mean_cycle_is_the_inverse_photon_rate(self, seed):
+        # Each cycle ends in one branch decay, so the stationary decay rate
+        # p_mm gpar_minus + p_pp gpar_plus is one over the mean cycle, which
+        # sizes the photon and draw caps and the sampler's stream arrays.
+        params = random_params(np.random.default_rng(seed))
+        rates = branch_rates(params, dressed_basis(params))
+        steady = steady_state_analytic(rates, params.pump_r)
+        rate = (steady.p_mm * rates.gpar_minus
+                + steady.p_pp * rates.gpar_plus)
+        assert stochastic._mean_cycle(params, rates) * rate == pytest.approx(
+            1.0, rel=1e-12)
+
     def test_occupations_match_steady_state_within_3se(self):
         params, rates = make_setup()
         steady = steady_state_analytic(rates, params.pump_r)
