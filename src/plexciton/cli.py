@@ -10,15 +10,18 @@ steady-state  stationary populations of the configured scenario
 
 Every run setting is a config key.  Exit codes: 0 success, 2 from argparse
 on a usage error, else the error's ``exit_code`` (2 bad input or a path the
-OS refuses, 3 numerical failure).  ``cmd_*`` compute, ``main`` writes.
+OS refuses, 3 numerical failure).  ``cmd_*`` compute; ``main`` writes all of
+a run's files or none, renaming the staged outputs once the last is staged.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 import warnings
+from collections.abc import Iterable
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -44,6 +47,7 @@ from .model import (Branch, Scenario, SystemParams, _check_drive, _real,
                     branch_drive_rabi, branch_rates, check_grid, dressed_basis)
 from .rate_dynamics import steady_state_analytic
 from .stochastic import (
+    _GOLDEN64,
     PhotonStream,
     TrajectoryConfig,
     atomic_write,
@@ -56,7 +60,7 @@ from .stochastic import (
 )
 
 # A command's outputs in write order: file name, then CSV/report text or stream.
-Outputs = list[tuple[str, str | PhotonStream]]
+Outputs = Iterable[tuple[str, str | PhotonStream]]
 
 
 def _fmt(value: float) -> str:
@@ -171,7 +175,9 @@ def cmd_g2(config: RunConfig) -> Outputs:
 
 
 def cmd_trajectory(config: RunConfig) -> Outputs:
-    """Simulated photon streams, then their estimator summary."""
+    """Photon streams, then their estimator summary (of stream 0, built
+    before anything is yielded), one stream alive at a time: trajectory
+    ``i`` is the one-trajectory run at ``master_seed + i * _GOLDEN64``."""
     params = config.params
     basis = dressed_basis(params)
     rates = branch_rates(params, basis)
@@ -183,8 +189,13 @@ def cmd_trajectory(config: RunConfig) -> Outputs:
                             branch_filter=config.branch_filter)
     window, tau_max, hist_branch = plan_run(params, rates, traj,
                                             config.fano_window, config.tau_max)
-    streams = simulate_stream(params, rates, traj)
-    stream = streams[0]
+
+    def sample(index: int) -> PhotonStream:
+        return simulate_stream(params, rates, replace(
+            traj, n_trajectories=1,
+            master_seed=config.master_seed + index * _GOLDEN64))[0]
+
+    stream = sample(0)
     comments = _provenance(params, config) + [
         f"master_seed={config.master_seed}",
         f"duration={_fmt(stream.duration)}",
@@ -213,9 +224,11 @@ def cmd_trajectory(config: RunConfig) -> Outputs:
         ["tau", "g2", "stderr"],
         [hist.tau, hist.values, hist.stderr],
     )
-    return ([(f"photons_{index:03d}.tsv", photons)
-             for index, photons in enumerate(streams)]
-            + [("summary.csv", text)])
+    yield "photons_000.tsv", stream
+    del stream  # before the next stream is sampled
+    for index in range(1, config.n_trajectories):
+        yield f"photons_{index:03d}.tsv", sample(index)
+    yield "summary.csv", text
 
 
 def _require_drive(params: SystemParams) -> None:
@@ -311,6 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    staged = []  # (temporary path, target) of each output written so far
     try:
         config = parse_config(args.config)
         writes_files = args.command in ("spectrum", "g2", "trajectory")
@@ -321,21 +335,34 @@ def main(argv: list[str] | None = None) -> int:
         outputs = {"spectrum": cmd_spectrum, "g2": cmd_g2,
                    "trajectory": cmd_trajectory, "rates": cmd_rates,
                    "steady-state": cmd_steady_state}[args.command](config)
-        if not writes_files:
-            sys.stdout.write(outputs[0][1])
-        paths = [] if out_dir is None else [os.path.join(out_dir, n) for n, _ in outputs]
-        for path, (_, content) in zip(paths, outputs):
+        for name, content in outputs:
+            if not writes_files:
+                sys.stdout.write(content)
+            if out_dir is None:
+                continue
+            path = os.path.join(out_dir, name)
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, "Is a directory", path)
+            tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+            staged.append((tmp, path))
             if isinstance(content, str):
-                atomic_write(path, [content])
+                atomic_write(tmp, [content])
             else:
-                write_photon_stream(content, path)
+                write_photon_stream(content, tmp)
+            del content  # before the command computes its next output
+        for tmp, path in staged:
+            os.replace(tmp, path)
         if writes_files:
-            print("\n".join(paths))
+            print("\n".join(path for _, path in staged))
     except (PlexcitonError, OSError) as exc:
         code = getattr(exc, "exit_code", 2)
         print(f"{'numerical failure' if code == 3 else 'error'}: {exc}",
               file=sys.stderr)
         return code
+    finally:  # a staged file not renamed into place is removed
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
     return 0
 
 

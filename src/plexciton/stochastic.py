@@ -41,9 +41,10 @@ _CHUNK = 1 << 19
 # last block's kept prefix (dropped), detection draws, and cycle-end sums.
 _SPARE = 1 << 13
 
-# Most photons one simulate_stream run may be expected to keep, over all its
-# trajectories: a float64 time and an int8 tag each, about 1.2 GB of
-# streams, held with one sampler block (13 MB) and never a second copy.
+# Most photons one run may be expected to keep, over all its trajectories:
+# simulate_stream holds them (9 bytes each, 1.2 GB, with one 13 MB sampler
+# block and never a second copy); the trajectory command, one stream at a
+# time, writes them (about 20 bytes of TSV each, 2.7 GB).
 MAX_PHOTONS = 1 << 27
 
 # Most pump cycles one run may draw, over all its trajectories, counted in
@@ -613,7 +614,9 @@ def fano_factor(stream: PhotonStream, window: float) -> float:
         np.multiply(dev, dev, out=dev)
         return float(dev.sum())
 
-    return squares(0, n_windows) / (n_windows - 1) / mean
+    total = squares(0, n_windows)
+    del squares  # else its self-referring closure holds the photons to a gc
+    return total / (n_windows - 1) / mean
 
 
 def emission_rate(stream: PhotonStream, branch: Branch | None) -> EmissionRate:

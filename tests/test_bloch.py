@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -10,6 +12,7 @@ from plexciton import (
     regression_g2_resonant_numeric,
 )
 from plexciton.bloch import BlochState, evolve_bloch
+from plexciton.model import _SLACK
 
 REST = BlochState(0.0, 0.0, 0.0)
 
@@ -92,6 +95,21 @@ class TestSteadyState:
     def test_rejects_nonpositive_rates(self):
         with pytest.raises(ParameterError):
             bloch_steady_state(0.1, 0.0, 0.5)
+
+
+class TestState:
+    def test_positivity_bound_is_inclusive(self):
+        # |coh|^2 = p_ee (1 - p_ee) + _SLACK exactly is a state, and the next
+        # float past it is not, with the imaginary part negative (its square
+        # counts, not its sign).
+        bound = 0.5 * (1.0 - 0.5) + _SLACK
+        at = -math.sqrt(_SLACK)
+        assert 0.5 ** 2 + at ** 2 == bound
+        assert BlochState(0.5, 0.5, at).coh_im == at
+        past = -math.sqrt(_SLACK + 1e-16)
+        assert 0.5 ** 2 + past ** 2 == np.nextafter(bound, 1.0)
+        with pytest.raises(ParameterError, match="positivity"):
+            BlochState(0.5, 0.5, past)
 
 
 class TestEvolve:

@@ -6,13 +6,15 @@ import re
 import stat
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from plexciton import (Branch, ConfigError, Scenario, TrajectoryConfig,
-                       branch_rates, dressed_basis, parse_config)
+from plexciton import (Branch, ConfigError, ParameterError, Scenario,
+                       TrajectoryConfig, branch_rates, dressed_basis,
+                       parse_config)
 from plexciton import cli as cli_module, stochastic
 from plexciton.cli import main
 
@@ -418,6 +420,47 @@ class TestTrajectoryCommand:
             "# rate_minus"]
         assert "# histogram_branch=minus" in comments
 
+    def test_streams_match_one_eager_run(self, tmp_path):
+        # Sampled one at a time, each stream is the bytes of the same
+        # trajectory of one simulate_stream run over all three.
+        cfg = write_cfg(tmp_path, _streams_text(3))
+        out = tmp_path / "out"
+        assert main(["trajectory", "--config", cfg, "--out", str(out)]) == 0
+        config = parse_config(cfg)
+        rates = branch_rates(config.params, dressed_basis(config.params))
+        run = TrajectoryConfig(duration=config.duration, n_trajectories=3,
+                               master_seed=config.master_seed)
+        eager = tmp_path / "eager.tsv"
+        for index, stream in enumerate(
+                stochastic.simulate_stream(config.params, rates, run)):
+            stochastic.write_photon_stream(stream, eager)
+            assert (out / f"photons_{index:03d}.tsv").read_bytes() == (
+                eager.read_bytes())
+        assert sorted(path.name for path in out.iterdir()) == [
+            "photons_000.tsv", "photons_001.tsv", "photons_002.tsv",
+            "summary.csv"]
+
+    def test_run_holds_one_stream(self, tmp_path):
+        # A run's tracemalloc peak does not grow with its streams: at six it
+        # is within one stream (9 bytes a photon) of the peak at one.  A run
+        # that held every stream until it wrote them would add five.  The
+        # first run also imports what sampling needs, so only the second at
+        # one counts.
+        peaks = {}
+        for n in (1, 1, 6):
+            cfg = write_cfg(tmp_path, _streams_text(n), name=f"{n}.cfg")
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(["trajectory", "--config", cfg,
+                                 "--out", str(tmp_path / str(n))]) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        photons = stochastic.read_photon_stream(
+            tmp_path / "1" / "photons_000.tsv").n_photons
+        assert peaks[6] - peaks[1] < 9 * photons
+
     def test_unavailable_rate_and_fano_lines(self, tmp_path, monkeypatch):
         # A stream of minus photons only, counted in 50 windows (under 100).
         times = np.sort(np.random.default_rng(3).uniform(0.0, 6.0e7, 20000))
@@ -595,6 +638,13 @@ def _preset_text(name, old, new):
         text = fh.read()
     assert old in text
     return text.replace(old, new)
+
+
+def _streams_text(n):
+    """The trajectory preset at duration 4e7 (~1e5 photons, ~1.4e4 of them
+    minus, over the histogram's 1e4) with ``n`` trajectories."""
+    return _preset_text("trajectory.cfg", "duration = 6.0e7",
+                        f"duration = 4.0e7\nn_trajectories = {n}")
 
 
 _SHORT_RUN = _preset_text("trajectory.cfg", "duration = 6.0e7", "duration = 1e6")
@@ -949,27 +999,56 @@ class TestHostileConfig:
 
 
 class TestOutputFiles:
-    # A run whose later output path is a directory: the files written before
-    # it stay, and no path is printed.
-    @pytest.mark.parametrize("command, config, blocked, kept", [
+    # A run whose later output path is a directory writes all its files or
+    # none: only the directory is left in --out, with no staged *.tmp file
+    # beside or in it, and no path is printed.
+    @pytest.mark.parametrize("command, config, blocked", [
         pytest.param("spectrum", BASE_CFG + "v0_over_delta_sweep = 0.5, 1, 2\n",
-                     "spectrum_v0dd_1.csv", ["spectrum_v0dd_0.5.csv"],
-                     id="spectrum"),
+                     "spectrum_v0dd_1.csv", id="spectrum"),
         pytest.param("trajectory", _preset_text(
             "trajectory.cfg", "duration = 6.0e7",
             "duration = 6.0e7\nn_trajectories = 2"),
-                     "photons_001.tsv", ["photons_000.tsv"], id="trajectory"),
+                     "photons_001.tsv", id="trajectory"),
     ])
-    def test_failed_write_keeps_earlier_files_and_prints_no_path(
-            self, tmp_path, capsys, command, config, blocked, kept):
+    def test_failed_write_keeps_no_file_and_prints_no_path(
+            self, tmp_path, capsys, command, config, blocked):
         cfg = write_cfg(tmp_path, config)
         out = tmp_path / "out"
         (out / blocked).mkdir(parents=True)
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: ")
-        assert sorted(path.name for path in out.iterdir()) == sorted(
-            kept + [blocked])
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and blocked in captured.err
+        assert [path.name for path in out.iterdir()] == [blocked]
+        assert not any((out / blocked).iterdir())
+
+    # A run stopped while it samples its third stream, by a refusal or by
+    # the user, writes no file: the two streams staged before are removed.
+    @pytest.mark.parametrize("error", [ParameterError("refused"),
+                                       KeyboardInterrupt()],
+                             ids=["plexciton-error", "keyboard-interrupt"])
+    def test_failure_while_sampling_writes_nothing(self, tmp_path, capsys,
+                                                    monkeypatch, error):
+        calls = []
+
+        def sample(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise error
+            return stochastic.simulate_stream(*args)
+
+        monkeypatch.setattr(cli_module, "simulate_stream", sample)
+        argv = ["trajectory", "--config", write_cfg(tmp_path, _streams_text(4)),
+                "--out", str(tmp_path / "out")]
+        if isinstance(error, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: refused\n"
+        assert len(calls) == 3
+        assert list((tmp_path / "out").iterdir()) == []
+        assert capsys.readouterr().out == ""
 
     def test_outputs_follow_umask(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE_CFG)

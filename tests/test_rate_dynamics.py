@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -279,6 +280,10 @@ class TestSteadyState:
     def test_degenerate_rates_rejected(self, benchmark_rates):
         with pytest.raises(DegenerateSteadyStateError):
             steady_state_analytic(benchmark_rates, 0.0)
+        # A branch that is never fed has no stationary share to divide by.
+        with pytest.raises(DegenerateSteadyStateError, match="gfeed=\\(0.0, "):
+            steady_state_analytic(
+                dataclasses.replace(benchmark_rates, gfeed_minus=0.0), 0.01)
         # A branch that does not decay is refused where its rates are built.
         params = SystemParams(omega0=1.0, omega1=-1.0, v0=1.0, gamma_r=0.0,
                               gamma_nr=0.0, gamma_perp=0.5, gamma_u=0.01,

@@ -1,10 +1,12 @@
 import functools
+import gc
 import hashlib
 import os
 import re
 import stat
 import tempfile
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -103,6 +105,25 @@ class TestSimulate:
                                          (1, 0, 10451216379200822465)]:
             rng = stochastic._trajectory_rng(master_seed, index)
             assert rng.bit_generator.state == np.random.PCG64(seed).state
+
+    @settings(max_examples=10, deadline=None)
+    @given(master_seed=st.integers(min_value=-(1 << 63),
+                                   max_value=(1 << 64) - 1),
+           n=st.integers(min_value=2, max_value=4))
+    @example(master_seed=(1 << 64) - 1, n=3)  # every later sum wraps
+    def test_trajectory_is_a_run_of_its_own(self, master_seed, n):
+        # Trajectory i of an n-trajectory run is the one-trajectory run at
+        # master_seed + i * _GOLDEN64 mod 2**64, byte for byte: the
+        # trajectory command samples its streams one at a time so.
+        params, rates = make_setup()
+        config = TrajectoryConfig(duration=2e4, n_trajectories=n,
+                                  master_seed=master_seed)
+        for index, stream in enumerate(simulate_stream(params, rates, config)):
+            seed = (master_seed + index * stochastic._GOLDEN64) % (1 << 64)
+            alone = simulate_stream(params, rates, replace(
+                config, n_trajectories=1, master_seed=seed))[0]
+            assert alone.times.tobytes() == stream.times.tobytes()
+            assert alone.tags.tobytes() == stream.tags.tobytes()
 
     def test_pump_off_gives_empty_stream(self):
         params, rates = make_setup(pump=0.0)
@@ -804,6 +825,21 @@ class TestHistogram:
         z = (hist.values - 1.0) / hist.stderr
         assert np.max(np.abs(z)) < 3.5
 
+    def test_empty_bin_error_is_one_pair(self):
+        # Photons one apart: no pair lies in [0, 0.5), and its standard
+        # error is that of one pair, sqrt(1) / exposure, exactly.
+        times = np.arange(10000) + 0.5
+        stream = PhotonStream(times=times,
+                              tags=np.zeros(times.size, dtype=np.int8),
+                              duration=1e4)
+        edges = np.array([0.0, 0.5, 1.5])
+        hist = g2_histogram(stream, Branch.MINUS, edges)
+        rate = times.size / stream.duration
+        exposure = rate ** 2 * np.diff(edges) * (stream.duration - hist.tau)
+        assert hist.values[0] == 0.0
+        assert hist.stderr[0] == 1.0 / exposure[0]
+        assert hist.values[1] == (times.size - 1) / exposure[1]
+
     def test_requires_enough_photons(self):
         rng = np.random.default_rng(52)
         stream = poisson_stream(rng, rate=0.05, duration=2e4)
@@ -1232,6 +1268,21 @@ class TestFano:
         stream = poisson_stream(rng, rate=0.5, duration=1e3)
         with pytest.raises(InsufficientDataError):
             fano_factor(stream, window=100.0)
+
+    def test_keeps_no_photons_after_return(self):
+        # Its node sum recurses through a closure, a reference cycle: left
+        # standing, it would hold the photons until the garbage collector
+        # ran, past the stream's last user (the trajectory command drops
+        # each stream before it samples the next).
+        stream = poisson_stream(np.random.default_rng(61), 1.0, 1e4)
+        times = weakref.ref(stream.times)
+        gc.disable()
+        try:
+            fano_factor(stream, 10.0)
+            del stream
+            assert times() is None
+        finally:
+            gc.enable()
 
 
 class TestEmissionRate:
