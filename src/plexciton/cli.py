@@ -47,10 +47,9 @@ from .model import (Branch, Scenario, SystemParams, _check_drive, _real,
                     branch_drive_rabi, branch_rates, check_grid, dressed_basis)
 from .rate_dynamics import steady_state_analytic
 from .stochastic import (
-    _GOLDEN64,
     PhotonStream,
     TrajectoryConfig,
-    atomic_write,
+    _runs,
     emission_rate,
     fano_factor,
     g2_histogram,
@@ -176,8 +175,8 @@ def cmd_g2(config: RunConfig) -> Outputs:
 
 def cmd_trajectory(config: RunConfig) -> Outputs:
     """Photon streams, then their estimator summary (of stream 0, built
-    before anything is yielded), one stream alive at a time: trajectory
-    ``i`` is the one-trajectory run at ``master_seed + i * _GOLDEN64``."""
+    before anything is yielded), one stream alive at a time: each is its
+    own run (``stochastic._runs``), sampled through ``simulate_stream``."""
     params = config.params
     basis = dressed_basis(params)
     rates = branch_rates(params, basis)
@@ -190,12 +189,8 @@ def cmd_trajectory(config: RunConfig) -> Outputs:
     window, tau_max, hist_branch = plan_run(params, rates, traj,
                                             config.fano_window, config.tau_max)
 
-    def sample(index: int) -> PhotonStream:
-        return simulate_stream(params, rates, replace(
-            traj, n_trajectories=1,
-            master_seed=config.master_seed + index * _GOLDEN64))[0]
-
-    stream = sample(0)
+    runs = _runs(traj)
+    stream = simulate_stream(params, rates, next(runs))[0]
     comments = _provenance(params, config) + [
         f"master_seed={config.master_seed}",
         f"duration={_fmt(stream.duration)}",
@@ -226,8 +221,8 @@ def cmd_trajectory(config: RunConfig) -> Outputs:
     )
     yield "photons_000.tsv", stream
     del stream  # before the next stream is sampled
-    for index in range(1, config.n_trajectories):
-        yield f"photons_{index:03d}.tsv", sample(index)
+    for index, run in enumerate(runs, 1):
+        yield f"photons_{index:03d}.tsv", simulate_stream(params, rates, run)[0]
     yield "summary.csv", text
 
 
@@ -346,7 +341,8 @@ def main(argv: list[str] | None = None) -> int:
             tmp = f"{path}.{os.urandom(6).hex()}.tmp"
             staged.append((tmp, path))
             if isinstance(content, str):
-                atomic_write(tmp, [content])
+                with open(tmp, "x", encoding="utf-8") as fh:
+                    fh.write(content)
             else:
                 write_photon_stream(content, tmp)
             del content  # before the command computes its next output

@@ -22,7 +22,7 @@ every block was computed whole.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,11 +87,10 @@ _WRITE_ROWS = 1 << 14
 _READ_CHARS = 1 << 18
 
 
-def _trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
-    """The generator of trajectory ``index``: PCG64 seeded with splitmix64
-    of ``master_seed + index * _GOLDEN64`` (its step adds one more
-    ``_GOLDEN64``, then its finalizer mixes the bits)."""
-    z = (master_seed + (index + 1) * _GOLDEN64) & _MASK64
+def _trajectory_rng(seed: int) -> np.random.Generator:
+    """The generator of the one-trajectory run at ``seed``: PCG64 seeded with
+    splitmix64 of ``seed`` (its step adds ``_GOLDEN64``, then it mixes)."""
+    z = (seed + _GOLDEN64) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return np.random.Generator(np.random.PCG64(z ^ (z >> 31)))
@@ -276,8 +275,14 @@ def simulate_stream(params: SystemParams, rates: BranchRates,
                     config: TrajectoryConfig) -> list[PhotonStream]:
     """Simulate the jump process and return one photon stream per trajectory."""
     _check_run(params, rates, config, stream=True)
-    return [_simulate_one(params, rates, config, index)
-            for index in range(config.n_trajectories)]
+    return [_simulate_one(params, rates, run) for run in _runs(config)]
+
+
+def _runs(config: TrajectoryConfig):
+    """Trajectory ``i`` as the one-trajectory run at ``master_seed + i * _GOLDEN64``."""
+    for index in range(config.n_trajectories):
+        yield replace(config, n_trajectories=1,
+                      master_seed=config.master_seed + index * _GOLDEN64)
 
 
 def _cycle_block(rng: np.random.Generator, params: SystemParams,
@@ -335,7 +340,7 @@ def _cycle_block(rng: np.random.Generator, params: SystemParams,
 
 
 def _simulate_one(params: SystemParams, rates: BranchRates,
-                  config: TrajectoryConfig, index: int) -> PhotonStream:
+                  config: TrajectoryConfig) -> PhotonStream:
     """One trajectory's stream, held with one block and never copied: each
     block's ends are summed in its ground dwells and its kept photons fill
     one times and one tags array, grown when a block outgrows them by the
@@ -344,7 +349,7 @@ def _simulate_one(params: SystemParams, rates: BranchRates,
     times, tags = np.empty(0), np.empty(0, dtype=np.int8)
     if params.pump_r == 0.0:
         return PhotonStream(times=times, tags=tags, duration=duration)
-    rng = _trajectory_rng(config.master_seed, index)
+    rng = _trajectory_rng(config.master_seed)
     want = None if config.branch_filter is None else _slot(config.branch_filter)
     n, t0, spare = 0, 0.0, np.empty(_SPARE)
     while t0 < duration:
@@ -388,7 +393,7 @@ def occupation_fractions(params: SystemParams, rates: BranchRates,
     _check_run(params, rates, config, stream=False)
     if params.pump_r == 0.0:
         return {"gg": 1.0, "uu": 0.0, "mm": 0.0, "pp": 0.0}
-    rng = _trajectory_rng(config.master_seed, 0)
+    rng = _trajectory_rng(config.master_seed)
     sums = {"gg": 0.0, "uu": 0.0, "mm": 0.0, "pp": 0.0}
     t0, duration, spare = 0.0, config.duration, np.empty(_SPARE)
     while t0 < duration:
@@ -630,44 +635,30 @@ def emission_rate(stream: PhotonStream, branch: Branch | None) -> EmissionRate:
                         n_photons=n)
 
 
-def atomic_write(path, chunks) -> None:
-    """Write an iterable of text chunks to ``path``, all or nothing.
+def write_photon_stream(stream: PhotonStream, path) -> None:
+    """Serialize to the two-column text format ``timestamp<TAB>branch``.
 
-    The chunks go to a new file beside the target, which is renamed into
-    place once complete, so readers never observe a partial file.  On any
-    failure the temporary file is removed and an existing target is left
-    as it was.  The file is created with mode ``0o666`` less the umask, as
-    any new file is.
+    Each timestamp is written as its ``repr``, so it reads back bit for bit.
+    The rows go to a new file beside ``path`` (mode ``0o666`` less the
+    umask), renamed into place once complete: no reader sees a partial
+    stream, and a failure removes that file and leaves ``path`` as it was.
     """
     path = os.fspath(path)
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+        with fh:
+            fh.write(f"# duration={stream.duration!r}\n")
+            for start in range(0, stream.n_photons, _WRITE_ROWS):
+                stop = start + _WRITE_ROWS
+                fh.write("".join([repr(t) + _ROW_END[g] for t, g in zip(
+                    stream.times[start:stop].tolist(),
+                    stream.tags[start:stop].tolist())]))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def write_photon_stream(stream: PhotonStream, path) -> None:
-    """Serialize to the two-column text format ``timestamp<TAB>branch``.
-
-    Each timestamp is written as its ``repr``, so it reads back bit for bit.
-    Written through :func:`atomic_write`, so readers never observe a
-    partial stream.
-    """
-    def chunks():
-        yield f"# duration={stream.duration!r}\n"
-        for start in range(0, stream.n_photons, _WRITE_ROWS):
-            stop = start + _WRITE_ROWS
-            yield "".join([repr(t) + _ROW_END[g] for t, g in zip(
-                stream.times[start:stop].tolist(),
-                stream.tags[start:stop].tolist())])
-
-    atomic_write(path, chunks())
 
 
 def read_photon_stream(path) -> PhotonStream:

@@ -1050,6 +1050,38 @@ class TestOutputFiles:
         assert list((tmp_path / "out").iterdir()) == []
         assert capsys.readouterr().out == ""
 
+    # A text output is written straight into its staged file, so it is
+    # renamed once, from that file to its target; a stream is staged by
+    # write_photon_stream inside main's staged file.
+    @pytest.mark.parametrize("command, config, name", [
+        pytest.param("g2", os.path.join(PRESETS, "g2_benchmark.cfg"), "g2.csv",
+                     id="g2"),
+        pytest.param("trajectory", None, "summary.csv", id="trajectory"),
+    ])
+    def test_text_output_is_renamed_once(self, tmp_path, capsys, monkeypatch,
+                                         command, config, name):
+        cfg = config or write_cfg(tmp_path, _streams_text(2))
+        out = tmp_path / "out"
+        renames, rename = [], os.replace
+
+        def recording(src, dst):
+            renames.append((os.fspath(src), os.fspath(dst)))
+            rename(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        target = os.path.join(str(out), name)
+        into = [src for src, dst in renames if dst == target]
+        assert len(into) == 1
+        assert re.fullmatch(re.escape(target) + r"\.[0-9a-f]{12}\.tmp", into[0])
+        assert into[0] not in [dst for _, dst in renames]  # staged once
+        if command == "g2":
+            assert renames == [(into[0], target)]
+        assert sorted(path.name for path in out.iterdir()) == (
+            [name] if command == "g2"
+            else ["photons_000.tsv", "photons_001.tsv", "summary.csv"])
+
     def test_outputs_follow_umask(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE_CFG)
         out = tmp_path / "out"

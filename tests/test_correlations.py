@@ -276,6 +276,36 @@ class TestSpectrumFftCheck:
         else:
             assert spectrum_fft_check(g1).values.size == 2 * 40 * 64
 
+    @pytest.mark.parametrize("off", [0.995e-9, 1.005e-9])
+    def test_uniformity_tolerance_edge(self, off):
+        # One spacing off by more than 1e-9 dt makes the grid non-uniform.
+        dt = 2.0 ** -7  # exact binary grid: only the last spacing moves
+        tau = np.arange(4097) * dt
+        tau[-1] += off * dt
+        g1 = CorrelationSeries(tau=tau, values=np.exp(-np.arange(4097) * dt))
+        if off > 1e-9:
+            with pytest.raises(ResolutionError, match="must be uniform"):
+                spectrum_fft_check(g1)
+        else:
+            assert spectrum_fft_check(g1).values.size == 8192
+
+    @pytest.mark.parametrize("depth", [0.995e-9, 1.005e-9])
+    def test_negativity_tolerance_edge(self, depth):
+        # A series built from exp(-tau)'s density with its highest-frequency
+        # bin set to -depth times the peak: past 1e-9 of the peak is refused.
+        dt, n = 2.0 ** -7, 8192
+        tau = np.arange(n // 2 + 1) * dt
+        density = dt * np.fft.hfft(np.exp(-tau), n)
+        density[n // 2] = -depth * density.max()
+        g1 = CorrelationSeries(tau=tau, values=np.conj(
+            np.fft.ihfft(density / dt)))
+        if depth > 1e-9:
+            with pytest.raises(ResolutionError, match="negative density"):
+                spectrum_fft_check(g1)
+        else:
+            spec = spectrum_fft_check(g1)
+            assert spec.values.min() == 0.0
+
 
 class TestG2NonResonant:
     def test_exact_zero_at_zero_lag(self, benchmark_rates, benchmark_params):

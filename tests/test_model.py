@@ -274,6 +274,8 @@ class TestSystemParams:
         assert make_params(gamma_r=1.0, gamma_nr=3.0,
                            gamma_perp=2.0).quantum_yield == 0.25
         assert make_params(gamma_nr=0.0).quantum_yield == 1.0
+        assert make_params(gamma_r=0.0, gamma_nr=0.0,
+                           gamma_perp=0.0).quantum_yield == 0.0
 
 
 class TestBranchDrive:

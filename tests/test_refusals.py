@@ -142,6 +142,12 @@ REFUSALS = [
         TAU, np.ones(11))), ResolutionError,
                  "series does not decay within the sampled span",
                  id="fft-no-decay"),
+    # Its density at omega = 0 is 2 * (1 - 0.8 * 2) = -1.2.
+    pytest.param(lambda: spectrum_fft_check(CorrelationSeries(
+        np.arange(30001) * 0.002, np.exp(-np.arange(30001) * 0.002)
+        - 0.8 * np.exp(-np.arange(30001) * 0.001))), ResolutionError,
+                 "transform produced significantly negative density",
+                 id="fft-negative-density"),
     pytest.param(lambda: CorrelationSeries(TAU, TAU, np.ones(3)),
                  ParameterError, "stderr and tau must have matching shapes",
                  id="stderr-shape"),

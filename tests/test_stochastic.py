@@ -37,7 +37,7 @@ from plexciton import (
     write_photon_stream,
 )
 from plexciton import stochastic
-from plexciton.stochastic import _CHUNK, MAX_PHOTONS, atomic_write
+from plexciton.stochastic import _CHUNK, _GOLDEN64, MAX_PHOTONS
 
 from conftest import random_params
 
@@ -103,7 +103,7 @@ class TestSimulate:
         for master_seed, index, seed in [(0, 0, 16294208416658607535),
                                          (0, 1, 7960286522194355700),
                                          (1, 0, 10451216379200822465)]:
-            rng = stochastic._trajectory_rng(master_seed, index)
+            rng = stochastic._trajectory_rng(master_seed + index * _GOLDEN64)
             assert rng.bit_generator.state == np.random.PCG64(seed).state
 
     @settings(max_examples=10, deadline=None)
@@ -225,7 +225,7 @@ def reference_blocks(rng, params, rates, duration, yield_):
 
 
 def reference_rng(config, index=0):
-    return stochastic._trajectory_rng(config.master_seed, index)
+    return stochastic._trajectory_rng(config.master_seed + index * _GOLDEN64)
 
 
 def reference_stream(params, rates, config, index=0):
@@ -586,7 +586,7 @@ class TestValidation:
                                   master_seed=np.uint64(2 ** 63))
         assert type(config.n_trajectories) is int and config.n_trajectories == 2
         assert type(config.master_seed) is int and config.master_seed == 2 ** 63
-        stochastic._trajectory_rng(config.master_seed, 1)
+        stochastic._trajectory_rng(config.master_seed + _GOLDEN64)
 
 
 class TestPlanRun:
@@ -1652,15 +1652,14 @@ class TestSerialization:
             os.umask(old)
         assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
-    def test_failed_write_keeps_target(self, tmp_path):
+    def test_failed_write_keeps_target(self, tmp_path, monkeypatch):
         path = tmp_path / "photons.tsv"
         path.write_text("# duration=1.0\n", encoding="utf-8")
-
-        def chunks():
-            yield "# duration=2.0\n"
-            raise OSError("disk full")
-
-        with pytest.raises(OSError, match="disk full"):
-            atomic_write(path, chunks())
-        assert path.read_text(encoding="utf-8") == "# duration=1.0\n"
+        # With no row end for the plus tag, formatting the rows fails after
+        # the header is written.
+        monkeypatch.setattr(stochastic, "_ROW_END", ("\t-\n",))
+        stream = PhotonStream(np.array([0.5, 1.5]), np.array([0, 1]), 2.0)
+        with pytest.raises(IndexError):
+            write_photon_stream(stream, path)
+        assert path.read_bytes() == b"# duration=1.0\n"
         assert list(tmp_path.glob("*.tmp")) == []
