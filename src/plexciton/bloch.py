@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-# STEP_SAFETY stays importable from here; the step rule is in integrate.
-from .integrate import STEP_SAFETY, evolve_linear
 from .model import _SLACK, _check_branch_rates, _check_drive, _real, _store_reals
+# STEP_SAFETY is imported to be read as bloch.STEP_SAFETY.
+from .rate_dynamics import STEP_SAFETY, evolve_linear
 
 _STATE_RULES = {"p_ee": "in [0, 1]", "coh_re": "finite", "coh_im": "finite"}
 
@@ -65,21 +65,16 @@ def bloch_steady_state(omega_l_rabi: float, gpar_b: float,
     return BlochState(p, -0.0 * pref, gperp_b * pref)
 
 
-def _bloch_augmented_matrix(omega_l_rabi: float, gpar_b: float,
-                            gperp_b: float) -> np.ndarray:
+def evolve_bloch(initial: BlochState, omega_l_rabi: float, gpar_b: float,
+                 gperp_b: float, tau_grid: np.ndarray) -> np.ndarray:
+    """Integrate the Bloch equations; rows are ``(p_ee, coh_re, coh_im)``."""
     # Affine system lifted to linear form with a constant fourth coordinate.
-    return np.array([
+    a = np.array([
         [-gpar_b, 0.0, 2.0 * omega_l_rabi, 0.0],
         [0.0, -gperp_b, 0.0, 0.0],
         [-2.0 * omega_l_rabi, 0.0, -gperp_b, omega_l_rabi],
         [0.0, 0.0, 0.0, 0.0],
     ])
-
-
-def evolve_bloch(initial: BlochState, omega_l_rabi: float, gpar_b: float,
-                 gperp_b: float, tau_grid: np.ndarray) -> np.ndarray:
-    """Integrate the Bloch equations; rows are ``(p_ee, coh_re, coh_im)``."""
-    a = _bloch_augmented_matrix(omega_l_rabi, gpar_b, gperp_b)
     x0 = np.array([initial.p_ee, initial.coh_re, initial.coh_im, 1.0])
     states = evolve_linear(a, x0, tau_grid)
     return states[:, :3]

@@ -1,7 +1,13 @@
+import os
+
 import numpy as np
 import pytest
 
-from plexciton import SystemParams, branch_rates, dressed_basis
+from plexciton import (SystemParams, branch_rates, dressed_basis,
+                       steady_state_analytic)
+from plexciton.cli import main
+
+from test_config_cli import PRESETS, read_csv
 
 
 @pytest.fixture(scope="session")
@@ -21,6 +27,20 @@ def benchmark_basis(benchmark_params):
 @pytest.fixture(scope="session")
 def benchmark_rates(benchmark_params, benchmark_basis):
     return branch_rates(benchmark_params, benchmark_basis)
+
+
+@pytest.fixture(scope="session")
+def benchmark_steady(benchmark_rates, benchmark_params):
+    return steady_state_analytic(benchmark_rates, benchmark_params.pump_r)
+
+
+@pytest.fixture(scope="session")
+def g2_csv(tmp_path_factory):
+    """The g2 preset's CSV, written once a session: (comments, header, columns)."""
+    out = tmp_path_factory.mktemp("g2")
+    assert main(["g2", "--config", os.path.join(PRESETS, "g2_benchmark.cfg"),
+                 "--out", str(out)]) == 0
+    return read_csv(out / "g2.csv")
 
 
 def random_params(rng: np.random.Generator, *, r_lo: float = 0.02,

@@ -47,7 +47,7 @@ from plexciton.cli import main
 from plexciton.rate_dynamics import Populations, rate_matrix
 
 from conftest import random_params
-from test_config_cli import PRESETS, read_csv
+from test_config_cli import PRESETS
 from test_correlations import half_width_from_samples
 
 _MODULE_T0 = time.monotonic()
@@ -83,11 +83,6 @@ def _random_pumped_sets():
     rng = np.random.default_rng(9)
     return [(params, branch_rates(params, dressed_basis(params)))
             for params in (random_params(rng) for _ in range(3))]
-
-
-@pytest.fixture(scope="module")
-def benchmark_steady(benchmark_rates, benchmark_params):
-    return steady_state_analytic(benchmark_rates, benchmark_params.pump_r)
 
 
 @pytest.fixture(scope="module")
@@ -132,14 +127,6 @@ class TestCriterion1Antibunching:
         assert stream.n_photons >= 1e6
         assert first <= 3.0 * err
         assert elapsed < 120.0
-
-
-@pytest.fixture(scope="module")
-def g2_csv(tmp_path_factory):
-    out = tmp_path_factory.mktemp("accept_g2")
-    assert main(["g2", "--config", os.path.join(PRESETS, "g2_benchmark.cfg"),
-                 "--out", str(out)]) == 0
-    return read_csv(out / "g2.csv")
 
 
 @pytest.fixture(scope="module")

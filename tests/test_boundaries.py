@@ -12,6 +12,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import plexciton
 from plexciton import (Branch, PhotonStream, PlexcitonError, Populations,
@@ -19,7 +20,7 @@ from plexciton import (Branch, PhotonStream, PlexcitonError, Populations,
                        branch_rates, dressed_basis, emission_rate,
                        parse_config, steady_state_analytic)
 
-PRESETS = os.path.join(os.path.dirname(__file__), os.pardir, "presets")
+from test_config_cli import PRESETS
 
 PARAMS = SystemParams(omega0=1.0, omega1=-1.0, v0=1.0, gamma_r=1.0,
                       gamma_nr=0.0, gamma_perp=0.5, gamma_u=0.005,
@@ -113,14 +114,29 @@ def test_every_public_name_is_covered():
 
 
 # Budget: each example feeds one value to all 90 arguments in about 6 ms on
-# one core, so the 13 explicit examples and 150 drawn ones take about 1 s.
+# one core, so the 24 explicit examples and 150 drawn ones take about 1.5 s.
+# An array goes where a scalar goes, and to every array field, where its
+# length may or may not match the grid beside it.
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(
     st.floats(), st.integers(), st.text(max_size=4), st.none(),
     st.booleans(), st.floats().map(np.float64),
     st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
     st.sampled_from(list(Branch)),
+    arrays(st.sampled_from([float, int, bool, complex]),
+           array_shapes(min_dims=0, max_dims=2, min_side=0)),
 ))
+@example(np.linspace(0.0, 10.0, 11))
+@example(np.array([2.0, 1.0, 0.5]))
+@example(np.array(0.5))
+@example(np.array(3))
+@example(np.array([]))
+@example(np.zeros((11, 2)))
+@example(np.ones((2, 2), dtype=int))
+@example(np.array([0.0, 1.0], dtype=object))
+@example(np.array([0.5, None], dtype=object))
+@example([0.0, 1.0, 2.0])
+@example((0.0, 1.0))
 @example("0.1")
 @example(None)
 @example(math.nan)

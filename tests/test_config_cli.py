@@ -238,15 +238,6 @@ def expected_value(key, value):
 
 
 @pytest.fixture(scope="module")
-def g2_csv(tmp_path_factory):
-    out = tmp_path_factory.mktemp("g2")
-    code = main(["g2", "--config", os.path.join(PRESETS, "g2_benchmark.cfg"),
-                 "--out", str(out)])
-    assert code == 0
-    return read_csv(out / "g2.csv")
-
-
-@pytest.fixture(scope="module")
 def spectrum_files(tmp_path_factory):
     out = tmp_path_factory.mktemp("spectrum")
     code = main(["spectrum", "--config",

@@ -36,11 +36,6 @@ from plexciton.correlations import CorrelationSeries
 from conftest import random_params
 
 
-@pytest.fixture(scope="module")
-def benchmark_steady(benchmark_rates, benchmark_params):
-    return steady_state_analytic(benchmark_rates, benchmark_params.pump_r)
-
-
 def half_width_from_samples(omega, values):
     """Half width at half maximum via linear interpolation of the crossings."""
     peak = np.argmax(values)

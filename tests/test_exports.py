@@ -1,8 +1,12 @@
 """The public surface of the plexciton package."""
 
+import pathlib
+import re
 import types
 
 import plexciton
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 EXPORTS = {
     "__version__",
@@ -41,3 +45,15 @@ def test_all_lists_exactly_the_public_names():
               if not name.startswith("_")
               and not isinstance(value, types.ModuleType)}
     assert public <= EXPORTS
+
+
+def test_readme_layout_names_every_module():
+    # The table's first column names each module once; the count follows it.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table, text = readme.split("## Library layout\n\n", 1)[1].split("\n\n", 1)
+    named = re.findall(r"`plexciton\.(\w+)`",
+                       " ".join(row.split("|")[1] for row in table.splitlines()))
+    modules = {path.stem for path in (ROOT / "src" / "plexciton").glob("*.py")}
+    assert sorted(named) == sorted(modules - {"__init__"})
+    exported = re.match(r"`plexciton` itself exports (\d+) names", text)
+    assert int(exported.group(1)) == len(plexciton.__all__)

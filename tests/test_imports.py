@@ -13,11 +13,10 @@ from plexciton import model
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "plexciton"
 
 # Imported to be read from the module by others, not used in it:
-# perfbench/spans.py reads the RK4 step bound as rate_dynamics.STEP_SAFETY
-# and bloch.STEP_SAFETY, and perfbench/workloads.py wraps
+# perfbench/spans.py reads the RK4 step bound as bloch.STEP_SAFETY (it is
+# defined in rate_dynamics), and perfbench/workloads.py wraps
 # cli.detected_spectrum by name in its traced CLI run.
-RE_EXPORTS = {"rate_dynamics.py": {"STEP_SAFETY"}, "bloch.py": {"STEP_SAFETY"},
-              "cli.py": {"detected_spectrum"}}
+RE_EXPORTS = {"bloch.py": {"STEP_SAFETY"}, "cli.py": {"detected_spectrum"}}
 
 
 def unused_imports(tree: ast.Module) -> set[str]:

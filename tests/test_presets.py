@@ -18,7 +18,8 @@ import pytest
 from plexciton import PhotonStream, cli, parse_config
 from plexciton.cli import main
 
-PRESETS = os.path.join(os.path.dirname(__file__), os.pardir, "presets")
+from test_config_cli import PRESETS
+
 
 COMMANDS = [
     ("g2", "g2_benchmark.cfg"),

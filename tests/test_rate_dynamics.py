@@ -19,9 +19,8 @@ from plexciton import (
     regression_g2_nonresonant_numeric,
     steady_state_analytic,
 )
-from plexciton import integrate
-from plexciton.integrate import evolve_linear
-from plexciton.rate_dynamics import PopulationTrajectory, rate_matrix
+from plexciton import rate_dynamics
+from plexciton.rate_dynamics import PopulationTrajectory, evolve_linear, rate_matrix
 
 from conftest import random_params
 
@@ -205,8 +204,8 @@ class TestPropagator:
             calls.append(h)
             return step_matrix(a, h)
 
-        step_matrix = integrate.rk4_step_matrix
-        monkeypatch.setattr(integrate, "rk4_step_matrix", counting)
+        step_matrix = rate_dynamics.rk4_step_matrix
+        monkeypatch.setattr(rate_dynamics, "rk4_step_matrix", counting)
         tau = np.linspace(0.0, 500.0, points)
         regression_g2_nonresonant_numeric(benchmark_rates, benchmark_params.pump_r,
                                           Branch.MINUS, tau)
@@ -230,8 +229,8 @@ class TestPropagator:
             calls.append(h)
             return step_matrix(a, h)
 
-        step_matrix = integrate.rk4_step_matrix
-        monkeypatch.setattr(integrate, "rk4_step_matrix", counting)
+        step_matrix = rate_dynamics.rk4_step_matrix
+        monkeypatch.setattr(rate_dynamics, "rk4_step_matrix", counting)
         evolve_linear(rate_matrix(benchmark_rates, benchmark_params.pump_r),
                       GROUND.as_array(), grid)
         assert len(calls) == matrices

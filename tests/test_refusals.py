@@ -32,8 +32,8 @@ from plexciton import (
     steady_state_analytic,
 )
 from plexciton.bloch import BlochState
-from plexciton.integrate import check_grid, evolve_linear
-from plexciton.rate_dynamics import PopulationTrajectory
+from plexciton.model import check_grid
+from plexciton.rate_dynamics import PopulationTrajectory, evolve_linear
 from plexciton.stochastic import plan_run
 
 PARAMS = SystemParams(omega0=1.0, omega1=-1.0, v0=1.0, gamma_r=1.0,
