@@ -20,7 +20,6 @@ from plexciton.cli import main
 
 from test_config_cli import PRESETS
 
-
 COMMANDS = [
     ("g2", "g2_benchmark.cfg"),
     ("spectrum", "spectrum_benchmark.cfg"),
