@@ -37,12 +37,12 @@ _MASK64 = (1 << 64) - 1
 # Cycles sampled per vectorized block.
 _CHUNK = 1 << 19
 
-# Values a block draws or sums at a time in its spare buffer: dwells past a
-# last block's kept prefix (dropped), detection draws, and cycle-end sums.
+# Values a block draws or sums at a time in its spare buffer, and most values
+# a leaf of a ``_Fold`` sums at once: at least 128, as ``_pairwise`` needs.
 _SPARE = 1 << 13
 
 # Most photons one run may be expected to keep, over all its trajectories:
-# simulate_stream holds them (9 bytes each, 1.2 GB, with one 13 MB sampler
+# simulate_stream holds them (9 bytes each, 1.2 GB, with one 4.7 MB sampler
 # block and never a second copy); the trajectory command, one stream at a
 # time, writes them (about 20 bytes of TSV each, 2.7 GB).
 MAX_PHOTONS = 1 << 27
@@ -78,6 +78,9 @@ MAX_PAIRS = 1 << 32
 _CHAR_TAG = {"-": 0, "+": 1}
 # What a stream row ends in after its timestamp, by tag.
 _ROW_END = ("\t-\n", "\t+\n")
+
+# Values PhotonStream checks at a time, in masks of a byte a value.
+_CHECK = 1 << 16
 
 # Rows write_photon_stream formats at a time: 2^16 rows ran no faster and
 # took its tracemalloc peak on 1.5e5 photons from 1.9 to 7.7 MB.
@@ -130,8 +133,9 @@ class PhotonStream:
         tags = np.asarray(self.tags)
         if self.times.shape != tags.shape or tags.ndim != 1:
             raise ParameterError("times and tags must be matching 1-d arrays")
-        if np.any((tags != 0) & (tags != 1)):
-            raise ParameterError("tags must be 0 (minus) or 1 (plus)")
+        for lo in range(0, tags.size, _CHECK):
+            if np.any(((part := tags[lo:lo + _CHECK]) != 0) & (part != 1)):
+                raise ParameterError("tags must be 0 (minus) or 1 (plus)")
         object.__setattr__(self, "tags", tags.astype(np.int8, copy=False))
         _store_reals(self, {"duration": "positive and finite"})
         bad = _first_bad_time(self.times, self.duration)
@@ -154,10 +158,14 @@ class PhotonStream:
 
 def _first_bad_time(times: np.ndarray, duration: float) -> int:
     """Index of the first timestamp that is NaN, outside ``[0, duration]``
-    or not above the one before it; -1 if there is none."""
-    ok = (times >= 0.0) & (times <= duration)
-    ok[1:] &= times[1:] > times[:-1]
-    return -1 if ok.all() else int(ok.argmin())
+    or not above the one before it (-1 if none), ``_CHECK`` at a time."""
+    for lo in range(0, times.size, _CHECK):
+        part = times[max(lo - 1, 0):lo + _CHECK]  # with the one before
+        ok = (part >= 0.0) & (part <= duration)
+        ok[1:] &= part[1:] > part[:-1]
+        if not ok.all():
+            return max(lo - 1, 0) + int(ok.argmin())
+    return -1
 
 
 @dataclass(frozen=True)
@@ -199,7 +207,7 @@ def _check_run(params: SystemParams, rates: BranchRates,
     """Reject a run with a state it cannot leave, a ``stream`` run expected
     to keep over ``MAX_PHOTONS`` photons (memory), or a run that would draw
     over ``MAX_CYCLES`` cycles (time).  Each trajectory draws whole blocks;
-    ``occupation_fractions`` runs only the first."""
+    ``occupation_fractions`` runs the first and draws its last block twice."""
     if params.pump_r == 0.0:
         return  # only the ground state is ever visited
     if rates.gfeed_total == 0.0:
@@ -220,7 +228,7 @@ def _check_run(params: SystemParams, rates: BranchRates,
             raise ParameterError(
                 f"duration {config.duration} gives ~{kept:.3g} photons kept "
                 f"(n_trajectories = {n}), over the cap of {MAX_PHOTONS}")
-    blocks = n * max(1.0, np.ceil(cycles / _CHUNK))
+    blocks = n * max(1.0, np.ceil(cycles / _CHUNK)) + (not stream)
     if blocks > cap:
         raise ParameterError(
             f"duration {config.duration} draws ~{blocks:.3g} blocks of "
@@ -238,32 +246,53 @@ def _prefix_size(cycles: float) -> int:
     return size
 
 
-def _dwells(rng: np.random.Generator, scale: float, size: int,
-            spare: np.ndarray) -> np.ndarray:
-    """``_CHUNK`` exponential draws of mean ``scale``, each
-    ``scale * standard_exponential()`` as ``rng.exponential`` makes it: the
-    first ``size`` are returned, and the rest are drawn into ``spare`` and
-    dropped."""
-    dwell = rng.standard_exponential(size)
-    dwell *= scale
-    for start in range(size, _CHUNK, spare.size):
-        rng.standard_exponential(out=spare[:_CHUNK - start])
-    return dwell
+def _pairwise(leaf, lo: int, hi: int, block: int) -> float:
+    """numpy's pairwise ``.sum()`` of the values ``[lo, hi)``, bit for bit,
+    from ``leaf(lo, hi)``, the sum of a node of at most ``block`` values (at
+    least 128, numpy's leaf size, so every node it splits numpy splits too):
+    a larger node splits at half its size rounded down to a multiple of 8."""
+    m = hi - lo
+    if m <= block:
+        return leaf(lo, hi)
+    h = lo + m // 2 - (m // 2) % 8
+    return _pairwise(leaf, lo, h, block) + _pairwise(leaf, h, hi, block)
 
 
-def _ends_within(t0: float, duration: float, dwells: tuple,
+class _Fold:
+    """numpy's ``.sum()`` of the first ``n`` values fed, bit for bit: each
+    ``_pairwise`` leaf (at most ``_SPARE`` values, at most one held) is summed
+    once fed, and ``total`` adds the leaf sums up the tree (unfed ones as 0)."""
+
+    def __init__(self, n: int):
+        self.n, self.rest, self.sums, self.sizes = n, np.empty(0), [], []
+        _pairwise(lambda lo, hi: self.sizes.insert(0, hi - lo) or 0.0, 0, n,
+                  _SPARE)  # popped from the end, in order
+
+    def feed(self, values: np.ndarray) -> None:
+        while self.sizes and self.rest.size + values.size >= self.sizes[-1]:
+            take = self.sizes.pop() - self.rest.size
+            leaf = (np.concatenate((self.rest, values[:take]))
+                    if self.rest.size else values[:take])
+            self.sums.append(float(leaf.sum()))
+            self.rest, values = np.empty(0), values[take:]
+        if self.sizes:
+            self.rest = np.concatenate((self.rest, values))
+
+    def total(self) -> float:
+        sums = iter(self.sums)
+        return _pairwise(lambda lo, hi: next(sums, 0.0), 0, self.n, _SPARE)
+
+
+def _ends_within(t0: float, duration: float, ends: np.ndarray,
                  spare: np.ndarray) -> tuple[int, float]:
-    """How many cycle ends ``t0 + cumsum(sum(dwells))`` are at most
-    ``duration``, and the last end, summed ``spare.size`` cycles at a time
-    in ``spare``: each piece starts from the sum before it, so every end is
-    the sequential cumulative sum's, bit for bit."""
-    count, carry, size = 0, 0.0, dwells[0].size
+    """How many cycle ends ``t0 + cumsum(ends)`` are at most ``duration``,
+    and the last, summed in ``spare`` a piece at a time, each from the sum
+    before it: every end is the sequential cumulative sum's, bit for bit."""
+    count, carry = 0, 0.0
     with np.errstate(over="ignore"):  # an overflowed end is past duration
-        for lo in range(0, size, spare.size):
-            part = spare[:size - lo]
-            np.add(*(d[lo:lo + part.size] for d in dwells[:2]), out=part)
-            for d in dwells[2:]:
-                part += d[lo:lo + part.size]
+        for lo in range(0, ends.size, spare.size):
+            part = spare[:ends.size - lo]
+            part[:] = ends[lo:lo + part.size]
             part[0] += carry
             carry = np.cumsum(part, out=part)[-1]
             part += t0
@@ -285,66 +314,90 @@ def _runs(config: TrajectoryConfig):
                       master_seed=config.master_seed + index * _GOLDEN64)
 
 
+def _pieces(draw, spare: np.ndarray, size: int, stop: int = _CHUNK):
+    """Draw ``stop`` values by ``draw(out=...)``, ``spare.size`` at a time
+    into ``spare``; yield each piece below index ``size`` as ``(lo, part)``."""
+    for lo in range(0, stop, spare.size):
+        part = draw(out=spare[:stop - lo])
+        if lo < size:
+            yield lo, part[:size - lo]
+
+
 def _cycle_block(rng: np.random.Generator, params: SystemParams,
                  rates: BranchRates, t0: float, duration: float,
-                 yield_: float, spare: np.ndarray) -> tuple:
-    """Draw the block of cycles that starts at ``t0``: ``(dwell_g, dwell_u,
-    is_minus, dwell_b, detected)`` of its first ``reach`` cycles, in the
-    module's draw order (``detected`` is None when ``yield_`` is one).  The
-    caller sums their ends ``t0 + cumsum(dwell_g + dwell_u + dwell_b)``,
-    and the next block starts at the last.  A block is these arrays (13 MB
-    whole) and the ``spare`` the caller lends; none is kept here.
+                 yield_: float, spare: np.ndarray, fold: int = 0) -> tuple:
+    """Draw the block of cycles that starts at ``t0``: ``(ends, is_minus,
+    detected, sums)`` of its first ``reach`` cycles, in the module's draw
+    order.  ``ends`` holds each cycle's dwell ``g + u + b`` (the caller sums
+    the ends ``t0 + cumsum(ends)``, the last starting the next block),
+    ``detected`` is None at unit ``yield_``, and ``sums`` are numpy's
+    ``.sum()`` of the first ``fold`` cycles' ground, upper, minus and plus
+    dwells, bit for bit.  A block holds ``ends`` and the masks, 9 bytes a
+    cycle (10 with ``detected``): all but the ground dwells are drawn into
+    the caller's ``spare``, scaled there (unit-exponential branch dwells
+    divided by the branch's rate), folded and added to ``ends``.
 
-    ``reach`` runs to the first cycle whose ``t0 + cumsum(dwell_g +
-    dwell_u)`` passes ``duration``, as every later one ends past it.  It is
-    searched only in an expected last block, which keeps the first
-    ``_prefix_size`` ground and upper dwells (the rest, drawn as the
-    ziggurat takes a variable number of words, go into ``spare``), drawn
-    again whole should the search pass them.  Branch choices past ``reach``
-    are skipped (a uniform double is one word), and branch dwells, unit
-    exponentials divided in place by the branch's rate, are drawn past it
-    (into ``spare``) only when the detection draw follows.
-    """
-    scale_g, scale_u = 1.0 / params.pump_r, 1.0 / rates.gfeed_total
-    size = _CHUNK
-    last = duration - t0 <= _CHUNK * (scale_g + scale_u)
+    ``reach`` runs to the first cycle whose ``t0 + cumsum(g + u)`` passes
+    ``duration``, searched only in an expected last block.  That keeps a
+    ``_prefix_size`` prefix of ground and upper dwells (the rest, as the
+    ziggurat takes a variable number of words, are drawn and dropped),
+    drawn again whole if the search passes it, skips its branch choices
+    past ``reach`` (one word each), and draws its branch dwells past it
+    only when the detection draw follows."""
+    scales = 1.0 / params.pump_r, 1.0 / rates.gfeed_total
+    size, last = _CHUNK, duration - t0 <= _CHUNK * sum(scales)
     if last:  # the run is expected to end in this block
-        size = _prefix_size((duration - t0) / (scale_g + scale_u))
+        size = _prefix_size((duration - t0) / sum(scales))
         state = rng.bit_generator.state
-    dwell_g = _dwells(rng, scale_g, size, spare)
-    dwell_u = _dwells(rng, scale_u, size, spare)
-    while last and (reach := _ends_within(
-            t0, duration, (dwell_g, dwell_u), spare)[0]) == size < _CHUNK:
+    while True:
+        ends = rng.standard_exponential(size)
+        ends *= scales[0]
+        for lo in range(size, _CHUNK, spare.size):  # dropped
+            rng.standard_exponential(out=spare[:_CHUNK - lo])
+        folds = _Fold(fold), _Fold(fold)
+        for lo, part in _pieces(rng.standard_exponential, spare, size):
+            part *= scales[1]
+            if lo < fold:
+                folds[0].feed(ends[lo:lo + part.size])
+                folds[1].feed(part)
+            ends[lo:lo + part.size] += part
+        if not last or (reach := _ends_within(
+                t0, duration, ends, spare)[0]) < size or size == _CHUNK:
+            break
         rng.bit_generator.state = state  # past the kept prefix: redraw whole
         size = _CHUNK
-        dwell_g = _dwells(rng, scale_g, size, spare)
-        dwell_u = _dwells(rng, scale_u, size, spare)
     reach = min(reach + 1, _CHUNK) if last else _CHUNK
-    dwell_g.resize(reach, refcheck=False)  # free unused tails in place
-    dwell_u.resize(reach, refcheck=False)
-    is_minus = rng.random(reach) < rates.gfeed_minus / rates.gfeed_total
+    ends.resize(reach, refcheck=False)  # free the unused tail in place
+    is_minus = np.empty(reach, dtype=bool)
+    for lo, part in _pieces(rng.random, spare, reach, reach):
+        np.less(part, rates.gfeed_minus / rates.gfeed_total,
+                out=is_minus[lo:lo + part.size])
     rng.bit_generator.advance(_CHUNK - reach)
-    detect = yield_ < 1.0
-    dwell_b = (_dwells(rng, 1.0, reach, spare) if detect
-               else rng.standard_exponential(reach))
+    minus = int(np.count_nonzero(is_minus[:fold]))
+    folds += _Fold(minus), _Fold(min(fold, reach) - minus)
+    detected = np.empty(reach, dtype=bool) if yield_ < 1.0 else None
     with np.errstate(over="ignore"):  # an overflowed dwell ends past duration
-        for lo in range(0, reach, spare.size):
-            part = slice(lo, lo + spare.size)
-            dwell_b[part] /= np.where(is_minus[part], rates.gpar_minus,
-                                      rates.gpar_plus)
-    detected = np.empty(reach, dtype=bool) if detect else None
-    for lo in range(0, reach if detect else 0, spare.size):
-        rng.random(out=(part := spare[:reach - lo]))
+        for lo, part in _pieces(rng.standard_exponential, spare, reach,
+                                reach if detected is None else _CHUNK):
+            branch = is_minus[lo:lo + part.size]
+            part /= np.where(branch, rates.gpar_minus, rates.gpar_plus)
+            if lo < fold:  # each fold keeps only its first values
+                folds[2].feed(np.compress(branch, part))
+                folds[3].feed(np.compress(~branch, part))
+            ends[lo:lo + part.size] += part
+    for lo, part in _pieces(rng.random, spare, reach,
+                            0 if detected is None else reach):
         np.less(part, yield_, out=detected[lo:lo + part.size])
-    return dwell_g, dwell_u, is_minus, dwell_b, detected
+    return ends, is_minus, detected, tuple(f.total() for f in folds)
 
 
 def _simulate_one(params: SystemParams, rates: BranchRates,
                   config: TrajectoryConfig) -> PhotonStream:
     """One trajectory's stream, held with one block and never copied: each
-    block's ends are summed in its ground dwells and its kept photons fill
-    one times and one tags array, grown when a block outgrows them by the
-    photons the rest of the run expects, five sigma over; trimmed in place."""
+    block's ends are summed in place and its kept photons written, a piece
+    of ``spare.size`` cycles at a time, into one times and one tags array,
+    grown when a block outgrows them by the photons the rest of the run
+    expects, five sigma over, and trimmed in place."""
     duration = config.duration
     times, tags = np.empty(0), np.empty(0, dtype=np.int8)
     if params.pump_r == 0.0:
@@ -353,31 +406,36 @@ def _simulate_one(params: SystemParams, rates: BranchRates,
     want = None if config.branch_filter is None else _slot(config.branch_filter)
     n, t0, spare = 0, 0.0, np.empty(_SPARE)
     while t0 < duration:
-        ends, dwell_u, is_minus, dwell_b, detected = _cycle_block(
+        ends, is_minus, keep, _ = _cycle_block(
             rng, params, rates, t0, duration, params.quantum_yield, spare)
         with np.errstate(over="ignore"):  # an overflowed end is past duration
-            ends += dwell_u
-            ends += dwell_b
-            del dwell_u, dwell_b
             np.cumsum(ends, out=ends)
             ends += t0
         t0 = float(ends[-1])
-        keep = ends <= duration
-        if detected is not None:
-            keep &= detected
+        within = int(np.searchsorted(ends, duration, "right"))  # ends ascend
         block_tags = np.logical_not(is_minus, out=is_minus).view(np.int8)
-        if want is not None:
-            keep &= block_tags == want
-        if n + (kept := int(np.count_nonzero(keep))) > times.size:
+        if want is not None:  # the tags become the mask of want's photons
+            np.equal(block_tags, want, out=is_minus)
+            keep = is_minus if keep is None else np.logical_and(
+                keep, is_minus, out=keep)
+        kept = within if keep is None else int(np.count_nonzero(keep[:within]))
+        if n + kept > times.size:
             more = _expected_kept(params, rates, max(duration - t0, 0.0),
                                   config.branch_filter)
             size = n + kept + int(more + 5.0 * more ** 0.5)
             times.resize(size, refcheck=False)
             tags.resize(size, refcheck=False)
-        times[n:n + kept] = ends[keep]
-        tags[n:n + kept] = block_tags[keep]
-        n += kept
-        del ends, is_minus, detected, keep, block_tags
+        chosen = slice(None)  # every photon within the duration, or keep's
+        for lo in range(0, within, spare.size):
+            piece = slice(lo, min(lo + spare.size, within))
+            if keep is not None:
+                chosen = keep[piece]
+            m = n + (piece.stop - lo if keep is None
+                     else int(np.count_nonzero(chosen)))
+            times[n:m] = ends[piece][chosen]
+            tags[n:m] = block_tags[piece][chosen] if want is None else want
+            n = m
+        del ends, is_minus, keep, block_tags, chosen
     times.resize(n, refcheck=False)  # no view of either is left
     tags.resize(n, refcheck=False)
     return PhotonStream(times=times, tags=tags, duration=duration)
@@ -388,7 +446,9 @@ def occupation_fractions(params: SystemParams, rates: BranchRates,
     """Fraction of time one trajectory spends in each of the four states.
 
     Accumulated over completed pump cycles, so the result carries an
-    end-effect bias of at most one cycle over the run length.
+    end-effect bias of at most one cycle over the run length.  Dwells are
+    summed as drawn; a block with a cycle ending past the duration (always
+    the last) is drawn again from its start to sum only those before it.
     """
     _check_run(params, rates, config, stream=False)
     if params.pump_r == 0.0:
@@ -397,19 +457,19 @@ def occupation_fractions(params: SystemParams, rates: BranchRates,
     sums = {"gg": 0.0, "uu": 0.0, "mm": 0.0, "pp": 0.0}
     t0, duration, spare = 0.0, config.duration, np.empty(_SPARE)
     while t0 < duration:
-        dwell_g, dwell_u, is_minus, dwell_b, _ = _cycle_block(
-            rng, params, rates, t0, duration, 1.0, spare)
+        state = rng.bit_generator.state
+        ends, _, _, block = _cycle_block(rng, params, rates, t0, duration,
+                                         1.0, spare, _CHUNK)
         # With no detection draw the kept cycles are a prefix.
-        kept, t0 = _ends_within(t0, duration, (dwell_g, dwell_u, dwell_b),
-                                spare)
-        sums["gg"] += float(dwell_g[:kept].sum())
-        sums["uu"] += float(dwell_u[:kept].sum())
-        del dwell_g, dwell_u
-        branch = is_minus[:kept]  # one branch's mask at a time
-        sums["mm"] += float(dwell_b[:kept][branch].sum())
-        sums["pp"] += float(dwell_b[:kept][
-            np.logical_not(branch, out=branch)].sum())
-        del is_minus, dwell_b, branch
+        kept, end = _ends_within(t0, duration, ends, spare)
+        del ends
+        if end > duration:  # draw it again, folding only the kept cycles
+            rng.bit_generator.state = state
+            block = _cycle_block(rng, params, rates, t0, duration, 1.0,
+                                 spare, kept)[3]
+        for key, value in zip(sums, block):
+            sums[key] += value
+        t0 = end
     total = sum(sums.values())
     if total == 0.0:
         raise InsufficientDataError("no completed cycle within the duration")
@@ -602,10 +662,6 @@ def fano_factor(stream: PhotonStream, window: float) -> float:
 
     def squares(lo: int, hi: int) -> float:
         """Summed squared deviations of windows [lo, hi), one tree node."""
-        m = hi - lo
-        if m > _FANO_BLOCK:
-            h = m // 2 - (m // 2) % 8
-            return squares(lo, lo + h) + squares(lo + h, hi)
         first, last = np.searchsorted(times, np.array((lo, hi)) * window)
         part = times[first:] if hi == n_windows else times[first:last]
         # The quotient and the edges k*window round apart, so next to an edge
@@ -615,13 +671,11 @@ def fano_factor(stream: PhotonStream, window: float) -> float:
         index -= part < index * window
         index += part >= (index + 1) * window
         np.minimum(index, n_windows - 1, out=index)  # on the last edge
-        dev = np.bincount(index - lo, minlength=m) - mean
+        dev = np.bincount(index - lo, minlength=hi - lo) - mean
         np.multiply(dev, dev, out=dev)
         return float(dev.sum())
 
-    total = squares(0, n_windows)
-    del squares  # else its self-referring closure holds the photons to a gc
-    return total / (n_windows - 1) / mean
+    return _pairwise(squares, 0, n_windows, _FANO_BLOCK) / (n_windows - 1) / mean
 
 
 def emission_rate(stream: PhotonStream, branch: Branch | None) -> EmissionRate:

@@ -351,6 +351,32 @@ class TestPrefixSampler:
         self.assert_matches_full_blocks(params, rates, config)
         assert calls  # the last block kept a prefix
 
+    def test_occupations_redraw_a_block_ending_past_the_duration(
+            self, monkeypatch):
+        # At half a block's time the first block is not expected to be the
+        # last (its ground and upper dwells take a quarter of that time), so
+        # it is drawn whole, yet its cycle ends pass the duration:
+        # occupation_fractions draws it once more, to sum only the cycles
+        # within the duration.
+        params, rates = PREFIX_SETUPS["unit-yield"]
+        config = TrajectoryConfig(duration=0.5 * BLOCK_TIME["unit-yield"],
+                                  master_seed=408)
+        drawn = []
+        draw = stochastic._cycle_block
+
+        def counting(*args):
+            block = draw(*args)
+            drawn.append(block[0].size)
+            return block
+
+        monkeypatch.setattr(stochastic, "_cycle_block", counting)
+        assert (occupations_repr(params, rates, config)
+                == reference_occupations(params, rates, config))
+        assert drawn == [_CHUNK, _CHUNK]
+        drawn.clear()
+        self.assert_matches_full_blocks(params, rates, config)
+        assert drawn == [_CHUNK] * 3  # the stream's, then occupations' two
+
     @pytest.mark.parametrize("setup", PREFIX_SETUPS)
     def test_short_run_allocates_under_half_a_block(self, setup):
         # About 40 cycles: of the ground and upper dwells, prefixes of 2**11
@@ -375,7 +401,9 @@ class TestPrefixSampler:
         # its time, so none is expected to end the run).  Holding the last
         # block's arrays while drawing the next cost 2.1 block arrays more;
         # the slack, _CHUNK bytes (1/8 of a float array), covers the 2% more
-        # cycles an earlier block keeps.
+        # cycles an earlier block keeps.  One block holds its summed dwells
+        # and branch mask, 9 bytes a cycle, and the sums' leaf buffers; three
+        # dwell arrays, 25 bytes a cycle, fail the absolute bound.
         params, rates = PREFIX_SETUPS["unit-yield"]
         peaks = {}
         for blocks in (1, 3, 6):
@@ -389,14 +417,16 @@ class TestPrefixSampler:
                 tracemalloc.stop()
         assert peaks[3] <= peaks[1] + _CHUNK
         assert peaks[6] <= peaks[1] + _CHUNK
+        assert max(peaks.values()) <= 11 * _CHUNK
 
     def test_long_stream_holds_one_block(self):
         # As above, for simulate_stream less the stream it returns (9 bytes
-        # a photon): a run holds its stream and one block, whose three dwell
-        # arrays and branch mask take 25 bytes a cycle (the slack covers the
-        # stream's margin and a spare buffer).  A stream gathered in
-        # per-block parts and concatenated, or trimmed by a copy, is held
-        # twice: 4.6 MB more per block of photons.
+        # a photon): a run holds its stream and one block, whose summed
+        # dwells and branch mask take 9 bytes a cycle (the slack covers the
+        # stream's margin and a spare buffer; three dwell arrays, 25 bytes
+        # a cycle, fail it).
+        # A stream gathered in per-block parts and concatenated, or trimmed
+        # by a copy, is held twice: 4.6 MB more per block of photons.
         params, rates = PREFIX_SETUPS["unit-yield"]
         over = {}
         for blocks in (1, 3, 6):
@@ -408,7 +438,7 @@ class TestPrefixSampler:
                 over[blocks] = tracemalloc.get_traced_memory()[1] - 9 * photons
             finally:
                 tracemalloc.stop()
-        assert max(over.values()) <= 25 * _CHUNK + _CHUNK
+        assert max(over.values()) <= 11 * _CHUNK
         assert over[6] <= over[3] + _CHUNK
 
     @pytest.mark.parametrize("branch", [None, Branch.MINUS, Branch.PLUS])
@@ -492,7 +522,8 @@ class TestValidation:
         # the first is computed whole, the second only up to the duration,
         # but the dwell arrays of both are drawn whole.  The cap counts
         # these blocks over every trajectory of a stream run, and over the
-        # one trajectory occupation_fractions samples.
+        # one trajectory occupation_fractions samples, whose last block is
+        # drawn a second time to sum only the cycles within the duration.
         params, rates = make_setup()
         mean_cycle = 1.0 / params.pump_r + (
             1.0 + rates.gfeed_minus / rates.gpar_minus
@@ -514,7 +545,7 @@ class TestValidation:
         with pytest.raises(ParameterError, match="over the cap"):
             simulate_stream(params, rates, replace(config, n_trajectories=3))
         occupation_fractions(params, rates, replace(config, n_trajectories=3))
-        assert len(drawn) == 6
+        assert len(drawn) == 7
 
     def test_run_keeping_nothing_is_still_capped(self, monkeypatch):
         # Quantum yield 0 keeps no photon, so only the draw cap stops this.
@@ -522,6 +553,36 @@ class TestValidation:
         monkeypatch.setattr(stochastic, "MAX_CYCLES", 4 * _CHUNK)
         with pytest.raises(ParameterError, match="over the cap"):
             simulate_stream(params, rates, TrajectoryConfig(duration=1e300))
+
+    @pytest.mark.parametrize("at", [1 << 16, (1 << 16) + 1, (1 << 17) + 5])
+    def test_stream_checks_find_the_first_bad_value_across_pieces(self, at):
+        # PhotonStream checks its arrays 2**16 values at a time: a timestamp
+        # not above the one before it, first in a piece, is still found, as
+        # is a bad tag past the first piece.
+        times = np.arange(1.0, (1 << 17) + 10)
+        tags = np.zeros(times.size, dtype=np.int8)
+        bad = times.copy()
+        bad[at] = bad[at - 1]
+        assert stochastic._first_bad_time(bad, times[-1]) == at
+        with pytest.raises(ParameterError, match="not above"):
+            PhotonStream(times=bad, tags=tags, duration=times[-1])
+        tags[at] = 2
+        with pytest.raises(ParameterError, match="tags"):
+            PhotonStream(times=times, tags=tags, duration=times[-1])
+
+    def test_stream_checks_hold_no_photon_sized_mask(self):
+        # The range, order and tag checks of 2**20 photons: whole-array
+        # masks took about 3 bytes a photon; a piece at a time, a few
+        # 2**16-value masks.
+        times = np.arange(1.0, (1 << 20) + 1)
+        tags = np.zeros(times.size, dtype=np.int8)
+        tracemalloc.start()
+        try:
+            PhotonStream(times=times, tags=tags, duration=times[-1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < times.size
 
     @pytest.mark.parametrize("bad", [7, -1])
     def test_out_of_range_tag_rejected(self, bad):
