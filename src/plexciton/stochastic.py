@@ -37,8 +37,7 @@ _MASK64 = (1 << 64) - 1
 # Cycles sampled per vectorized block.
 _CHUNK = 1 << 19
 
-# Values a block draws or sums at a time in its spare buffer, and most values
-# a leaf of a ``_Fold`` sums at once: at least 128, as ``_pairwise`` needs.
+# Values a block draws, scales and sums at a time in its spare buffer.
 _SPARE = 1 << 13
 
 # Most photons one run may be expected to keep, over all its trajectories:
@@ -131,6 +130,8 @@ class PhotonStream:
     def __post_init__(self) -> None:
         object.__setattr__(self, "times", _numbers(self.times, "times"))
         tags = np.asarray(self.tags)
+        if tags.dtype.kind == "c":  # 1+0j would pass as tag 1
+            raise ParameterError(f"tags must be real numbers, got dtype {tags.dtype}")
         if self.times.shape != tags.shape or tags.ndim != 1:
             raise ParameterError("times and tags must be matching 1-d arrays")
         for lo in range(0, tags.size, _CHECK):
@@ -258,31 +259,6 @@ def _pairwise(leaf, lo: int, hi: int, block: int) -> float:
     return _pairwise(leaf, lo, h, block) + _pairwise(leaf, h, hi, block)
 
 
-class _Fold:
-    """numpy's ``.sum()`` of the first ``n`` values fed, bit for bit: each
-    ``_pairwise`` leaf (at most ``_SPARE`` values, at most one held) is summed
-    once fed, and ``total`` adds the leaf sums up the tree (unfed ones as 0)."""
-
-    def __init__(self, n: int):
-        self.n, self.rest, self.sums, self.sizes = n, np.empty(0), [], []
-        _pairwise(lambda lo, hi: self.sizes.insert(0, hi - lo) or 0.0, 0, n,
-                  _SPARE)  # popped from the end, in order
-
-    def feed(self, values: np.ndarray) -> None:
-        while self.sizes and self.rest.size + values.size >= self.sizes[-1]:
-            take = self.sizes.pop() - self.rest.size
-            leaf = (np.concatenate((self.rest, values[:take]))
-                    if self.rest.size else values[:take])
-            self.sums.append(float(leaf.sum()))
-            self.rest, values = np.empty(0), values[take:]
-        if self.sizes:
-            self.rest = np.concatenate((self.rest, values))
-
-    def total(self) -> float:
-        sums = iter(self.sums)
-        return _pairwise(lambda lo, hi: next(sums, 0.0), 0, self.n, _SPARE)
-
-
 def _ends_within(t0: float, duration: float, ends: np.ndarray,
                  spare: np.ndarray) -> tuple[int, float]:
     """How many cycle ends ``t0 + cumsum(ends)`` are at most ``duration``,
@@ -330,12 +306,13 @@ def _cycle_block(rng: np.random.Generator, params: SystemParams,
     detected, sums)`` of its first ``reach`` cycles, in the module's draw
     order.  ``ends`` holds each cycle's dwell ``g + u + b`` (the caller sums
     the ends ``t0 + cumsum(ends)``, the last starting the next block),
-    ``detected`` is None at unit ``yield_``, and ``sums`` are numpy's
-    ``.sum()`` of the first ``fold`` cycles' ground, upper, minus and plus
-    dwells, bit for bit.  A block holds ``ends`` and the masks, 9 bytes a
-    cycle (10 with ``detected``): all but the ground dwells are drawn into
-    the caller's ``spare``, scaled there (unit-exponential branch dwells
-    divided by the branch's rate), folded and added to ``ends``.
+    ``detected`` is None at unit ``yield_``, and ``sums`` hold the ground,
+    upper, minus and plus dwells of the first ``fold`` cycles, each a
+    running sum, in draw order, of one ``.sum()`` per ``spare``-sized piece.
+    A block holds ``ends`` and the masks, 9 bytes a cycle (10 with
+    ``detected``): all but the ground dwells are drawn into the caller's
+    ``spare``, scaled there (unit-exponential branch dwells divided by the
+    branch's rate), summed and added to ``ends``.
 
     ``reach`` runs to the first cycle whose ``t0 + cumsum(g + u)`` passes
     ``duration``, searched only in an expected last block.  That keeps a
@@ -354,12 +331,12 @@ def _cycle_block(rng: np.random.Generator, params: SystemParams,
         ends *= scales[0]
         for lo in range(size, _CHUNK, spare.size):  # dropped
             rng.standard_exponential(out=spare[:_CHUNK - lo])
-        folds = _Fold(fold), _Fold(fold)
+        sums = [0.0] * 4
         for lo, part in _pieces(rng.standard_exponential, spare, size):
             part *= scales[1]
-            if lo < fold:
-                folds[0].feed(ends[lo:lo + part.size])
-                folds[1].feed(part)
+            if lo < fold:  # each sum takes only the first fold cycles
+                sums[0] += float(ends[lo:min(fold, lo + part.size)].sum())
+                sums[1] += float(part[:fold - lo].sum())
             ends[lo:lo + part.size] += part
         if not last or (reach := _ends_within(
                 t0, duration, ends, spare)[0]) < size or size == _CHUNK:
@@ -373,22 +350,21 @@ def _cycle_block(rng: np.random.Generator, params: SystemParams,
         np.less(part, rates.gfeed_minus / rates.gfeed_total,
                 out=is_minus[lo:lo + part.size])
     rng.bit_generator.advance(_CHUNK - reach)
-    minus = int(np.count_nonzero(is_minus[:fold]))
-    folds += _Fold(minus), _Fold(min(fold, reach) - minus)
     detected = np.empty(reach, dtype=bool) if yield_ < 1.0 else None
     with np.errstate(over="ignore"):  # an overflowed dwell ends past duration
         for lo, part in _pieces(rng.standard_exponential, spare, reach,
                                 reach if detected is None else _CHUNK):
             branch = is_minus[lo:lo + part.size]
             part /= np.where(branch, rates.gpar_minus, rates.gpar_plus)
-            if lo < fold:  # each fold keeps only its first values
-                folds[2].feed(np.compress(branch, part))
-                folds[3].feed(np.compress(~branch, part))
+            if lo < fold:
+                kept = branch[:fold - lo]
+                sums[2] += float(np.compress(kept, part).sum())
+                sums[3] += float(np.compress(~kept, part).sum())
             ends[lo:lo + part.size] += part
     for lo, part in _pieces(rng.random, spare, reach,
                             0 if detected is None else reach):
         np.less(part, yield_, out=detected[lo:lo + part.size])
-    return ends, is_minus, detected, tuple(f.total() for f in folds)
+    return ends, is_minus, detected, sums
 
 
 def _simulate_one(params: SystemParams, rates: BranchRates,
@@ -463,7 +439,7 @@ def occupation_fractions(params: SystemParams, rates: BranchRates,
         # With no detection draw the kept cycles are a prefix.
         kept, end = _ends_within(t0, duration, ends, spare)
         del ends
-        if end > duration:  # draw it again, folding only the kept cycles
+        if end > duration:  # draw it again, summing only the kept cycles
             rng.bit_generator.state = state
             block = _cycle_block(rng, params, rates, t0, duration, 1.0,
                                  spare, kept)[3]

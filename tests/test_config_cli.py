@@ -4,6 +4,7 @@ import math
 import os
 import re
 import stat
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -560,6 +561,19 @@ class TestExitCodes:
         assert stop.value.code == code
         out, err = capsys.readouterr()
         assert ("p_minus = " in out) if code == 0 else err.startswith("error: ")
+
+    def test_module_runs_as_a_process(self, capsys):
+        # python -m plexciton.cli goes through the __main__ guard and
+        # entry(), in a fresh interpreter, and prints main's report.
+        args = ["rates", "--config", os.path.join(PRESETS, "resonant_rates.cfg")]
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        run = subprocess.run([sys.executable, "-m", "plexciton.cli", *args],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, encoding="utf-8")
+        assert (run.returncode, run.stderr) == (0, "")
+        assert main(args) == 0
+        assert run.stdout == capsys.readouterr().out
+        assert run.stdout.startswith("# plexciton 0.1.0 rates report\n")
 
     # Every run setting is a config key: the command line names only the
     # command, the config file and the output directory.

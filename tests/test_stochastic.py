@@ -73,29 +73,37 @@ class TestSimulate:
         assert not np.array_equal(first[0].times[:50], first[1].times[:50])
 
     def test_draw_order_is_pinned(self):
-        # Digests recorded before the cycle-block sampler was shared by the
-        # simulator and occupation_fractions; a reordered, added or dropped
-        # draw changes them.  The yield below one brings in the detection
-        # draw, the branch filter its mask, and each trajectory spans more
-        # than two blocks.
-        params, rates = make_setup(pump=1.0, feed=1.0, gamma_nr=0.3)
+        # Stream digests recorded before the cycle-block sampler was shared
+        # by the simulator and occupation_fractions, the occupations' since
+        # their dwells are summed a piece at a time; a reordered, added or
+        # dropped draw changes them.  The yield below one brings in the
+        # detection draw, the branch filter its mask, and each trajectory
+        # spans more than two blocks.  At feed = pump the ground and upper
+        # dwells share a scale, so only the stream at feed 3 and the
+        # occupations catch the two scales swapped.
         config = TrajectoryConfig(duration=8e6, n_trajectories=2,
                                   master_seed=2024, branch_filter=Branch.MINUS)
-        p_minus = rates.gfeed_minus / rates.gfeed_total
-        mean_cycle = (1.0 / params.pump_r + 1.0 / rates.gfeed_total
-                      + p_minus / rates.gpar_minus
-                      + (1.0 - p_minus) / rates.gpar_plus)
-        assert params.quantum_yield < 1.0
-        assert config.duration / mean_cycle > 2 * _CHUNK
-        digest = hashlib.sha256()
-        for stream in simulate_stream(params, rates, config):
-            digest.update(stream.times.astype("<f8").tobytes())
-            digest.update(stream.tags.tobytes())
-        assert digest.hexdigest() == (
-            "d4651622c5f74c71913670ac27297939dd70a2faa39f91b07cd0800cb026dcad")
+        pinned = {
+            1.0: "d4651622c5f74c71913670ac27297939dd70a2faa39f91b07cd0800cb026dcad",
+            3.0: "cb51a68478ed39dca13404d0b8c16b03f2704d9485a01aa98cc82bb59f0a7e9c",
+        }
+        for feed, expected in pinned.items():
+            params, rates = make_setup(pump=1.0, feed=feed, gamma_nr=0.3)
+            p_minus = rates.gfeed_minus / rates.gfeed_total
+            mean_cycle = (1.0 / params.pump_r + 1.0 / rates.gfeed_total
+                          + p_minus / rates.gpar_minus
+                          + (1.0 - p_minus) / rates.gpar_plus)
+            assert params.quantum_yield < 1.0
+            assert config.duration / mean_cycle > 2 * _CHUNK
+            digest = hashlib.sha256()
+            for stream in simulate_stream(params, rates, config):
+                digest.update(stream.times.astype("<f8").tobytes())
+                digest.update(stream.tags.tobytes())
+            assert digest.hexdigest() == expected
+        params, rates = make_setup(pump=1.0, feed=1.0, gamma_nr=0.3)
         occupations = repr(occupation_fractions(params, rates, config))
         assert hashlib.sha256(occupations.encode()).hexdigest() == (
-            "f0d948b7651842b34c0ace096b2438c0eb029424a185c35742b63c7ed4d622c9")
+            "773c29c37224a74e3eb870a1c599f675311b80849de60e5e4dbfb7ae3b9ad0b2")
 
     def test_seed_derivation_is_stable(self):
         # Frozen values pin the documented seed-mixing function
@@ -205,6 +213,10 @@ class TestSimulate:
             occupation_fractions(params, rates, config)
 
 
+# Cycles occupation_fractions sums at a time, one ``.sum()`` a dwell kind.
+PIECE = 1 << 13
+
+
 def reference_blocks(rng, params, rates, duration, yield_):
     """The full-block sampler: every draw of a block made whole, and (yield
     below one) the detection draw after the block."""
@@ -243,14 +255,21 @@ def reference_stream(params, rates, config, index=0):
 
 
 def reference_occupations(params, rates, config):
-    """``repr`` of occupation_fractions by the full-block sampler."""
+    """``repr`` of occupation_fractions by the full-block sampler: a block
+    adds to each sum, in draw order, one ``.sum()`` of the kept dwells of
+    each of its pieces of ``PIECE`` cycles."""
     sums = {"gg": 0.0, "uu": 0.0, "mm": 0.0, "pp": 0.0}
     for ends, keep, dwell_g, dwell_u, is_minus, dwell_b in reference_blocks(
             reference_rng(config), params, rates, config.duration, 1.0):
-        sums["gg"] += float(dwell_g[keep].sum())
-        sums["uu"] += float(dwell_u[keep].sum())
-        sums["mm"] += float(dwell_b[keep & is_minus].sum())
-        sums["pp"] += float(dwell_b[keep & ~is_minus].sum())
+        block = dict.fromkeys(sums, 0.0)
+        for lo in range(0, _CHUNK, PIECE):
+            kept, minus = keep[lo:lo + PIECE], is_minus[lo:lo + PIECE]
+            block["gg"] += float(dwell_g[lo:lo + PIECE][kept].sum())
+            block["uu"] += float(dwell_u[lo:lo + PIECE][kept].sum())
+            block["mm"] += float(dwell_b[lo:lo + PIECE][kept & minus].sum())
+            block["pp"] += float(dwell_b[lo:lo + PIECE][kept & ~minus].sum())
+        for key in sums:
+            sums[key] += block[key]
     total = sum(sums.values())
     if total == 0.0:
         return "InsufficientDataError"
@@ -351,6 +370,34 @@ class TestPrefixSampler:
         self.assert_matches_full_blocks(params, rates, config)
         assert calls  # the last block kept a prefix
 
+    @pytest.mark.parametrize("setup", PREFIX_SETUPS)
+    @pytest.mark.parametrize("path", ["first-block", "redraw"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_occupations_match_at_a_piece_edge(self, monkeypatch, setup, path,
+                                               offset):
+        # The run keeps PIECE cycles, or one fewer or more, so the last
+        # piece occupation_fractions sums holds all, all but one, or one of
+        # its cycles.  Forced to keep a prefix of 2**11 dwells, the block's
+        # crossing lies past it and the block is drawn again whole.
+        params, rates = PREFIX_SETUPS[setup]
+        config = TrajectoryConfig(duration=1.0, master_seed=409)
+        ends = next(reference_blocks(reference_rng(config), params, rates,
+                                     np.inf, 1.0))[0]
+        kept = PIECE + offset
+        config = replace(config,
+                         duration=0.5 * float(ends[kept - 1] + ends[kept]))
+        assert np.count_nonzero(ends <= config.duration) == kept
+        calls = []
+
+        def forced(cycles):
+            calls.append(cycles)
+            return 1 << 11
+
+        if path == "redraw":
+            monkeypatch.setattr(stochastic, "_prefix_size", forced)
+        self.assert_matches_full_blocks(params, rates, config)
+        assert bool(calls) == (path == "redraw")
+
     def test_occupations_redraw_a_block_ending_past_the_duration(
             self, monkeypatch):
         # At half a block's time the first block is not expected to be the
@@ -402,8 +449,9 @@ class TestPrefixSampler:
         # block's arrays while drawing the next cost 2.1 block arrays more;
         # the slack, _CHUNK bytes (1/8 of a float array), covers the 2% more
         # cycles an earlier block keeps.  One block holds its summed dwells
-        # and branch mask, 9 bytes a cycle, and the sums' leaf buffers; three
-        # dwell arrays, 25 bytes a cycle, fail the absolute bound.
+        # and branch mask, 9 bytes a cycle, and a piece of one branch's
+        # dwells while it is summed; three dwell arrays, 25 bytes a cycle,
+        # fail the absolute bound.
         params, rates = PREFIX_SETUPS["unit-yield"]
         peaks = {}
         for blocks in (1, 3, 6):
@@ -630,6 +678,9 @@ class TestValidation:
                      id="stream-huge-int-duration"),
         pytest.param(lambda: PhotonStream(times=["a"], tags=[0], duration=1.0),
                      "times must be real numbers", id="stream-string-times"),
+        pytest.param(lambda: PhotonStream(times=[0.1], tags=[1 + 0j],
+                                          duration=1.0),
+                     "tags must be real numbers", id="stream-complex-tags"),
     ])
     def test_value_types_take_array_likes_and_refuse_wrong_types(self, make,
                                                                   expected):
